@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import TAU_SIMPLEX, decimate_abundances
+from .model import decimate_abundances
 
 SUBSET_GUARD = 20  # subset enumeration cap for kruskal_rank / subset_condition
 
@@ -31,7 +31,6 @@ class Tolerances:
     singular_rel: float = 1e-9
     support: float = 1e-9
     pure: float = 1e-6
-    simplex: float = TAU_SIMPLEX
 
 
 def _smallest_singular(block):

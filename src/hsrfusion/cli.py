@@ -21,7 +21,7 @@ from .model import decimate_abundances, spatial_decimate, spectral_decimate
 
 
 def _print_json(payload, out=None):
-    text = json.dumps(payload, indent=2, default=fileio._json_default)
+    text = json.dumps(payload, indent=2, default=fileio.json_default)
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
         Path(out).write_text(text + "\n", encoding="utf-8")
@@ -153,7 +153,7 @@ def _cmd_experiment(args):
     records = experiment.run_experiment(config)
     means = experiment.mean_mse_by_snr(records)
     for snr in config.snr_db:
-        label = "inf" if math.isinf(snr) else f"{snr:g}"
+        label = experiment.format_snr(snr)
         mean = means.get(snr)
         print(f"snr {label} dB: mean mse {mean:.6g}" if mean is not None
               else f"snr {label} dB: all trials failed")

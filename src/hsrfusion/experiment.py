@@ -111,7 +111,7 @@ def run_experiment(config):
                     max_pixel_error=math.nan, bound_max=math.nan,
                     objective=math.nan, iterations=0, error=str(exc),
                 )
-                failures.append({"snr_db": _fmt_snr(snr_db), "trial": trial,
+                failures.append({"snr_db": format_snr(snr_db), "trial": trial,
                                  "message": str(exc)})
             records.append(record)
 
@@ -129,7 +129,8 @@ def mean_mse_by_snr(records):
     return {snr: float(np.mean(vals)) for snr, vals in out.items()}
 
 
-def _fmt_snr(value):
+def format_snr(value):
+    """SNR label: "inf" when noiseless, else the value in %g form."""
     return "inf" if math.isinf(value) else f"{value:g}"
 
 
@@ -138,7 +139,7 @@ def _write_outputs(out_dir, config, records, failures):
     lines = [",".join(RESULT_COLUMNS)]
     for rec in records:
         lines.append(",".join([
-            _fmt_snr(rec.snr_db),
+            format_snr(rec.snr_db),
             str(rec.trial),
             f"{rec.mse:.17g}",
             f"{rec.max_pixel_error:.17g}",
@@ -152,7 +153,7 @@ def _write_outputs(out_dir, config, records, failures):
     summary = {
         "master_seed": config.master_seed,
         "trials": config.trials,
-        "mean_mse": {_fmt_snr(snr): means.get(snr, None) for snr in config.snr_db},
+        "mean_mse": {format_snr(snr): means.get(snr, None) for snr in config.snr_db},
         "failures": failures,
     }
     (out_dir / "summary.json").write_text(

@@ -5,9 +5,9 @@ header; dimensions are inferred. Values are written with 17 significant
 digits so a write/read round trip is bit exact for float64.
 """
 
+import dataclasses
 import json
 import math
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +88,7 @@ def read_spatial_response(path):
 
 def write_json(path, payload):
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, default=_json_default)
+        json.dump(payload, handle, indent=2, default=json_default)
         handle.write("\n")
 
 
@@ -97,7 +97,8 @@ def read_json(path):
         return json.load(handle)
 
 
-def _json_default(obj):
+def json_default(obj):
+    """JSON fallback for numpy arrays and scalars."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.integer,)):
@@ -111,15 +112,30 @@ def _json_default(obj):
 # Config round trips
 # ---------------------------------------------------------------------------
 
+def _check_keys(cls, payload):
+    """Raise ValueError naming every unknown and missing key of a config."""
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    required = [f.name for f in fields if f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING]
+    problems = [f"unknown key {key!r}" for key in payload if key not in names]
+    problems += [f"missing key {key!r}" for key in required if key not in payload]
+    if problems:
+        raise ValueError(f"{cls.__name__}: {', '.join(problems)} (allowed: {', '.join(names)})")
+
+
 def scene_config_from_dict(payload):
+    _check_keys(SceneConfig, payload)
     return SceneConfig(**payload)
 
 
 def solver_config_from_dict(payload):
+    _check_keys(SolverConfig, payload)
     return SolverConfig(**payload)
 
 
 def experiment_config_from_dict(payload):
+    _check_keys(ExperimentConfig, payload)
     payload = dict(payload)
     payload["scene"] = scene_config_from_dict(payload["scene"])
     payload["solver"] = solver_config_from_dict(payload["solver"])
@@ -128,19 +144,7 @@ def experiment_config_from_dict(payload):
 
 
 def _parse_snr(value):
-    if value is None:
-        return math.inf
-    if isinstance(value, str):
-        return float(value)
-    return float(value)
-
-
-def format_snr(value):
-    return "inf" if math.isinf(value) else f"{value:g}"
-
-
-def scene_config_to_dict(config):
-    return asdict(config)
+    return math.inf if value is None else float(value)
 
 
 def read_scene_config(path):

@@ -2,12 +2,13 @@
 
 Minimizes  |Y_ms - F A S|_F^2 + |Y_hs - A S G|_F^2  over endmembers A in
 the unit box and abundance columns on the unit simplex, alternating
-projected gradient steps on the A block and on the S block. Step sizes
-come from exact per-block Lipschitz constants, with halving as a
-numerical safety net, so the objective trace never increases and every
-iterate is feasible by projection.
+passes of projected 1/L gradient steps on the A block and on the S block,
+L being the block's exact Lipschitz constant. The objective is checked
+once per pass, with halving as a numerical safety net, so the trace never
+increases and every iterate is feasible by projection.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,6 @@ class SolverConfig:
     inner_steps: int = 10
     rel_tol: float = 1e-10
     objective_floor: float = 0.0
-    step_rule: str = "lipschitz"  # or "backtracking"
     init: str = "pure-pixel"      # "random" | "provided"
     seed: int = 0
     init_endmembers: np.ndarray | None = field(default=None, repr=False)
@@ -39,8 +39,6 @@ class SolverConfig:
             raise ValueError("iteration caps must be >= 1")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
-        if self.step_rule not in ("lipschitz", "backtracking"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
         if self.init not in ("pure-pixel", "random", "provided"):
             raise ValueError(f"unknown init mode {self.init!r}")
 
@@ -59,26 +57,107 @@ class Solution:
         return self.endmembers @ self.abundances
 
 
-def _spatial_matrix(g):
-    if isinstance(g, SpatialResponse):
-        return g.to_dense()
-    return np.asarray(g, dtype=float)
+# ---------------------------------------------------------------------------
+# The coupled objective
+# ---------------------------------------------------------------------------
+
+def _sym_norm(m):
+    """Largest eigenvalue of a small symmetric PSD matrix."""
+    if m.size == 0:
+        return 0.0
+    return float(np.linalg.eigvalsh(m)[-1])
+
+
+class _Problem:
+    """The coupled objective on fixed data: its value and, per block pass,
+    the block's gradient and Lipschitz constant, reusing F^T F, F^T Y_ms,
+    |F^T F|_2 and |G^T G|_2."""
+
+    def __init__(self, y_ms, y_hs, spectral, spatial):
+        self.y_ms = np.asarray(y_ms, dtype=float)
+        self.y_hs = np.asarray(y_hs, dtype=float)
+        self.f = np.asarray(spectral, dtype=float)
+        self.g = (spatial.to_dense() if isinstance(spatial, SpatialResponse)
+                  else np.asarray(spatial, dtype=float))
+        if self.y_ms.shape[1] != self.g.shape[0]:
+            raise ValueError("MS pixel count does not match the spatial response")
+        if self.y_hs.shape[1] != self.g.shape[1]:
+            raise ValueError("HS pixel count does not match the spatial response")
+        if self.y_hs.shape[0] != self.f.shape[1]:
+            raise ValueError("HS band count does not match the spectral response")
+        self.ftf = self.f.T @ self.f
+        self.ft_yms = self.f.T @ self.y_ms
+        self.lip_ftf = _sym_norm(self.ftf)
+
+    @functools.cached_property
+    def lip_g(self):
+        # Lh x Lh over L pixels: formed on first use, which the objective
+        # value alone never needs.
+        return _sym_norm(self.g.T @ self.g)
+
+    def factors(self, endmembers, abundances):
+        """The factors as float arrays, checked against the data shapes."""
+        a = np.asarray(endmembers, dtype=float)
+        s = np.asarray(abundances, dtype=float)
+        if a.shape[1] != s.shape[0] or self.f.shape[1] != a.shape[0]:
+            raise ValueError("endmember/abundance/spectral dimensions do not chain")
+        if s.shape[1] != self.g.shape[0]:
+            raise ValueError("abundance pixel count does not match the spatial response")
+        return a, s
+
+    def value(self, a, s):
+        x = a @ s
+        r_ms = self.y_ms - self.f @ x
+        r_hs = self.y_hs - x @ self.g
+        return float(np.sum(r_ms * r_ms) + np.sum(r_hs * r_hs))
+
+    def endmember_pass(self, s):
+        """(gradient in A as a function of A, Lipschitz constant) at fixed S."""
+        sg = s @ self.g
+        sst = s @ s.T
+        sg_sgt = sg @ sg.T
+        lipschitz = 2.0 * (self.lip_ftf * _sym_norm(sst) + _sym_norm(sg_sgt))
+        ft_yms_st = self.ft_yms @ s.T
+        yhs_sgt = self.y_hs @ sg.T
+
+        def gradient(a):
+            return 2.0 * (self.ftf @ a @ sst - ft_yms_st + a @ sg_sgt - yhs_sgt)
+
+        return gradient, lipschitz
+
+    def abundance_pass(self, a):
+        """(gradient in S as a function of S, Lipschitz constant) at fixed A."""
+        fa = self.f @ a
+        fatfa = fa.T @ fa
+        ata = a.T @ a
+        lipschitz = 2.0 * (_sym_norm(fatfa) + _sym_norm(ata) * self.lip_g)
+        fat_yms = fa.T @ self.y_ms
+        at_yhs_gt = (a.T @ self.y_hs) @ self.g.T
+
+        def gradient(s):
+            return 2.0 * (fatfa @ s - fat_yms + ata @ ((s @ self.g) @ self.g.T) - at_yhs_gt)
+
+        return gradient, lipschitz
 
 
 def objective(endmembers, abundances, y_ms, y_hs, spectral, spatial):
     """Coupled data fidelity: |Y_ms - F A S|_F^2 + |Y_hs - A S G|_F^2."""
-    g = _spatial_matrix(spatial)
-    a = np.asarray(endmembers, dtype=float)
-    s = np.asarray(abundances, dtype=float)
-    f = np.asarray(spectral, dtype=float)
-    if a.shape[1] != s.shape[0] or f.shape[1] != a.shape[0]:
-        raise ValueError("endmember/abundance/spectral dimensions do not chain")
-    if s.shape[1] != g.shape[0]:
-        raise ValueError("abundance pixel count does not match the spatial response")
-    x = a @ s
-    r_ms = np.asarray(y_ms, dtype=float) - f @ x
-    r_hs = np.asarray(y_hs, dtype=float) - x @ g
-    return float(np.sum(r_ms * r_ms) + np.sum(r_hs * r_hs))
+    problem = _Problem(y_ms, y_hs, spectral, spatial)
+    return problem.value(*problem.factors(endmembers, abundances))
+
+
+def endmember_gradient(endmembers, abundances, y_ms, y_hs, spectral, spatial):
+    """Gradient of the coupled objective in the endmember block."""
+    problem = _Problem(y_ms, y_hs, spectral, spatial)
+    a, s = problem.factors(endmembers, abundances)
+    return problem.endmember_pass(s)[0](a)
+
+
+def abundance_gradient(endmembers, abundances, y_ms, y_hs, spectral, spatial):
+    """Gradient of the coupled objective in the abundance block."""
+    problem = _Problem(y_ms, y_hs, spectral, spatial)
+    a, s = problem.factors(endmembers, abundances)
+    return problem.abundance_pass(a)[0](s)
 
 
 # ---------------------------------------------------------------------------
@@ -152,48 +231,34 @@ def spa_initialize(y_hs, materials):
 # Block updates
 # ---------------------------------------------------------------------------
 
-def _sym_norm(m):
-    """Largest eigenvalue of a small symmetric PSD matrix."""
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(m)[-1])
+def _finite(value):
+    if not np.isfinite(value):
+        raise RuntimeError("non-finite objective: contaminated input data")
+    return value
 
 
-def _descend(x, grad, lipschitz, project, evaluate, f_current, step_scale):
-    """One projected gradient step with halving safety; returns the new
-    iterate, objective and the accepted step scale."""
-    scale = step_scale
+def _descend(x, gradient, lipschitz, project, evaluate, f_start, steps):
+    """One block pass of up to ``steps`` projected steps, stopped early at
+    a fixed point; returns the new iterate and its objective. A 1/L step
+    cannot raise the objective, so the pass is redone from ``x`` at half
+    the step only when roundoff made it rise beyond the slack."""
+    scale = 1.0
     for _ in range(60):
         step = scale / lipschitz
-        x_new = project(x - step * grad)
-        f_new = evaluate(x_new)
-        if f_new <= f_current * (1.0 + 1e-12) + 1e-300:
-            return x_new, f_new, scale
+        x_new = x
+        for _ in range(steps):
+            x_next = project(x_new - step * gradient(x_new))
+            if np.array_equal(x_next, x_new):
+                break
+            x_new = x_next
+        f_new = _finite(evaluate(x_new))
+        if f_new <= f_start * (1.0 + 1e-12) + 1e-300:
+            return x_new, f_new
         scale *= 0.5
-    return x, f_current, scale
+    return x, f_start
 
 
-def endmember_gradient(endmembers, abundances, y_ms, y_hs, spectral, spatial):
-    """Gradient of the coupled objective in the endmember block."""
-    g = _spatial_matrix(spatial)
-    s = np.asarray(abundances, dtype=float)
-    f = np.asarray(spectral, dtype=float)
-    sg = s @ g
-    x = endmembers @ s
-    return 2.0 * (f.T @ (f @ x - y_ms) @ s.T + (endmembers @ sg - y_hs) @ sg.T)
-
-
-def abundance_gradient(endmembers, abundances, y_ms, y_hs, spectral, spatial):
-    """Gradient of the coupled objective in the abundance block."""
-    g = _spatial_matrix(spatial)
-    a = np.asarray(endmembers, dtype=float)
-    f = np.asarray(spectral, dtype=float)
-    fa = f @ a
-    x = a @ abundances
-    return 2.0 * (fa.T @ (fa @ abundances - y_ms) + a.T @ ((x @ g) - y_hs) @ g.T)
-
-
-def _initialize(y_ms, y_hs, f, g, config):
+def _initialize(problem, config):
     n = config.materials
     if config.init == "provided":
         if config.init_endmembers is None or config.init_abundances is None:
@@ -203,16 +268,14 @@ def _initialize(y_ms, y_hs, f, g, config):
         return a0, s0
     if config.init == "random":
         rng = np.random.default_rng(config.seed)
-        a0 = rng.uniform(0.0, 1.0, size=(y_hs.shape[0], n))
-        s0 = project_columns_to_simplex(rng.uniform(0.0, 1.0, size=(n, g.shape[0])))
+        a0 = rng.uniform(0.0, 1.0, size=(problem.y_hs.shape[0], n))
+        s0 = project_columns_to_simplex(rng.uniform(0.0, 1.0, size=(n, problem.g.shape[0])))
         return a0, s0
     # pure-pixel: successive projection on the HS image, then a simplex
     # projected least squares fit of the MS image against F @ A0.
-    a0 = spa_initialize(y_hs, n)
-    fa = f @ a0
-    s_ls, *_ = np.linalg.lstsq(fa, y_ms, rcond=None)
-    s0 = project_columns_to_simplex(s_ls)
-    return a0, s0
+    a0 = spa_initialize(problem.y_hs, n)
+    s_ls, *_ = np.linalg.lstsq(problem.f @ a0, problem.y_ms, rcond=None)
+    return a0, project_columns_to_simplex(s_ls)
 
 
 def solve_coupled(y_ms, y_hs, spectral, spatial, config):
@@ -223,94 +286,25 @@ def solve_coupled(y_ms, y_hs, spectral, spatial, config):
     absolute objective floor, or the outer iteration cap (the cap is a
     termination reason, not an error).
     """
-    y_ms = np.asarray(y_ms, dtype=float)
-    y_hs = np.asarray(y_hs, dtype=float)
-    f = np.asarray(spectral, dtype=float)
-    g = _spatial_matrix(spatial)
-    if y_ms.shape[1] != g.shape[0]:
-        raise ValueError("MS pixel count does not match the spatial response")
-    if y_hs.shape[1] != g.shape[1]:
-        raise ValueError("HS pixel count does not match the spatial response")
-    if y_hs.shape[0] != f.shape[1]:
-        raise ValueError("HS band count does not match the spectral response")
-
-    a, s = _initialize(y_ms, y_hs, f, g, config)
-
-    ftf = f.T @ f
-    lip_ftf = _sym_norm(ftf)
-    lip_g = _sym_norm(g.T @ g)
-    ft_yms = f.T @ y_ms
-
-    def full_objective(a_cur, s_cur):
-        x = a_cur @ s_cur
-        r1 = y_ms - f @ x
-        r2 = y_hs - x @ g
-        val = float(np.sum(r1 * r1) + np.sum(r2 * r2))
-        if not np.isfinite(val):
-            raise RuntimeError("non-finite objective: contaminated input data")
-        return val
-
-    f_cur = full_objective(a, s)
+    problem = _Problem(y_ms, y_hs, spectral, spatial)
+    a, s = _initialize(problem, config)
+    f_cur = _finite(problem.value(a, s))
     trace = [f_cur]
     termination = "max_iterations"
     iterations = 0
-    scale_a = scale_s = 1.0
-    # Backtracking probes larger steps each outer pass; the fixed rule
-    # sticks to 1/L, which is already a global bound for this quadratic.
-    backtracking = config.step_rule == "backtracking"
 
     for outer in range(1, config.max_outer + 1):
         iterations = outer
-
-        # --- endmember block ---
-        sg = s @ g
-        sst = s @ s.T
-        sg_sgt = sg @ sg.T
-        lip_a = 2.0 * (lip_ftf * _sym_norm(sst) + _sym_norm(sg_sgt))
-        if lip_a > 0.0:
-            ft_yms_st = ft_yms @ s.T
-            yhs_sgt = y_hs @ sg.T
-
-            def eval_a(a_new):
-                return full_objective(a_new, s)
-
-            if backtracking:
-                scale_a = min(scale_a * 2.0, 64.0)
-            for _ in range(config.inner_steps):
-                grad = 2.0 * (ftf @ a @ sst - ft_yms_st + a @ sg_sgt - yhs_sgt)
-                a_new, f_new, scale_a = _descend(
-                    a, grad, lip_a, lambda z: np.clip(z, 0.0, 1.0), eval_a,
-                    f_cur, scale_a,
-                )
-                moved = f_new < f_cur or not np.array_equal(a_new, a)
-                a, f_cur = a_new, f_new
-                if not moved:
-                    break
-
-        # --- abundance block ---
-        fa = f @ a
-        fatfa = fa.T @ fa
-        ata = a.T @ a
-        lip_s = 2.0 * (_sym_norm(fatfa) + _sym_norm(ata) * lip_g)
-        if lip_s > 0.0:
-            fat_yms = fa.T @ y_ms
-            at_yhs = a.T @ y_hs
-
-            def eval_s(s_new):
-                return full_objective(a, s_new)
-
-            if backtracking:
-                scale_s = min(scale_s * 2.0, 64.0)
-            for _ in range(config.inner_steps):
-                grad = 2.0 * (fatfa @ s - fat_yms + ata @ ((s @ g) @ g.T) - at_yhs @ g.T)
-                s_new, f_new, scale_s = _descend(
-                    s, grad, lip_s, project_columns_to_simplex, eval_s,
-                    f_cur, scale_s,
-                )
-                moved = f_new < f_cur or not np.array_equal(s_new, s)
-                s, f_cur = s_new, f_new
-                if not moved:
-                    break
+        # A block whose Lipschitz constant is below _TINY is flat to double
+        # precision, and its step 1/L could overflow: it is left as it is.
+        gradient, lipschitz = problem.endmember_pass(s)
+        if lipschitz > _TINY:
+            a, f_cur = _descend(a, gradient, lipschitz, lambda z: np.clip(z, 0.0, 1.0),
+                                functools.partial(problem.value, s=s), f_cur, config.inner_steps)
+        gradient, lipschitz = problem.abundance_pass(a)
+        if lipschitz > _TINY:
+            s, f_cur = _descend(s, gradient, lipschitz, project_columns_to_simplex,
+                                functools.partial(problem.value, a), f_cur, config.inner_steps)
 
         prev = trace[-1]
         trace.append(f_cur)

@@ -140,6 +140,26 @@ def test_usage_error_exits_two():
     assert proc.returncode == 2
 
 
+def test_unknown_solver_key_is_a_one_line_error(tmp_path):
+    config = {
+        "scene": {"sr_bands": 30, "ms_bands": 4, "materials": 3, "width": 8,
+                  "height": 8, "factor": 2, "max_support": 2},
+        "snr_db": ["inf"], "trials": 1,
+        "solver": {"materials": 3, "step_rule": "backtracking"},
+    }
+    config_path = tmp_path / "experiment.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hsrfusion", "experiment", "--config", str(config_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and "step_rule" in lines[0]
+    assert "Traceback" not in proc.stderr
+
+
 def test_console_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "hsrfusion", "--help"],

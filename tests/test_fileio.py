@@ -8,6 +8,8 @@ from hsrfusion.fileio import (
     experiment_config_from_dict,
     read_matrix,
     read_spatial_response,
+    scene_config_from_dict,
+    solver_config_from_dict,
     write_matrix,
     write_spatial_response,
 )
@@ -91,3 +93,14 @@ def test_experiment_config_parses_infinite_snr():
     assert math.isinf(config.snr_db[2])
     assert config.scene.materials == 2
     assert config.solver.materials == 2
+
+
+def test_config_readers_name_unknown_and_missing_keys():
+    scene = {"sr_bands": 20, "ms_bands": 4, "materials": 2, "width": 8,
+             "height": 8, "factor": 2}
+    with pytest.raises(ValueError, match="missing key 'max_support'.*allowed: sr_bands"):
+        scene_config_from_dict(scene)
+    with pytest.raises(ValueError, match="unknown key 'step_rule'"):
+        solver_config_from_dict({"materials": 2, "step_rule": "backtracking"})
+    with pytest.raises(ValueError, match="missing key 'scene'"):
+        experiment_config_from_dict({"snr_db": [15], "trials": 1, "solver": {"materials": 2}})

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hsrfusion import (
     SolverConfig,
@@ -220,14 +223,42 @@ def test_solver_determinism(desk_spatial):
     assert np.array_equal(first.objective_trace, second.objective_trace)
 
 
-def test_backtracking_rule_also_descends(desk_spatial):
-    gen = generate_scene(desk_scene_config(seed=35), desk_spatial)
-    y_ms, y_hs = observe(gen, desk_spatial)
-    config = SolverConfig(materials=6, max_outer=30, inner_steps=5,
-                          step_rule="backtracking", rel_tol=1e-12)
-    solution = solve_coupled(y_ms, y_hs, gen.spectral, desk_spatial, config)
+@st.composite
+def small_fusion_problems(draw):
+    """Random small shapes, windows with positive weights summing to one,
+    data in [0, 1] and a solver budget of at most 8 outer iterations."""
+    materials = draw(st.integers(1, 4))
+    bands = draw(st.integers(1, 8))
+    ms_bands = draw(st.integers(1, 4))
+    pixels = draw(st.integers(2, 10))
+    windows = []
+    for _ in range(draw(st.integers(1, pixels - 1))):
+        members = draw(st.lists(st.integers(0, pixels - 1), min_size=1, unique=True))
+        raw = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=len(members),
+                                     max_size=len(members))))
+        windows.append(Window(pixels=np.array(members), weights=raw / raw.sum()))
+    unit = st.floats(0.0, 1.0)
+    spectral = draw(arrays(float, (ms_bands, bands), elements=unit))
+    y_ms = draw(arrays(float, (ms_bands, pixels), elements=unit))
+    y_hs = draw(arrays(float, (bands, len(windows)), elements=unit))
+    config = SolverConfig(materials=materials, init="random", seed=draw(st.integers(0, 2**16)),
+                          inner_steps=draw(st.integers(1, 20)),
+                          max_outer=draw(st.integers(1, 8)), rel_tol=1e-12)
+    return y_ms, y_hs, spectral, SpatialResponse(sr_pixel_count=pixels, windows=windows), config
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_fusion_problems())
+def test_solve_is_feasible_and_monotone_on_random_problems(problem):
+    solution = solve_coupled(*problem)
+    assert solution.endmembers.min() >= 0.0
+    assert solution.endmembers.max() <= 1.0
+    assert solution.abundances.min() >= 0.0
+    assert np.abs(solution.abundances.sum(axis=0) - 1.0).max() <= 1e-12
+    # each of the two block passes of an outer iteration may keep a rise
+    # of the acceptance slack: 1e-12 relative plus 1e-300
     trace = solution.objective_trace
-    assert np.all(np.diff(trace) <= 1e-12 * np.maximum(trace[:-1], 1.0))
+    assert np.all(trace[1:] <= trace[:-1] * (1.0 + 1e-12) ** 2 + 2e-300)
 
 
 # ---------------------------------------------------------------------------
