@@ -144,8 +144,7 @@ def support_balance(materials, kruskal):
 def peak_window_weights(spatial):
     """Per SR pixel, the largest decimation weight over covering windows."""
     gamma = np.zeros(spatial.sr_pixel_count)
-    for win in spatial.windows:
-        np.maximum.at(gamma, win.pixels, win.weights)
+    np.maximum.at(gamma, spatial.pixels, spatial.weights)
     missing = np.flatnonzero(gamma <= 0.0)
     if missing.size:
         raise ValueError(f"SR pixel {int(missing[0])} is not covered by any window")

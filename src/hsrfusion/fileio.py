@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiment import ExperimentConfig
-from .model import SpatialResponse, Window
+from .model import SpatialResponse
 from .scenegen import SceneConfig
 from .solver import SolverConfig
 
@@ -27,7 +27,7 @@ def write_matrix(path, matrix):
 
 
 def read_matrix(path):
-    rows = []
+    rows, linenos = [], []
     width = None
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -50,19 +50,26 @@ def read_matrix(path):
                         f"{path}: line {lineno}, column {col}: cannot parse {cell!r}"
                     ) from None
             rows.append(parsed)
+            linenos.append(lineno)
     if not rows:
         raise ValueError(f"{path}: zero rows")
-    return np.asarray(rows, dtype=float)
+    matrix = np.asarray(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        row, col = bad[0].tolist()
+        raise ValueError(
+            f"{path}: line {linenos[row]}, column {col + 1}: non-finite value {matrix[row, col]}"
+        )
+    return matrix
 
 
 def write_spatial_response(path, spatial):
+    pixels, weights = spatial.pixels.tolist(), spatial.weights.tolist()
+    bounds = zip(spatial.indptr[:-1].tolist(), spatial.indptr[1:].tolist())
     payload = {
         "L": spatial.sr_pixel_count,
         "Lh": spatial.hs_pixel_count,
-        "windows": [
-            {"pixels": w.pixels.tolist(), "weights": w.weights.tolist()}
-            for w in spatial.windows
-        ],
+        "windows": [{"pixels": pixels[a:b], "weights": weights[a:b]} for a, b in bounds],
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
@@ -70,19 +77,23 @@ def write_spatial_response(path, spatial):
 
 
 def read_spatial_response(path):
+    """Read a spatial response; raise ValueError on the first invalid window."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    windows = [
-        Window(pixels=np.asarray(w["pixels"], dtype=int),
-               weights=np.asarray(w["weights"], dtype=float))
-        for w in payload["windows"]
-    ]
-    spatial = SpatialResponse(sr_pixel_count=int(payload["L"]), windows=windows)
-    if "Lh" in payload and int(payload["Lh"]) != spatial.hs_pixel_count:
+    windows = payload["windows"]
+    sizes = [len(w["pixels"]) for w in windows]
+    if "Lh" in payload and int(payload["Lh"]) != len(sizes):
         raise ValueError(
-            f"{path}: declared Lh {payload['Lh']} does not match "
-            f"{spatial.hs_pixel_count} windows"
-        )
+            f"{path}: declared Lh {payload['Lh']} does not match {len(sizes)} windows")
+    if sizes != [len(w["weights"]) for w in windows]:
+        raise ValueError(f"{path}: window pixels and weights must have equal length")
+    spatial = SpatialResponse(
+        int(payload["L"]), indptr=np.cumsum([0] + sizes),
+        pixels=np.array([p for w in windows for p in w["pixels"]], dtype=int),
+        weights=np.array([v for w in windows for v in w["weights"]], dtype=float))
+    problems = spatial.validate()
+    if problems:
+        raise ValueError(f"{path}: {problems[0]}")
     return spatial
 
 

@@ -10,7 +10,7 @@ applied on the left) and a spatial response G (a collection of pixel
 windows with positive weights summing to one, applied on the right).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,76 +61,93 @@ class Window:
             raise ValueError("window pixels and weights must have equal length")
 
 
-@dataclass
 class SpatialResponse:
-    """Blur-and-downsample response: one weighted pixel window per HS pixel."""
+    """Blur-and-downsample response G in compressed-column form: window i
+    (HS pixel i) holds pixels[indptr[i]:indptr[i+1]] with the matching
+    weights. Hand-made responses may pass a list of Window objects instead."""
 
-    sr_pixel_count: int
-    windows: list[Window] = field(default_factory=list)
+    def __init__(self, sr_pixel_count, windows=(), *, indptr=None, pixels=None, weights=None):
+        if indptr is None:
+            indptr = np.cumsum([0] + [len(w.pixels) for w in windows])
+            pixels = np.concatenate([np.zeros(0, dtype=int)] + [w.pixels for w in windows])
+            weights = np.concatenate([np.zeros(0)] + [w.weights for w in windows])
+        self.sr_pixel_count = int(sr_pixel_count)
+        self.indptr = np.asarray(indptr, dtype=int)
+        self.pixels = np.asarray(pixels, dtype=int)
+        self.weights = np.asarray(weights, dtype=float)
+        if (self.pixels.shape != self.weights.shape or self.pixels.shape != (self.indptr[-1],)
+                or self.indptr[0] != 0 or (np.diff(self.indptr) < 0).any()):
+            raise ValueError("indptr, pixels and weights do not describe a list of windows")
 
     @property
     def hs_pixel_count(self):
-        return len(self.windows)
+        return self.indptr.size - 1
+
+    @property
+    def owners(self):
+        """Window index of every (pixel, weight) entry."""
+        return np.repeat(np.arange(self.hs_pixel_count), np.diff(self.indptr))
+
+    @property
+    def windows(self):
+        """The windows as Window objects whose arrays are views into this response."""
+        bounds = zip(self.indptr[:-1], self.indptr[1:])
+        return [Window(pixels=self.pixels[a:b], weights=self.weights[a:b]) for a, b in bounds]
+
+    def _reduce(self, ufunc, values, empty):
+        """Per window, ufunc over its entries (last axis); ``empty`` if none."""
+        starts = self.indptr[:-1]
+        nonempty = starts < self.indptr[1:]
+        out = np.full(values.shape[:-1] + starts.shape, empty, dtype=values.dtype)
+        out[..., nonempty] = ufunc.reduceat(values, starts[nonempty], axis=-1)
+        return out
 
     def to_dense(self):
         """Dense (sr_pixel_count x hs_pixel_count) matrix view."""
         g = np.zeros((self.sr_pixel_count, self.hs_pixel_count))
-        for i, win in enumerate(self.windows):
-            g[win.pixels, i] = win.weights
+        g[self.pixels, self.owners] = self.weights
         return g
-
-    def to_sparse(self):
-        """CSC sparse view, convenient for right-multiplication."""
-        from scipy import sparse
-
-        rows, cols, vals = [], [], []
-        for i, win in enumerate(self.windows):
-            rows.extend(win.pixels.tolist())
-            cols.extend([i] * len(win.pixels))
-            vals.extend(win.weights.tolist())
-        return sparse.csc_matrix(
-            (vals, (rows, cols)), shape=(self.sr_pixel_count, self.hs_pixel_count)
-        )
 
     def validate(self, tol=TAU_SIMPLEX):
         """List every violated window invariant; empty means valid."""
         out = []
-        covered = np.zeros(self.sr_pixel_count, dtype=bool)
-        if self.hs_pixel_count >= self.sr_pixel_count:
-            out.append(Violation(
-                "spatial_size", "windows",
-                float(self.hs_pixel_count - self.sr_pixel_count + 1),
-                f"hs_pixel_count {self.hs_pixel_count} must be < sr_pixel_count {self.sr_pixel_count}",
-            ))
-        for i, win in enumerate(self.windows):
-            if len(win.pixels) == 0:
-                out.append(Violation("window_empty", f"window {i}", 1.0, "empty window"))
+        count, lh = self.sr_pixel_count, self.hs_pixel_count
+        if lh >= count:
+            out.append(Violation("spatial_size", "windows", float(lh - count + 1),
+                                 f"hs_pixel_count {lh} must be < sr_pixel_count {count}"))
+        owners = self.owners
+        high = self._reduce(np.maximum, self.pixels, 0)
+        in_range = ((self.indptr[:-1] < self.indptr[1:]) & (high < count)
+                    & (self._reduce(np.minimum, self.pixels, 0) >= 0))
+        wmin = self._reduce(np.minimum, self.weights, 1.0)
+        total = self._reduce(np.add, self.weights, 1.0)
+        # (window, pixel) keys of the in-range windows: a repeat sorts next to itself
+        keys = np.sort((owners * count + self.pixels)[in_range[owners]])
+        duplicate = np.zeros(lh, dtype=bool)
+        duplicate[keys[1:][keys[1:] == keys[:-1]] // count] = True
+        flagged = ~in_range | (wmin <= 0.0) | (np.abs(total - 1.0) > tol) | duplicate
+        for i in np.flatnonzero(flagged).tolist():
+            where = f"window {i}"
+            if self.indptr[i] == self.indptr[i + 1]:
+                out.append(Violation("window_empty", where, 1.0, "empty window"))
                 continue
-            if win.pixels.min() < 0 or win.pixels.max() >= self.sr_pixel_count:
-                out.append(Violation(
-                    "window_range", f"window {i}", float(win.pixels.max()),
-                    "pixel index out of range",
-                ))
+            if not in_range[i]:
+                out.append(Violation("window_range", where, float(high[i]),
+                                     "pixel index out of range"))
                 continue
-            wmin = float(win.weights.min())
-            if wmin <= 0.0:
-                out.append(Violation(
-                    "window_weight_positive", f"window {i}", wmin,
-                    f"weight {wmin} is not strictly positive",
-                ))
-            gap = abs(float(win.weights.sum()) - 1.0)
+            if wmin[i] <= 0.0:
+                out.append(Violation("window_weight_positive", where, float(wmin[i]),
+                                     f"weight {float(wmin[i])} is not strictly positive"))
+            gap = abs(float(total[i]) - 1.0)
             if gap > tol:
-                out.append(Violation(
-                    "window_weight_sum", f"window {i}", gap,
-                    f"weights sum to {win.weights.sum():.12g}, expected 1",
-                ))
-            covered[win.pixels] = True
-        missing = np.flatnonzero(~covered)
-        for j in missing:
-            out.append(Violation(
-                "coverage", f"pixel {int(j)}", 1.0,
-                f"SR pixel {int(j)} is not covered by any window",
-            ))
+                out.append(Violation("window_weight_sum", where, gap,
+                                     f"weights sum to {total[i]:.12g}, expected 1"))
+            if duplicate[i]:
+                out.append(Violation("window_duplicate_pixel", where, 1.0, "pixel listed twice"))
+        covered = np.bincount(self.pixels[in_range[owners]], minlength=count) > 0
+        out += [Violation("coverage", f"pixel {j}", 1.0,
+                          f"SR pixel {j} is not covered by any window")
+                for j in np.flatnonzero(~covered).tolist()]
         return out
 
 
@@ -195,11 +212,8 @@ def validate_spectral(f, tol=0.0):
             "spectral_nonnegative", f"entry {idx}", float(-f.min()),
             f"negative weight {f.min():.6g}",
         ))
-    for r in range(f.shape[0]):
-        if not (f[r] > tol).any():
-            out.append(Violation(
-                "spectral_row_empty", f"row {r}", 1.0, "row has no positive entry",
-            ))
+    out += [Violation("spectral_row_empty", f"row {r}", 1.0, "row has no positive entry")
+            for r in np.flatnonzero(~(f > tol).any(axis=1)).tolist()]
     return out
 
 
@@ -313,10 +327,9 @@ def spatial_decimate(x, g):
             f"dimension mismatch: image has {x.shape[1]} pixels, "
             f"spatial response expects {g.sr_pixel_count}"
         )
-    out = np.empty((x.shape[0], g.hs_pixel_count))
-    for i, win in enumerate(g.windows):
-        out[:, i] = x[:, win.pixels] @ win.weights
-    return out
+    products = x[:, g.pixels]
+    products *= g.weights
+    return g._reduce(np.add, products, 0.0)
 
 
 def decimate_abundances(s, g):

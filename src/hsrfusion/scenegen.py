@@ -10,9 +10,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from . import bounds
-from .model import Scene, SpatialResponse, Window, spatial_decimate
+from .model import Scene, SpatialResponse, spatial_decimate
 
 
 @dataclass
@@ -125,19 +126,20 @@ def build_spatial_response(width, height, kernel="uniform", kernel_size=None,
         keep = (idx >= 0) & (idx < dim)
         return idx[keep], idx[keep] - center
 
-    windows = []
+    columns = [axis_footprint(cx, width) for cx in range(width // factor)]
+    pixels, weights = [], []
     for cy in range(height // factor):
         ys, dys = axis_footprint(cy, height)
-        for cx in range(width // factor):
-            xs, dxs = axis_footprint(cx, width)
+        for xs, dxs in columns:
             if kernel == "uniform":
                 w = np.ones((len(ys), len(xs)))
             else:
                 w = np.exp(-(dys[:, None] ** 2 + dxs[None, :] ** 2) / (2.0 * variance))
-            pixels = (ys[:, None] * width + xs[None, :]).ravel()
-            weights = (w / w.sum()).ravel()
-            windows.append(Window(pixels=pixels, weights=weights))
-    g = SpatialResponse(sr_pixel_count=width * height, windows=windows)
+            pixels.append((ys[:, None] * width + xs[None, :]).ravel())
+            weights.append((w / w.sum()).ravel())
+    indptr = np.cumsum([0] + [len(p) for p in pixels])
+    g = SpatialResponse(width * height, indptr=indptr, pixels=np.concatenate(pixels),
+                        weights=np.concatenate(weights))
     problems = [v for v in g.validate() if v.check == "coverage"]
     if problems:
         raise ValueError(f"kernel does not cover the image: {problems[0]}")
@@ -180,15 +182,7 @@ def sample_endmembers(config, spectral, rng):
     )
 
 
-def _touched_cells(window, width, factor):
-    cols = window.pixels % width
-    rows = window.pixels // width
-    cells_x = cols // factor
-    cells_y = rows // factor
-    return set(zip(cells_y.tolist(), cells_x.tolist()))
-
-
-def _choose_pure_windows(touched, n, hs_count, rng):
+def _choose_pure_windows(touched, n, rng):
     """Pick windows whose zones no other chosen zone's windows can reach.
 
     zone(i) is the cell set window i touches; reach(i) adds every cell any
@@ -196,22 +190,16 @@ def _choose_pure_windows(touched, n, hs_count, rng):
     every other zone's reach (so no window sees two zones); rings are
     allowed to overlap each other. Greedy over a few seeded orderings.
     """
-    reach = []
-    for i in range(hs_count):
-        r = set(touched[i])
-        for j in range(hs_count):
-            if j != i and touched[j] & touched[i]:
-                r |= touched[j]
-        reach.append(r)
+    # t t^T links the windows that share a cell; times t, the cells they touch.
+    t = sparse.csr_matrix(touched, dtype=float)
+    reach = (t @ t.T @ t).astype(bool).toarray()
     for _ in range(8):
-        order = rng.permutation(hs_count)
+        order = rng.permutation(len(touched))
         chosen = []
-        blocked_reach = set()   # cells some chosen zone's windows can touch
-        blocked_zones = set()   # cells inside a chosen zone
+        blocked_reach = np.zeros(touched.shape[1], dtype=bool)  # cells chosen zones reach
+        blocked_zones = np.zeros(touched.shape[1], dtype=bool)  # cells inside a chosen zone
         for i in order:
-            if touched[i] & blocked_reach:
-                continue
-            if reach[i] & blocked_zones:
+            if (touched[i] & blocked_reach).any() or (reach[i] & blocked_zones).any():
                 continue
             chosen.append(int(i))
             blocked_reach |= reach[i]
@@ -220,7 +208,7 @@ def _choose_pure_windows(touched, n, hs_count, rng):
                 return chosen, reach
     raise RuntimeError(
         f"could not place {n} isolated pure windows on a "
-        f"{hs_count}-window grid; image too small for this kernel"
+        f"{len(touched)}-window grid; image too small for this kernel"
     )
 
 
@@ -252,10 +240,14 @@ def generate_scene(config, spatial):
     endmembers, draws = sample_endmembers(config, spectral, rng)
     kruskal = bounds.kruskal_rank(spectral @ endmembers)
 
-    width, factor = config.width, config.factor
-    hs_count = spatial.hs_pixel_count
-    touched = [_touched_cells(w, width, factor) for w in spatial.windows]
-    pure_windows, reach = _choose_pure_windows(touched, n, hs_count, rng)
+    # Pixels are row-major, cells are factor x factor blocks in row-major
+    # order; touched[i, c] says whether window i has a pixel in cell c.
+    factor = config.factor
+    rows, cols = np.divmod(np.arange(config.pixel_count), config.width)
+    cell_of = (rows // factor) * (config.width // factor) + cols // factor
+    touched = np.zeros((spatial.hs_pixel_count, config.hs_pixel_count), dtype=bool)
+    touched[spatial.owners, cell_of[spatial.pixels]] = True
+    pure_windows, reach = _choose_pure_windows(touched, n, rng)
 
     # Support pools. With kruskal >= materials any union of supports is
     # admissible; otherwise cap the pool at kruskal materials and drop one
@@ -268,42 +260,35 @@ def generate_scene(config, spatial):
         pool = sorted(rng.choice(n, size=kruskal, replace=False).tolist())
         ring_pool = pool[:-1]
 
-    zone_of = {}
-    ring_cells = set()
-    for material, win_idx in enumerate(pure_windows):
-        for cell in touched[win_idx]:
-            zone_of[cell] = material
-        ring_cells |= reach[win_idx] - touched[win_idx]
-    ring_cells -= set(zone_of)
-    if ring_cells and not ring_pool:
+    # Chosen zones are disjoint: zone_of[c] is the material pure on cell c,
+    # or -1; ring cells are reachable from a zone but outside every zone.
+    zone_of = np.full(config.hs_pixel_count, -1)
+    materials, cells = np.nonzero(touched[pure_windows])
+    zone_of[cells] = materials
+    ring = reach[pure_windows].any(axis=0) & (zone_of < 0)
+    if ring.any() and not ring_pool:
         raise RuntimeError(
             "overlapping windows with Kruskal rank 1 cannot isolate pure "
             "zones; use a non-overlapping kernel or more MS bands"
         )
 
-    cells_x = width // factor
-    cells_y = config.height // factor
     abundances = np.zeros((n, config.pixel_count))
     cell_supports = {}
-    for cy in range(cells_y):
-        for cx in range(cells_x):
-            cell = (cy, cx)
-            cell_idx = cy * cells_x + cx
-            if cell in zone_of:
-                support = (zone_of[cell],)
-            else:
-                src = ring_pool if cell in ring_cells else pool
-                size = min(config.max_support, len(src))
-                support = tuple(sorted(rng.choice(src, size=size, replace=False).tolist()))
-            cell_supports[cell_idx] = support
-            rows = np.arange(cy * factor, (cy + 1) * factor)
-            cols = np.arange(cx * factor, (cx + 1) * factor)
-            pix = (rows[:, None] * width + cols[None, :]).ravel()
-            if len(support) == 1:
-                abundances[support[0], pix] = 1.0
-            else:
-                draws_d = rng.dirichlet(np.ones(len(support)), size=len(pix))
-                abundances[np.array(support)[:, None], pix[None, :]] = draws_d.T
+    # Row c: the pixels of cell c in row-major order.
+    cell_pixels = np.argsort(cell_of, kind="stable").reshape(config.hs_pixel_count, -1)
+    for cell, pix in enumerate(cell_pixels):
+        if zone_of[cell] >= 0:
+            support = (int(zone_of[cell]),)
+        else:
+            src = ring_pool if ring[cell] else pool
+            size = min(config.max_support, len(src))
+            support = tuple(sorted(rng.choice(src, size=size, replace=False).tolist()))
+        cell_supports[cell] = support
+        if len(support) == 1:
+            abundances[support[0], pix] = 1.0
+        else:
+            draws_d = rng.dirichlet(np.ones(len(support)), size=len(pix))
+            abundances[np.array(support)[:, None], pix[None, :]] = draws_d.T
 
     scene = Scene.from_factors(endmembers, abundances)
     generated = GeneratedScene(

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import SpatialResponse
-
 _TINY = 1e-300
 
 
@@ -77,8 +75,7 @@ class _Problem:
         self.y_ms = np.asarray(y_ms, dtype=float)
         self.y_hs = np.asarray(y_hs, dtype=float)
         self.f = np.asarray(spectral, dtype=float)
-        self.g = (spatial.to_dense() if isinstance(spatial, SpatialResponse)
-                  else np.asarray(spatial, dtype=float))
+        self.g = spatial.to_dense()
         if self.y_ms.shape[1] != self.g.shape[0]:
             raise ValueError("MS pixel count does not match the spatial response")
         if self.y_hs.shape[1] != self.g.shape[1]:

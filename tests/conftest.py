@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hsrfusion import SceneConfig, build_spatial_response
+
+# The CLI tests start `python -m hsrfusion` in a subprocess; give it the
+# source tree too, as pyproject's pythonpath gives it to this process.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def desk_scene_config(seed, **overrides):

@@ -9,6 +9,7 @@ import pytest
 from hsrfusion import build_counterexample
 from hsrfusion.cli import main
 from hsrfusion.fileio import read_matrix, write_matrix, write_spatial_response
+from hsrfusion.model import spatial_decimate
 
 
 @pytest.fixture()
@@ -157,6 +158,39 @@ def test_unknown_solver_key_is_a_one_line_error(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error:") and "step_rule" in lines[0]
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["certify", "solve"])
+@pytest.mark.parametrize("window, check", [
+    ({"pixels": [0, 6], "weights": [0.5, 0.5]}, "window_range"),
+    ({"pixels": [0, 1], "weights": [-0.5, 1.5]}, "window_weight_positive"),
+], ids=["pixel-out-of-range", "negative-weight"])
+def test_invalid_window_is_a_one_line_error(counterexample_files, command, window, check):
+    inst = build_counterexample(0.1)
+    image = inst.endmembers @ inst.abundances
+    write_matrix(counterexample_files / "ms.csv", inst.spectral @ image)
+    write_matrix(counterexample_files / "hs.csv", spatial_decimate(image, inst.spatial))
+    path = counterexample_files / "spatial.json"
+    payload = json.loads(path.read_text())
+    payload["windows"][0] = window
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    files = {name: str(counterexample_files / f"{name}.csv")
+             for name in ("endmembers", "abundances", "spectral", "ms", "hs")}
+    if command == "certify":
+        args = ["--endmembers", files["endmembers"], "--abundances", files["abundances"]]
+    else:
+        args = ["--ms", files["ms"], "--hs", files["hs"], "--materials", "3",
+                "--out", str(counterexample_files / "sol")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hsrfusion", command, *args,
+         "--spectral", files["spectral"], "--spatial", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and check in lines[0]
     assert "Traceback" not in proc.stderr
 
 

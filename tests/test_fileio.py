@@ -46,6 +46,14 @@ def test_parse_error_names_line_and_column(tmp_path):
         read_matrix(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_cell_names_line_and_column(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"1,2\n\n3,{cell}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 3, column 2: non-finite"):
+        read_matrix(path)
+
+
 def test_spatial_response_round_trip(tmp_path):
     g = SpatialResponse(
         sr_pixel_count=6,

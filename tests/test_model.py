@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hsrfusion import (
     SpatialResponse,
     Window,
     build_counterexample,
     decimate_abundances,
+    peak_window_weights,
     reconstruct,
     spatial_decimate,
     spectral_decimate,
     validate_model,
 )
+from hsrfusion.fileio import read_spatial_response, write_spatial_response
 from conftest import random_simplex_columns
 
 
@@ -119,6 +123,19 @@ def test_spatial_decimate_matches_window_summation_oracle():
         assert np.allclose(result[:, i], expected, rtol=1e-14, atol=1e-15)
 
 
+def test_spatial_decimate_gives_zero_for_an_empty_window():
+    g = SpatialResponse(
+        sr_pixel_count=3,
+        windows=[
+            Window(pixels=np.array([], dtype=int), weights=np.array([])),
+            Window(pixels=np.array([2, 0]), weights=np.array([0.5, 0.5])),
+            Window(pixels=np.array([], dtype=int), weights=np.array([])),
+        ],
+    )
+    x = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    assert np.array_equal(spatial_decimate(x, g), [[0.0, 2.0, 0.0], [0.0, 5.0, 0.0]])
+
+
 def test_spatial_decimate_dimension_mismatch():
     with pytest.raises(ValueError):
         spatial_decimate(np.ones((2, 4)), identity_windows(5))
@@ -179,6 +196,61 @@ def test_support_nesting():
         out_support = set(np.flatnonzero(out[:, i] > 0))
         for j in win.pixels:
             assert set(np.flatnonzero(s[:, j] > 0)) <= out_support
+
+
+# ---------------------------------------------------------------------------
+# The one representation: CSR arrays against the dense matrix and the file
+# ---------------------------------------------------------------------------
+
+@st.composite
+def spatial_responses(draw):
+    """Valid responses with overlapping windows of 1..12 unsorted pixels.
+
+    Windows draw from a pixel universe; the pixels some window uses are
+    then renumbered 0..L-1 so every pixel is covered."""
+    universe = draw(st.integers(2, 40))
+    members = draw(st.lists(
+        st.lists(st.integers(0, universe - 1), min_size=1, max_size=12, unique=True),
+        min_size=1, max_size=8))
+    used = np.unique(np.concatenate(members))
+    assume(len(members) < len(used))
+    windows = []
+    for pix in members:
+        raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(pix), max_size=len(pix))))
+        windows.append(Window(pixels=np.searchsorted(used, pix), weights=raw / raw.sum()))
+    return SpatialResponse(sr_pixel_count=len(used), windows=windows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spatial_responses(), st.integers(0, 2**16))
+def test_arrays_dense_matrix_and_file_agree(tmp_path_factory, g, seed):
+    assert g.validate() == []
+    dense = g.to_dense()
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(3, g.sr_pixel_count))
+    assert np.abs(spatial_decimate(x, g) - x @ dense).max() <= 1e-12
+    assert np.array_equal(peak_window_weights(g), dense.max(axis=1))
+    path = tmp_path_factory.mktemp("g") / "g.json"
+    write_spatial_response(path, g)
+    back = read_spatial_response(path)
+    for name in ("indptr", "pixels", "weights"):
+        original, loaded = getattr(g, name), getattr(back, name)
+        assert loaded.dtype == original.dtype and np.array_equal(loaded, original)
+
+
+def test_validate_flags_a_pixel_listed_twice():
+    # Read as a list, this window weighs pixel 0 by 0.5 + 0.5; written into a
+    # matrix, the second entry overwrites the first. Neither reading is valid.
+    g = SpatialResponse(
+        sr_pixel_count=3,
+        windows=[
+            Window(pixels=np.array([0, 0]), weights=np.array([0.5, 0.5])),
+            Window(pixels=np.array([1, 2]), weights=np.array([0.5, 0.5])),
+        ],
+    )
+    x = np.array([[1.0, 2.0, 3.0]])
+    assert not np.allclose(spatial_decimate(x, g), x @ g.to_dense())
+    report = g.validate()
+    assert [(v.check, v.location) for v in report] == [("window_duplicate_pixel", "window 0")]
 
 
 # ---------------------------------------------------------------------------
