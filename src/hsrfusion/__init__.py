@@ -10,7 +10,6 @@ from .bounds import (
     AlignmentReport,
     AssumptionReport,
     Certificate,
-    Tolerances,
     certify,
     check_assumptions,
     dominance_coefficient,

@@ -21,58 +21,52 @@ from scipy.optimize import linear_sum_assignment
 
 from .model import decimate_abundances
 
-SUBSET_GUARD = 20  # subset enumeration cap for kruskal_rank / subset_condition
+SUBSET_GUARD = 20  # subset enumeration cap for every subset reduction below
+SUBSET_BLOCK = 2048  # subsets per stacked SVD: bounds the gathered copy at any n <= guard
+SINGULAR_REL = 1e-9  # rank decisions: singular value ratio to the largest
+SUPPORT_TOL = 1e-9  # decimated abundance entries above this count as support
+PURE_TOL = 1e-6  # max deviation of a pure window from a unit vector
 
 
-@dataclass
-class Tolerances:
-    """Numerical thresholds for rank, support and pure-pixel decisions."""
+def _subset_spectra(a, size, principal=False):
+    """(rows, sv) blocks over every size-`size` column subset of a.
 
-    singular_rel: float = 1e-9
-    support: float = 1e-9
-    pure: float = 1e-6
-
-
-def _smallest_singular(block):
-    """min(m, k)-th singular value; 0.0 for an empty block."""
-    if block.size == 0:
-        return 0.0
-    return float(np.linalg.svd(block, compute_uv=False)[-1])
-
-
-def _largest_singular(block):
-    """Largest singular value; 0.0 for an empty block."""
-    if block.size == 0:
-        return 0.0
-    return float(np.linalg.svd(block, compute_uv=False)[0])
+    rows: column indices in itertools.combinations order; sv: singular
+    values (descending) of the blocks a[:, rows], or of the principal
+    blocks a[rows, rows], from one stacked SVD per SUBSET_BLOCK subsets.
+    Raises at once past SUBSET_GUARD columns; blocks are drawn lazily.
+    """
+    n = a.shape[1]
+    if n > SUBSET_GUARD:
+        raise ValueError(f"column count {n} exceeds enumeration guard {SUBSET_GUARD}")
+    combos = itertools.combinations(range(n), size)
+    blocks = map(np.array, iter(lambda: list(itertools.islice(combos, SUBSET_BLOCK)), []))
+    every_row = np.arange(a.shape[0])[:, None]
+    return ((sub, np.linalg.svd(a[sub[:, :, None] if principal else every_row, sub[:, None, :]],
+                                compute_uv=False)) for sub in blocks)
 
 
 # ---------------------------------------------------------------------------
 # Certificate ingredients
 # ---------------------------------------------------------------------------
 
-def kruskal_rank(a, tol=1e-9):
+def kruskal_rank(a, tol=SINGULAR_REL):
     """Largest k such that every k-column subset is linearly independent.
 
     Independence is decided by the k-th singular value of the subset
     exceeding tol times the largest singular value of the full matrix.
-    Exhaustive over subsets by increasing size, with early exit on the
-    first dependent one; guarded at 20 columns.
+    Exhaustive over subsets by increasing size, with early exit at the
+    first size that has a dependent subset; guarded at 20 columns.
     """
     a = np.asarray(a, dtype=float)
     m, n = a.shape
     if n < 1:
         raise ValueError("need at least one column")
-    if n > SUBSET_GUARD:
-        raise ValueError(f"column count {n} exceeds enumeration guard {SUBSET_GUARD}")
-    scale = _largest_singular(a)
-    if scale == 0.0:
-        return 0
+    scale = max(np.linalg.svd(a, compute_uv=False), default=0.0)
     k = 0
     for size in range(1, min(m, n) + 1):
-        for subset in itertools.combinations(range(n), size):
-            sub = a[:, subset]
-            if np.linalg.svd(sub, compute_uv=False)[-1] <= tol * scale:
+        for _, sv in _subset_spectra(a, size):
+            if (sv[:, -1] <= tol * scale).any():
                 return k
         k = size
     return k
@@ -108,25 +102,26 @@ def subset_condition_number(a_ms):
     Enumerates every nonempty column subset of the MS-decimated endmember
     matrix. For rectangular blocks sigma_min means the min(m, k)-th
     singular value and the empty complement contributes sigma_max = 0.
-    Returns +inf when some subset block is rank deficient.
+    Returns +inf when some subset block is rank deficient. Each proper
+    subset is decomposed once; its sigma_min and sigma_max go into tables
+    indexed by column bitmask, so a complement's sigma_max is a lookup.
     """
     a = np.asarray(a_ms, dtype=float)
     n = a.shape[1]
-    if n > SUBSET_GUARD:
-        raise ValueError(f"column count {n} exceeds enumeration guard {SUBSET_GUARD}")
-    worst = 0.0
-    cols = range(n)
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(cols, size):
-            comp = [c for c in cols if c not in subset]
-            top = _largest_singular(a[:, comp])
-            if top == 0.0:
-                continue
-            bottom = _smallest_singular(a[:, subset])
-            if bottom <= 0.0:
-                return math.inf
-            worst = max(worst, top / bottom)
-    return worst
+    spectra = [_subset_spectra(a, size) for size in range(1, n)]  # raises past the guard
+    if a.size == 0:
+        return 0.0
+    full = (1 << n) - 1
+    smin, smax = np.zeros(full + 1), np.zeros(full + 1)
+    for rows, sv in itertools.chain.from_iterable(spectra):
+        mask = (1 << rows).sum(axis=1)
+        smin[mask], smax[mask] = sv[:, -1], sv[:, 0]
+    # mask j in 1 .. full-1 has complement full - j
+    top, bottom = smax[full - 1:0:-1], smin[1:full]
+    live = top != 0.0
+    if (bottom[live] <= 0.0).any():
+        return math.inf
+    return float((top[live] / bottom[live]).max(initial=0.0))
 
 
 def support_balance(materials, kruskal):
@@ -217,13 +212,16 @@ class Certificate:
         }
 
 
-def check_assumptions(endmembers, abundances, spectral, spatial, tolerances=None):
+def check_assumptions(endmembers, abundances, spectral, spatial):
     """Validate the four structural conditions on a concrete scene.
 
     Report-only: every condition gets a pass/fail flag and a witness
-    (pure window indices, worst support size, dominance value).
+    (pure window indices, worst support size, dominance value). An
+    invalid spatial response raises its first violation as ValueError.
     """
-    tol = tolerances or Tolerances()
+    problems = spatial.validate()
+    if problems:
+        raise ValueError(str(problems[0]))
     a = np.asarray(endmembers, dtype=float)
     s = np.asarray(abundances, dtype=float)
     f = np.asarray(spectral, dtype=float)
@@ -232,16 +230,16 @@ def check_assumptions(endmembers, abundances, spectral, spatial, tolerances=None
 
     sv_a = np.linalg.svd(a, compute_uv=False)
     sv_s = np.linalg.svd(decimated, compute_uv=False)
-    rank_a = a.shape[0] >= n and sv_a[-1] > tol.singular_rel * sv_a[0]
-    rank_s = decimated.shape[1] >= n and len(sv_s) == n and sv_s[-1] > tol.singular_rel * sv_s[0]
+    rank_a = a.shape[0] >= n and sv_a[-1] > SINGULAR_REL * sv_a[0]
+    rank_s = decimated.shape[1] >= n and len(sv_s) == n and sv_s[-1] > SINGULAR_REL * sv_s[0]
     full_rank = bool(rank_a and rank_s)
     rank_detail = (
         f"endmember sv ratio {sv_a[-1] / sv_a[0]:.3e}, "
         f"decimated-abundance sv ratio {(sv_s[-1] / sv_s[0]) if len(sv_s) else 0.0:.3e}"
     )
 
-    kruskal = kruskal_rank(f @ a, tol.singular_rel)
-    support_sizes = (np.abs(decimated) > tol.support).sum(axis=0)
+    kruskal = kruskal_rank(f @ a)
+    support_sizes = (np.abs(decimated) > SUPPORT_TOL).sum(axis=0)
     worst_pixel = int(np.argmax(support_sizes))
     worst_size = int(support_sizes[worst_pixel])
     sparsity = worst_size <= kruskal
@@ -255,7 +253,7 @@ def check_assumptions(endmembers, abundances, spectral, spatial, tolerances=None
         target[material] = 1.0
         gaps = np.abs(decimated - target[:, None]).max(axis=0)
         best = int(np.argmin(gaps))
-        if gaps[best] <= tol.pure:
+        if gaps[best] <= PURE_TOL:
             pure_indices.append(best)
     pure = len(pure_indices) == n and len(set(pure_indices)) == n
     pure_detail = (
@@ -263,12 +261,12 @@ def check_assumptions(endmembers, abundances, spectral, spatial, tolerances=None
         else f"found {len(set(pure_indices))} of {n} pure windows"
     )
 
-    eligible = bool((a < 1.0 / n).any(axis=0).all())
-    dominance_value = dominance_coefficient(a) if eligible else math.inf
-    dominance = eligible and dominance_value < 1.0 / (4.0 * n)
+    # inf exactly when some column has no band below 1/n
+    dominance_value = dominance_coefficient(a)
+    dominance = dominance_value < 1.0 / (4.0 * n)
     dominance_detail = (
         f"dominance {dominance_value:.6g} vs threshold {1.0 / (4.0 * n):.6g}"
-        + ("" if eligible else " (some column has no band below 1/n)")
+        + (" (some column has no band below 1/n)" if math.isinf(dominance_value) else "")
     )
 
     return AssumptionReport(
@@ -288,28 +286,22 @@ def check_assumptions(endmembers, abundances, spectral, spatial, tolerances=None
     )
 
 
-def certify(endmembers, abundances, spectral, spatial, tolerances=None):
+def certify(endmembers, abundances, spectral, spatial):
     """Instantiate the per-pixel recovery bound for a concrete scene.
 
     Degenerate inputs (undefined dominance, zero Kruskal rank) yield
     infinite bounds rather than errors: the certificate degrades to "no
-    guarantee".
+    guarantee". An invalid spatial response raises its first violation
+    as ValueError.
     """
-    tol = tolerances or Tolerances()
+    report = check_assumptions(endmembers, abundances, spectral, spatial)
     a = np.asarray(endmembers, dtype=float)
-    f = np.asarray(spectral, dtype=float)
     n = a.shape[1]
-
-    a_ms = f @ a
-    kruskal = kruskal_rank(a_ms, tol.singular_rel)
-    dominance = dominance_coefficient(a)
-    condition = subset_condition_number(a_ms)
+    kruskal, dominance = report.kruskal, report.dominance_value
+    condition = subset_condition_number(np.asarray(spectral, dtype=float) @ a)
     gamma = peak_window_weights(spatial)
-    norm_a = _largest_singular(a)
-    if kruskal >= 1 and n >= 2:
-        balance = support_balance(n, kruskal)
-    else:
-        balance = math.nan
+    norm_a = float(np.linalg.svd(a, compute_uv=False)[0])
+    balance = support_balance(n, kruskal) if kruskal >= 1 else math.nan
     if math.isfinite(dominance) and math.isfinite(condition) and kruskal >= 1:
         pixel_bounds = (
             dominance * norm_a * math.sqrt(1.0 + condition ** 2)
@@ -317,10 +309,9 @@ def certify(endmembers, abundances, spectral, spatial, tolerances=None):
         )
     else:
         pixel_bounds = np.full(spatial.sr_pixel_count, math.inf)
-    report = check_assumptions(endmembers, abundances, spectral, spatial, tol)
     return Certificate(
         kruskal=kruskal,
-        dominance=float(dominance),
+        dominance=dominance,
         condition=float(condition),
         balance=float(balance),
         peak_weights=gamma,
@@ -368,8 +359,6 @@ def dominance_monte_carlo(materials, bands, trials, seed=0):
     successes = 0
     for _ in range(trials):
         a = rng.uniform(0.0, 1.0, size=(bands, n))
-        if not (a < 1.0 / n).any(axis=0).all():
-            continue
         if dominance_coefficient(a) < threshold:
             successes += 1
     return DominanceMonteCarlo(rate=successes / trials, successes=successes, trials=trials)
@@ -467,18 +456,15 @@ def principal_floor(r_tilde, kruskal=None):
     """Smallest sigma_min over principal submatrices of the permuted mixing.
 
     Sizes range from n - kruskal to n - 1 (all of 1 .. n-1 when kruskal is
-    not given).
+    not given); guarded at SUBSET_GUARD rows.
     """
     n = r_tilde.shape[0]
     k = n - 1 if kruskal is None else kruskal
-    lo = max(1, n - k)
     floor = math.inf
-    idx = range(n)
-    for size in range(lo, n):
-        for subset in itertools.combinations(idx, size):
-            sel = np.ix_(subset, subset)
-            floor = min(floor, _smallest_singular(r_tilde[sel]))
-    return float(floor) if math.isfinite(floor) else float("inf")
+    for size in range(max(1, n - k), n):
+        for _, sv in _subset_spectra(r_tilde, size, principal=True):
+            floor = min(floor, float(sv[:, -1].min()))
+    return floor
 
 
 def extract_alignment(true_endmembers, endmembers, true_decimated, decimated,
@@ -532,7 +518,7 @@ def extract_alignment(true_endmembers, endmembers, true_decimated, decimated,
         permuted_mixing=permuted,
         max_offdiagonal=rho,
         submatrix_floor=principal_floor(permuted, kruskal),
-        min_singular=_smallest_singular(permuted),
+        min_singular=float(np.linalg.svd(permuted, compute_uv=False)[-1]),
         stochastic_pass=bool(stochastic_margin <= stochastic_tol),
         stochastic_margin=stochastic_margin,
         offdiagonal_pass=offdiagonal_pass,

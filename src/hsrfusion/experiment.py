@@ -2,8 +2,8 @@
 
 Every trial derives its own random streams from (master seed, SNR index,
 trial index), so a sweep is reproducible end to end and trials are
-independent of execution order. Failed trials are recorded and skipped,
-never fatal.
+independent of execution order. Expected trial failures (ValueError,
+RuntimeError) are recorded and skipped; a scene-generator bug propagates.
 """
 
 import dataclasses
@@ -105,7 +105,7 @@ def run_experiment(config):
         for trial in range(config.trials):
             try:
                 record = run_trial(config, spatial, snr_db, snr_index, trial)
-            except Exception as exc:  # logged, not fatal: sweeps must finish
+            except (ValueError, RuntimeError) as exc:  # recorded, not fatal
                 record = TrialRecord(
                     snr_db=snr_db, trial=trial, mse=math.nan,
                     max_pixel_error=math.nan, bound_max=math.nan,

@@ -80,6 +80,11 @@ def read_spatial_response(path):
     """Read a spatial response; raise ValueError on the first invalid window."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
+    missing = [f"missing key {key!r}" for key in ("L", "windows") if key not in payload]
+    missing += [f"window {i}: missing key {key!r}" for i, w in enumerate(payload.get("windows", []))
+                for key in ("pixels", "weights") if key not in w]
+    if missing:
+        raise ValueError(f"{path}: {missing[0]}")
     windows = payload["windows"]
     sizes = [len(w["pixels"]) for w in windows]
     if "Lh" in payload and int(payload["Lh"]) != len(sizes):
@@ -87,9 +92,14 @@ def read_spatial_response(path):
             f"{path}: declared Lh {payload['Lh']} does not match {len(sizes)} windows")
     if sizes != [len(w["weights"]) for w in windows]:
         raise ValueError(f"{path}: window pixels and weights must have equal length")
+    indptr = np.cumsum([0] + sizes)
+    pixels = np.array([p for w in windows for p in w["pixels"]], dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(pixels) & (pixels == np.round(pixels))))
+    if bad.size:
+        raise ValueError(f"{path}: window {np.searchsorted(indptr, bad[0], 'right') - 1}: "
+                         f"pixel index {float(pixels[bad[0]])} is not an integer")
     spatial = SpatialResponse(
-        int(payload["L"]), indptr=np.cumsum([0] + sizes),
-        pixels=np.array([p for w in windows for p in w["pixels"]], dtype=int),
+        int(payload["L"]), indptr=indptr, pixels=pixels.astype(int),
         weights=np.array([v for w in windows for v in w["weights"]], dtype=float))
     problems = spatial.validate()
     if problems:

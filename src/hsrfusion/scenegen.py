@@ -152,7 +152,7 @@ def sample_endmembers(config, spectral, rng):
     Accepts a draw once it has full column rank, every column has a band
     below 1/materials, the Kruskal rank of its MS decimation is at least
     max_support, and (when required) the dominance coefficient is below
-    1/(4 * materials). Returns (matrix, draws).
+    1/(4 * materials). Returns (matrix, draws, its MS Kruskal rank).
     """
     n = config.materials
     best_kruskal = min(n, config.ms_bands)
@@ -171,9 +171,10 @@ def sample_endmembers(config, spectral, rng):
             continue
         if config.require_dominance and bounds.dominance_coefficient(a) >= threshold:
             continue
-        if bounds.kruskal_rank(spectral @ a) < config.max_support:
+        kruskal = bounds.kruskal_rank(spectral @ a)
+        if kruskal < config.max_support:
             continue
-        return a, draw
+        return a, draw, kruskal
     predicted = bounds.dominance_probability(n, config.sr_bands).clamped
     raise RuntimeError(
         f"rejection budget exhausted after {config.max_draws} draws "
@@ -237,8 +238,7 @@ def generate_scene(config, spatial):
 
     rng = np.random.default_rng(config.seed)
     spectral = build_spectral_response(config.sr_bands, config.ms_bands)
-    endmembers, draws = sample_endmembers(config, spectral, rng)
-    kruskal = bounds.kruskal_rank(spectral @ endmembers)
+    endmembers, draws, kruskal = sample_endmembers(config, spectral, rng)
 
     # Pixels are row-major, cells are factor x factor blocks in row-major
     # order; touched[i, c] says whether window i has a pixel in cell c.

@@ -1,8 +1,11 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsrfusion import (
     SolverConfig,
@@ -23,7 +26,8 @@ from hsrfusion import (
     varah_lower_bound,
     verify_abundance_error_bound,
 )
-from hsrfusion.bounds import AlignmentReport, principal_floor
+from hsrfusion import bounds
+from hsrfusion.bounds import SUBSET_GUARD, AlignmentReport, principal_floor
 from hsrfusion.model import SpatialResponse, Window, spatial_decimate, spectral_decimate
 from conftest import desk_scene_config
 
@@ -146,6 +150,99 @@ def test_condition_invariant_under_column_permutation():
 
 
 # ---------------------------------------------------------------------------
+# subset reductions against one-SVD-per-subset loops
+# ---------------------------------------------------------------------------
+
+def _kruskal_oracle(a, tol=1e-9):
+    m, n = a.shape
+    scale = np.linalg.svd(a, compute_uv=False)[0]
+    if scale == 0.0:
+        return 0
+    k = 0
+    for size in range(1, min(m, n) + 1):
+        for subset in itertools.combinations(range(n), size):
+            if np.linalg.svd(a[:, subset], compute_uv=False)[-1] <= tol * scale:
+                return k
+        k = size
+    return k
+
+
+def _condition_oracle(a):
+    n = a.shape[1]
+    worst = 0.0
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            comp = [c for c in range(n) if c not in subset]
+            top = float(np.linalg.svd(a[:, comp], compute_uv=False)[0]) if comp else 0.0
+            if top == 0.0:
+                continue
+            bottom = float(np.linalg.svd(a[:, subset], compute_uv=False)[-1])
+            if bottom <= 0.0:
+                return math.inf
+            worst = max(worst, top / bottom)
+    return worst
+
+
+def _floor_oracle(r, kruskal=None):
+    n = r.shape[0]
+    k = n - 1 if kruskal is None else kruskal
+    floor = math.inf
+    for size in range(max(1, n - k), n):
+        for subset in itertools.combinations(range(n), size):
+            block = r[np.ix_(subset, subset)]
+            floor = min(floor, float(np.linalg.svd(block, compute_uv=False)[-1]))
+    return floor
+
+
+@st.composite
+def subset_matrices(draw, square=False):
+    """1..8 columns, fewer or more rows than columns; some columns zero or
+    copies of earlier ones, some entries small integers (exact dependence)."""
+    n = draw(st.integers(1, 8))
+    m = n if square else draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = (rng.integers(-2, 3, size=(m, n)).astype(float) if draw(st.booleans())
+         else rng.uniform(-1.0, 1.0, size=(m, n)))
+    for j in range(n):
+        kind = draw(st.sampled_from(["keep", "keep", "zero", "copy"]))
+        if kind == "zero":
+            a[:, j] = 0.0
+        elif kind == "copy" and j > 0:
+            a[:, j] = a[:, draw(st.integers(0, j - 1))]
+    if square:
+        a = a[rng.permutation(n)]  # copied columns, rows shuffled: repeated blocks
+    return a
+
+
+# Small blocks put several stacked SVDs, and a partial last one, in one size.
+block_sizes = st.sampled_from([1, 3, bounds.SUBSET_BLOCK])
+
+
+@settings(max_examples=300, deadline=None)
+@given(subset_matrices(), block_sizes)
+def test_kruskal_and_condition_equal_per_subset_loops(a, block):
+    with mock.patch.object(bounds, "SUBSET_BLOCK", block):
+        assert kruskal_rank(a) == _kruskal_oracle(a)
+        assert subset_condition_number(a) == _condition_oracle(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(subset_matrices(square=True), st.integers(-1, 8), block_sizes)
+def test_principal_floor_equals_per_subset_loop(r, kruskal, block):
+    kruskal = None if kruskal < 0 else min(kruskal, r.shape[0])
+    with mock.patch.object(bounds, "SUBSET_BLOCK", block):
+        assert principal_floor(r, kruskal) == _floor_oracle(r, kruskal)
+
+
+def test_subset_reductions_raise_past_the_guard():
+    too_many = SUBSET_GUARD + 1
+    with pytest.raises(ValueError, match="guard"):
+        principal_floor(np.eye(too_many))
+    with pytest.raises(ValueError, match="guard"):
+        subset_condition_number(np.ones((2, too_many)))
+
+
+# ---------------------------------------------------------------------------
 # balance factor and window weights
 # ---------------------------------------------------------------------------
 
@@ -255,6 +352,14 @@ def test_certificate_on_generated_scene(desk_spatial):
     assert cert.assumptions.full_rank
     assert cert.assumptions.sparsity
     assert cert.assumptions.pure_pixels
+
+
+def test_certify_and_assumptions_reject_an_invalid_spatial_response():
+    inst = build_counterexample(0.1)
+    inst.spatial.weights[:2] = [-0.5, 1.5]  # window 0: still sums to one
+    for check in (certify, check_assumptions):
+        with pytest.raises(ValueError, match="window_weight_positive"):
+            check(inst.endmembers, inst.abundances, inst.spectral, inst.spatial)
 
 
 # ---------------------------------------------------------------------------

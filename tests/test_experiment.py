@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hsrfusion import ExperimentConfig, SceneConfig, SolverConfig
+from hsrfusion import ExperimentConfig, SceneConfig, SolverConfig, scenegen
 from hsrfusion.experiment import RESULT_COLUMNS, mean_mse_by_snr, run_experiment
 
 
@@ -69,3 +69,12 @@ def test_failed_trials_are_recorded_not_fatal(tmp_path):
     assert all(math.isnan(r.mse) for r in records)
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert len(summary["failures"]) == 2
+
+
+def test_generator_self_check_failure_propagates(tmp_path, monkeypatch):
+    def broken(*args):
+        raise AssertionError("pure window 0 is not pure for 0")
+
+    monkeypatch.setattr(scenegen, "_verify_generated", broken)
+    with pytest.raises(AssertionError, match="not pure"):
+        run_experiment(tiny_config(tmp_path / "run", trials=1))

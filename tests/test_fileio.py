@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -80,6 +81,35 @@ def test_spatial_response_rejects_inconsistent_header(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(ValueError, match="Lh"):
+        read_spatial_response(path)
+
+
+@pytest.mark.parametrize("edit, where, key", [
+    (lambda p: p.pop("L"), "", "L"),
+    (lambda p: p.pop("windows"), "", "windows"),
+    (lambda p: p["windows"][1].pop("pixels"), "window 1", "pixels"),
+    (lambda p: p["windows"][2].pop("weights"), "window 2", "weights"),
+], ids=["L", "windows", "window-pixels", "window-weights"])
+def test_spatial_response_names_a_missing_key(tmp_path, edit, where, key):
+    payload = {"L": 4, "windows": [{"pixels": [0], "weights": [1.0]},
+                                   {"pixels": [1, 2], "weights": [0.5, 0.5]},
+                                   {"pixels": [3], "weights": [1.0]}]}
+    edit(payload)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{where}.*missing key '{key}'"):
+        read_spatial_response(path)
+
+
+@pytest.mark.parametrize("pixel", ["1.5", "NaN", "Infinity"])
+def test_spatial_response_rejects_a_non_integer_pixel(tmp_path, pixel):
+    path = tmp_path / "g.json"
+    path.write_text(
+        '{"L": 3, "windows": [{"pixels": [0], "weights": [1.0]}, '
+        f'{{"pixels": [2, {pixel}], "weights": [0.5, 0.5]}}]}}',
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match="window 1: pixel index .* is not an integer"):
         read_spatial_response(path)
 
 
