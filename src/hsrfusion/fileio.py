@@ -87,7 +87,12 @@ def read_spatial_response(path):
         raise ValueError(f"{path}: {missing[0]}")
     windows = payload["windows"]
     sizes = [len(w["pixels"]) for w in windows]
-    if "Lh" in payload and int(payload["Lh"]) != len(sizes):
+    counts = {key: payload[key] for key in ("L", "Lh") if key in payload}
+    for key, value in counts.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not float(value).is_integer()):
+            raise ValueError(f"{path}: {key} {value!r} is not an integer")
+    if "Lh" in counts and counts["Lh"] != len(sizes):
         raise ValueError(
             f"{path}: declared Lh {payload['Lh']} does not match {len(sizes)} windows")
     if sizes != [len(w["weights"]) for w in windows]:
@@ -99,7 +104,7 @@ def read_spatial_response(path):
         raise ValueError(f"{path}: window {np.searchsorted(indptr, bad[0], 'right') - 1}: "
                          f"pixel index {float(pixels[bad[0]])} is not an integer")
     spatial = SpatialResponse(
-        int(payload["L"]), indptr=indptr, pixels=pixels.astype(int),
+        int(counts["L"]), indptr=indptr, pixels=pixels.astype(int),
         weights=np.array([v for w in windows for v in w["weights"]], dtype=float))
     problems = spatial.validate()
     if problems:

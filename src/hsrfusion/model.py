@@ -13,6 +13,7 @@ windows with positive weights summing to one, applied on the right).
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 # Absolute tolerance on simplex membership (column sums, nonnegativity).
 # Double precision accumulation over <= 1e4-length columns stays well below.
@@ -102,8 +103,12 @@ class SpatialResponse:
         out[..., nonempty] = ufunc.reduceat(values, starts[nonempty], axis=-1)
         return out
 
+    def operator(self):
+        """G as a linear map on images, built from the arrays on every call."""
+        return SpatialOperator(self)
+
     def to_dense(self):
-        """Dense (sr_pixel_count x hs_pixel_count) matrix view."""
+        """Dense (sr_pixel_count x hs_pixel_count) matrix; a test oracle."""
         g = np.zeros((self.sr_pixel_count, self.hs_pixel_count))
         g[self.pixels, self.owners] = self.weights
         return g
@@ -119,13 +124,14 @@ class SpatialResponse:
         high = self._reduce(np.maximum, self.pixels, 0)
         in_range = ((self.indptr[:-1] < self.indptr[1:]) & (high < count)
                     & (self._reduce(np.minimum, self.pixels, 0) >= 0))
+        finite = self._reduce(np.logical_and, np.isfinite(self.weights), True)
         wmin = self._reduce(np.minimum, self.weights, 1.0)
         total = self._reduce(np.add, self.weights, 1.0)
         # (window, pixel) keys of the in-range windows: a repeat sorts next to itself
         keys = np.sort((owners * count + self.pixels)[in_range[owners]])
         duplicate = np.zeros(lh, dtype=bool)
         duplicate[keys[1:][keys[1:] == keys[:-1]] // count] = True
-        flagged = ~in_range | (wmin <= 0.0) | (np.abs(total - 1.0) > tol) | duplicate
+        flagged = ~in_range | ~finite | ~(wmin > 0.0) | (np.abs(total - 1.0) > tol) | duplicate
         for i in np.flatnonzero(flagged).tolist():
             where = f"window {i}"
             if self.indptr[i] == self.indptr[i + 1]:
@@ -134,6 +140,12 @@ class SpatialResponse:
             if not in_range[i]:
                 out.append(Violation("window_range", where, float(high[i]),
                                      "pixel index out of range"))
+                continue
+            if not finite[i]:
+                weights = self.weights[self.indptr[i]:self.indptr[i + 1]]
+                value = float(weights[~np.isfinite(weights)][0])
+                out.append(Violation("window_weight_finite", where, abs(value),
+                                     f"weight {value} is not finite"))
                 continue
             if wmin[i] <= 0.0:
                 out.append(Violation("window_weight_positive", where, float(wmin[i]),
@@ -149,6 +161,39 @@ class SpatialResponse:
                           f"SR pixel {j} is not covered by any window")
                 for j in np.flatnonzero(~covered).tolist()]
         return out
+
+
+class SpatialOperator:
+    """X -> X G and its adjoint Y -> Y G^T through scipy CSR matrices.
+
+    ``gt`` is G^T over the response's arrays (its weights are shared, not
+    copied) and ``g`` is its transpose, so both products walk rows of a
+    sparse matrix against a dense block with one column per image row."""
+
+    def __init__(self, response):
+        count, pixels = response.sr_pixel_count, response.pixels
+        bad = np.flatnonzero((pixels < 0) | (pixels >= count))
+        if bad.size:
+            window = int(np.searchsorted(response.indptr, bad[0], "right")) - 1
+            raise ValueError(f"window {window}: pixel index {int(pixels[bad[0]])} is out "
+                             f"of range for {count} SR pixels")
+        self.gt = scipy.sparse.csr_matrix(
+            (response.weights, pixels, response.indptr),
+            shape=(response.hs_pixel_count, count))
+        self.g = self.gt.T.tocsr()
+
+    def apply(self, x):
+        """X G: column i combines X's columns in window i by its weights."""
+        return (self.gt @ x.T).T
+
+    def adjoint(self, y):
+        """Y G^T."""
+        return (self.g @ y.T).T
+
+    def gram_norm(self):
+        """|G^T G|_2, exact: largest eigenvalue of the Lh x Lh product."""
+        gram = (self.gt @ self.g).toarray()
+        return float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +372,7 @@ def spatial_decimate(x, g):
             f"dimension mismatch: image has {x.shape[1]} pixels, "
             f"spatial response expects {g.sr_pixel_count}"
         )
-    products = x[:, g.pixels]
-    products *= g.weights
-    return g._reduce(np.add, products, 0.0)
+    return g.operator().apply(x)
 
 
 def decimate_abundances(s, g):

@@ -6,6 +6,11 @@ passes of projected 1/L gradient steps on the A block and on the S block,
 L being the block's exact Lipschitz constant. The objective is checked
 once per pass, with halving as a numerical safety net, so the trace never
 increases and every iterate is feasible by projection.
+
+G enters only through the response's sparse operator, applied to the
+materials x L abundances: the HS term is evaluated as A (S G), the S
+gradient as (S G) G^T, and |G^T G|_2 comes from the Lh x Lh Gram matrix.
+The dense L x Lh matrix is never formed.
 """
 
 import functools
@@ -68,29 +73,34 @@ def _sym_norm(m):
 
 class _Problem:
     """The coupled objective on fixed data: its value and, per block pass,
-    the block's gradient and Lipschitz constant, reusing F^T F, F^T Y_ms,
-    |F^T F|_2 and |G^T G|_2."""
+    the block's gradient, Lipschitz constant and objective, reusing F^T F,
+    F^T Y_ms, |F^T F|_2 and |G^T G|_2. G is applied sparsely and only to
+    abundances (materials rows), never to a bands x L image."""
 
     def __init__(self, y_ms, y_hs, spectral, spatial):
         self.y_ms = np.asarray(y_ms, dtype=float)
         self.y_hs = np.asarray(y_hs, dtype=float)
         self.f = np.asarray(spectral, dtype=float)
-        self.g = spatial.to_dense()
-        if self.y_ms.shape[1] != self.g.shape[0]:
+        self.g = spatial.operator()
+        self.pixels = spatial.sr_pixel_count
+        if self.y_ms.shape[1] != self.pixels:
             raise ValueError("MS pixel count does not match the spatial response")
-        if self.y_hs.shape[1] != self.g.shape[1]:
+        if self.y_hs.shape[1] != spatial.hs_pixel_count:
             raise ValueError("HS pixel count does not match the spatial response")
         if self.y_hs.shape[0] != self.f.shape[1]:
             raise ValueError("HS band count does not match the spectral response")
         self.ftf = self.f.T @ self.f
         self.ft_yms = self.f.T @ self.y_ms
         self.lip_ftf = _sym_norm(self.ftf)
+        # Each residual entry carries rounding error of order eps |y|, so
+        # objective values below eps^2 |Y|^2 are rounding, not fit.
+        self.roundoff = np.finfo(float).eps ** 2 * float(
+            np.sum(self.y_ms * self.y_ms) + np.sum(self.y_hs * self.y_hs))
 
     @functools.cached_property
     def lip_g(self):
-        # Lh x Lh over L pixels: formed on first use, which the objective
-        # value alone never needs.
-        return _sym_norm(self.g.T @ self.g)
+        # Lh x Lh: formed on first use, which the objective value alone never needs.
+        return self.g.gram_norm()
 
     def factors(self, endmembers, abundances):
         """The factors as float arrays, checked against the data shapes."""
@@ -98,19 +108,21 @@ class _Problem:
         s = np.asarray(abundances, dtype=float)
         if a.shape[1] != s.shape[0] or self.f.shape[1] != a.shape[0]:
             raise ValueError("endmember/abundance/spectral dimensions do not chain")
-        if s.shape[1] != self.g.shape[0]:
+        if s.shape[1] != self.pixels:
             raise ValueError("abundance pixel count does not match the spatial response")
         return a, s
 
-    def value(self, a, s):
-        x = a @ s
-        r_ms = self.y_ms - self.f @ x
-        r_hs = self.y_hs - x @ self.g
+    def value(self, a, s, sg=None):
+        """The objective at (A, S); ``sg`` is S G when the caller has it."""
+        if sg is None:
+            sg = self.g.apply(s)
+        r_ms = self.y_ms - self.f @ (a @ s)
+        r_hs = self.y_hs - a @ sg
         return float(np.sum(r_ms * r_ms) + np.sum(r_hs * r_hs))
 
     def endmember_pass(self, s):
-        """(gradient in A as a function of A, Lipschitz constant) at fixed S."""
-        sg = s @ self.g
+        """(gradient in A, Lipschitz constant, objective in A) at fixed S."""
+        sg = self.g.apply(s)
         sst = s @ s.T
         sg_sgt = sg @ sg.T
         lipschitz = 2.0 * (self.lip_ftf * _sym_norm(sst) + _sym_norm(sg_sgt))
@@ -120,21 +132,21 @@ class _Problem:
         def gradient(a):
             return 2.0 * (self.ftf @ a @ sst - ft_yms_st + a @ sg_sgt - yhs_sgt)
 
-        return gradient, lipschitz
+        return gradient, lipschitz, lambda a: self.value(a, s, sg)
 
     def abundance_pass(self, a):
-        """(gradient in S as a function of S, Lipschitz constant) at fixed A."""
+        """(gradient in S, Lipschitz constant, objective in S) at fixed A."""
         fa = self.f @ a
         fatfa = fa.T @ fa
         ata = a.T @ a
         lipschitz = 2.0 * (_sym_norm(fatfa) + _sym_norm(ata) * self.lip_g)
         fat_yms = fa.T @ self.y_ms
-        at_yhs_gt = (a.T @ self.y_hs) @ self.g.T
+        at_yhs_gt = self.g.adjoint(a.T @ self.y_hs)
 
         def gradient(s):
-            return 2.0 * (fatfa @ s - fat_yms + ata @ ((s @ self.g) @ self.g.T) - at_yhs_gt)
+            return 2.0 * (fatfa @ s - fat_yms + ata @ self.g.adjoint(self.g.apply(s)) - at_yhs_gt)
 
-        return gradient, lipschitz
+        return gradient, lipschitz, functools.partial(self.value, a)
 
 
 def objective(endmembers, abundances, y_ms, y_hs, spectral, spatial):
@@ -266,7 +278,7 @@ def _initialize(problem, config):
     if config.init == "random":
         rng = np.random.default_rng(config.seed)
         a0 = rng.uniform(0.0, 1.0, size=(problem.y_hs.shape[0], n))
-        s0 = project_columns_to_simplex(rng.uniform(0.0, 1.0, size=(n, problem.g.shape[0])))
+        s0 = project_columns_to_simplex(rng.uniform(0.0, 1.0, size=(n, problem.pixels)))
         return a0, s0
     # pure-pixel: successive projection on the HS image, then a simplex
     # projected least squares fit of the MS image against F @ A0.
@@ -279,9 +291,10 @@ def solve_coupled(y_ms, y_hs, spectral, spatial, config):
     """Run the alternating projected descent scheme.
 
     Every iterate is feasible by construction and the objective trace is
-    non-increasing. Stops on the relative objective change, an optional
-    absolute objective floor, or the outer iteration cap (the cap is a
-    termination reason, not an error).
+    non-increasing. Stops on the relative objective change or an objective
+    at the data's rounding level (both "converged"), an optional absolute
+    objective floor, or the outer iteration cap (the cap is a termination
+    reason, not an error).
     """
     problem = _Problem(y_ms, y_hs, spectral, spatial)
     a, s = _initialize(problem, config)
@@ -294,21 +307,21 @@ def solve_coupled(y_ms, y_hs, spectral, spatial, config):
         iterations = outer
         # A block whose Lipschitz constant is below _TINY is flat to double
         # precision, and its step 1/L could overflow: it is left as it is.
-        gradient, lipschitz = problem.endmember_pass(s)
+        gradient, lipschitz, evaluate = problem.endmember_pass(s)
         if lipschitz > _TINY:
             a, f_cur = _descend(a, gradient, lipschitz, lambda z: np.clip(z, 0.0, 1.0),
-                                functools.partial(problem.value, s=s), f_cur, config.inner_steps)
-        gradient, lipschitz = problem.abundance_pass(a)
+                                evaluate, f_cur, config.inner_steps)
+        gradient, lipschitz, evaluate = problem.abundance_pass(a)
         if lipschitz > _TINY:
             s, f_cur = _descend(s, gradient, lipschitz, project_columns_to_simplex,
-                                functools.partial(problem.value, a), f_cur, config.inner_steps)
+                                evaluate, f_cur, config.inner_steps)
 
         prev = trace[-1]
         trace.append(f_cur)
         if f_cur <= config.objective_floor:
             termination = "objective_floor"
             break
-        if abs(prev - f_cur) / max(prev, _TINY) < config.rel_tol:
+        if abs(prev - f_cur) / max(prev, _TINY) < config.rel_tol or f_cur <= problem.roundoff:
             termination = "converged"
             break
 

@@ -213,6 +213,25 @@ def test_missing_window_key_is_a_one_line_error(counterexample_files):
     assert "Traceback" not in proc.stderr
 
 
+def test_nan_window_weight_is_a_one_line_error(counterexample_files):
+    path = counterexample_files / "spatial.json"
+    payload = json.loads(path.read_text())
+    payload["windows"][0]["weights"] = [math.nan, 0.5]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hsrfusion", "certify",
+         *[arg for name in ("endmembers", "abundances", "spectral")
+           for arg in (f"--{name}", str(counterexample_files / f"{name}.csv"))],
+         "--spatial", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and "window_weight_finite] window 0:" in lines[0]
+    assert "Traceback" not in proc.stderr
+
+
 def test_console_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "hsrfusion", "--help"],

@@ -84,6 +84,17 @@ def test_spatial_response_rejects_inconsistent_header(tmp_path):
         read_spatial_response(path)
 
 
+@pytest.mark.parametrize("key, value", [("L", 6.7), ("Lh", 2.5)])
+def test_spatial_response_rejects_a_fractional_count(tmp_path, key, value):
+    payload = {"L": 4, "Lh": 2, "windows": [{"pixels": [0, 1], "weights": [0.5, 0.5]},
+                                            {"pixels": [2, 3], "weights": [0.5, 0.5]}]}
+    payload[key] = value
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{key} {value} is not an integer"):
+        read_spatial_response(path)
+
+
 @pytest.mark.parametrize("edit, where, key", [
     (lambda p: p.pop("L"), "", "L"),
     (lambda p: p.pop("windows"), "", "windows"),

@@ -237,6 +237,35 @@ def test_arrays_dense_matrix_and_file_agree(tmp_path_factory, g, seed):
         assert loaded.dtype == original.dtype and np.array_equal(loaded, original)
 
 
+@settings(max_examples=200, deadline=None)
+@given(spatial_responses(), st.integers(0, 2**16))
+def test_operator_matches_the_dense_oracle(g, seed):
+    dense = g.to_dense()
+    op = g.operator()
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=(3, g.sr_pixel_count))
+    y = rng.uniform(-1.0, 1.0, size=(3, g.hs_pixel_count))
+    assert np.abs(op.apply(x) - x @ dense).max() <= 1e-12
+    assert np.abs(op.adjoint(y) - y @ dense.T).max() <= 1e-12
+    assert abs(np.sum(op.apply(x) * y) - np.sum(x * op.adjoint(y))) <= 1e-12
+    expected = np.linalg.eigvalsh(dense.T @ dense)[-1]
+    assert abs(op.gram_norm() - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+def test_validate_flags_a_non_finite_weight(weight):
+    g = SpatialResponse(
+        sr_pixel_count=3,
+        windows=[
+            Window(pixels=np.array([0, 1]), weights=np.array([weight, 0.5])),
+            Window(pixels=np.array([1, 2]), weights=np.array([0.5, 0.5])),
+        ],
+    )
+    report = g.validate()
+    assert [(v.check, v.location) for v in report] == [("window_weight_finite", "window 0")]
+    assert report[0].message == f"weight {weight} is not finite"
+
+
 def test_validate_flags_a_pixel_listed_twice():
     # Read as a list, this window weighs pixel 0 by 0.5 + 0.5; written into a
     # matrix, the second entry overwrites the first. Neither reading is valid.

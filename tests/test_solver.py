@@ -223,6 +223,38 @@ def test_solver_determinism(desk_spatial):
     assert np.array_equal(first.objective_trace, second.objective_trace)
 
 
+@pytest.mark.parametrize("pixel", [-1, 3])
+def test_out_of_range_pixel_is_rejected_before_any_product(pixel):
+    # scipy's CSR constructor accepts such an index, and its products then
+    # read out of bounds; the operator names the window instead.
+    g = SpatialResponse(
+        sr_pixel_count=3,
+        windows=[Window(pixels=np.array([0, 1]), weights=np.array([0.5, 0.5])),
+                 Window(pixels=np.array([2, pixel]), weights=np.array([0.5, 0.5]))],
+    )
+    x = np.ones((2, 3))
+    with pytest.raises(ValueError, match=f"window 1: pixel index {pixel} is out of range"):
+        spatial_decimate(x, g)
+    config = SolverConfig(materials=1, init="random", max_outer=2)
+    with pytest.raises(ValueError, match=f"window 1: pixel index {pixel} is out of range"):
+        solve_coupled(np.ones((1, 3)), np.ones((2, 2)), np.ones((1, 2)), g, config)
+
+
+def test_solver_never_forms_the_dense_spatial_matrix(desk_spatial, monkeypatch):
+    gen = generate_scene(desk_scene_config(seed=34), desk_spatial)
+    y_ms, y_hs = observe(gen, desk_spatial)
+
+    def refuse(self):
+        raise AssertionError("the dense L x Lh matrix was formed")
+
+    monkeypatch.setattr(SpatialResponse, "to_dense", refuse)
+    config = SolverConfig(materials=6, max_outer=5)
+    solution = solve_coupled(y_ms, y_hs, gen.spectral, desk_spatial, config)
+    value = objective(solution.endmembers, solution.abundances, y_ms, y_hs,
+                      gen.spectral, desk_spatial)
+    assert value == solution.objective_trace[-1]
+
+
 @st.composite
 def small_fusion_problems(draw):
     """Random small shapes, windows with positive weights summing to one,
