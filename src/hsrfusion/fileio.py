@@ -216,6 +216,7 @@ def save_solution(out_dir, solution):
     write_json(out / "solution.json", {
         "iterations": solution.iterations,
         "termination": solution.termination,
+        "restarts": solution.restarts,
         "objective_trace": solution.objective_trace.tolist(),
         "objective": float(solution.objective_trace[-1]),
     })

@@ -1,19 +1,22 @@
-"""Alternating projected descent for the coupled fitting problem.
+"""Accelerated alternating projected descent for the coupled fitting problem.
 
 Minimizes  |Y_ms - F A S|_F^2 + |Y_hs - A S G|_F^2  over endmembers A in
-the unit box and abundance columns on the unit simplex, alternating
-passes of projected 1/L gradient steps on the A block and on the S block,
-L being the block's exact Lipschitz constant. The objective is checked
-once per pass, with halving as a numerical safety net, so the trace never
-increases and every iterate is feasible by projection.
+the unit box and abundance columns on the unit simplex. Each outer
+iteration tries an inertial step on (A, S) with the FISTA weight (Xu & Yin
+2013), kept only if the objective did not rise and else restarting the
+momentum, then a pass of projected 1/L FISTA steps (Beck & Teboulle 2009)
+on each block, L being the block's exact Lipschitz constant. A pass that
+raised the objective is redone with plain steps, halving the step. So the
+trace never increases and every iterate is feasible by projection.
 
 G enters only through the response's sparse operator, applied to the
-materials x L abundances: the HS term is evaluated as A (S G), the S
-gradient as (S G) G^T, and |G^T G|_2 comes from the Lh x Lh Gram matrix.
-The dense L x Lh matrix is never formed.
+materials x L abundances: the HS term is evaluated as A (S G), the MS
+term as (F A) S, the S gradient as (S G) G^T, and |G^T G|_2 comes from
+the Lh x Lh Gram matrix. The dense L x Lh matrix is never formed.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +58,7 @@ class Solution:
     objective_trace: np.ndarray
     iterations: int
     termination: str
+    restarts: int = 0  # inertial steps rejected, each restarting the momentum
 
     def reconstruction(self):
         return self.endmembers @ self.abundances
@@ -63,6 +67,13 @@ class Solution:
 # ---------------------------------------------------------------------------
 # The coupled objective
 # ---------------------------------------------------------------------------
+
+def _finite_array(name, array):
+    array = np.asarray(array, dtype=float)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} has a non-finite entry")
+    return array
+
 
 def _sym_norm(m):
     """Largest eigenvalue of a small symmetric PSD matrix."""
@@ -78,10 +89,10 @@ class _Problem:
     abundances (materials rows), never to a bands x L image."""
 
     def __init__(self, y_ms, y_hs, spectral, spatial):
-        self.y_ms = np.asarray(y_ms, dtype=float)
-        self.y_hs = np.asarray(y_hs, dtype=float)
-        self.f = np.asarray(spectral, dtype=float)
         self.g = spatial.operator()
+        self.y_ms = _finite_array("y_ms", y_ms)
+        self.y_hs = _finite_array("y_hs", y_hs)
+        self.f = _finite_array("spectral", spectral)
         self.pixels = spatial.sr_pixel_count
         if self.y_ms.shape[1] != self.pixels:
             raise ValueError("MS pixel count does not match the spatial response")
@@ -116,13 +127,14 @@ class _Problem:
         """The objective at (A, S); ``sg`` is S G when the caller has it."""
         if sg is None:
             sg = self.g.apply(s)
-        r_ms = self.y_ms - self.f @ (a @ s)
+        r_ms = self.y_ms - (self.f @ a) @ s
         r_hs = self.y_hs - a @ sg
         return float(np.sum(r_ms * r_ms) + np.sum(r_hs * r_hs))
 
-    def endmember_pass(self, s):
+    def endmember_pass(self, s, sg=None):
         """(gradient in A, Lipschitz constant, objective in A) at fixed S."""
-        sg = self.g.apply(s)
+        if sg is None:
+            sg = self.g.apply(s)
         sst = s @ s.T
         sg_sgt = sg @ sg.T
         lipschitz = 2.0 * (self.lip_ftf * _sym_norm(sst) + _sym_norm(sg_sgt))
@@ -179,18 +191,18 @@ def project_columns_to_simplex(v):
     Sort-based threshold: with the column sorted decreasingly, the active
     size is the largest k for which u_k > (sum of the top k - 1) / k, and
     the output is max(v - theta, 0) at the matching threshold. Exact in
-    O(n log n) per column.
+    O(n log n) per column, worked along axis 1 of v^T.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[0] < 1:
         raise ValueError("need a nonempty 2-D array of column vectors")
     n = v.shape[0]
-    u = np.sort(v, axis=0)[::-1]
-    partial = (np.cumsum(u, axis=0) - 1.0) / np.arange(1, n + 1)[:, None]
+    u = np.sort(v.T, axis=1)[:, ::-1]
+    partial = (np.cumsum(u, axis=1) - 1.0) / np.arange(1, n + 1)
     active = u - partial > 0.0
-    k = n - 1 - np.argmax(active[::-1], axis=0)
-    theta = partial[k, np.arange(v.shape[1])]
-    return np.maximum(v - theta[None, :], 0.0)
+    k = n - 1 - np.argmax(active[:, ::-1], axis=1)
+    theta = partial[np.arange(v.shape[1]), k]
+    return np.maximum(v - theta, 0.0)
 
 
 def project_simplex(v):
@@ -246,24 +258,39 @@ def _finite(value):
     return value
 
 
+def _momentum(t):
+    """The next FISTA weight t' and the extrapolation factor (t - 1) / t'."""
+    t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+    return t_next, (t - 1.0) / t_next
+
+
+def _pass(x, gradient, step, project, steps, accelerate):
+    """Up to ``steps`` projected steps from ``x``, stopped early at a fixed
+    point; ``accelerate`` extrapolates each gradient point (FISTA)."""
+    x_new = y = x
+    t = 1.0
+    for _ in range(steps):
+        x_next = project(y - step * gradient(y))
+        if np.array_equal(x_next, x_new):
+            break
+        y = x_next
+        if accelerate:
+            t, beta = _momentum(t)
+            y = x_next + beta * (x_next - x_new)
+        x_new = x_next
+    return x_new
+
+
 def _descend(x, gradient, lipschitz, project, evaluate, f_start, steps):
-    """One block pass of up to ``steps`` projected steps, stopped early at
-    a fixed point; returns the new iterate and its objective. A 1/L step
-    cannot raise the objective, so the pass is redone from ``x`` at half
-    the step only when roundoff made it rise beyond the slack."""
-    scale = 1.0
-    for _ in range(60):
-        step = scale / lipschitz
-        x_new = x
-        for _ in range(steps):
-            x_next = project(x_new - step * gradient(x_new))
-            if np.array_equal(x_next, x_new):
-                break
-            x_new = x_next
+    """One block pass from ``x``; returns the new iterate and its objective.
+    A FISTA pass may raise the objective, a 1/L pass through roundoff: such
+    a pass is redone from ``x`` with plain steps, halving the step."""
+    for attempt in range(61):
+        step = 0.5 ** max(attempt - 1, 0) / lipschitz
+        x_new = _pass(x, gradient, step, project, steps, accelerate=attempt == 0)
         f_new = _finite(evaluate(x_new))
         if f_new <= f_start * (1.0 + 1e-12) + 1e-300:
             return x_new, f_new
-        scale *= 0.5
     return x, f_start
 
 
@@ -272,8 +299,8 @@ def _initialize(problem, config):
     if config.init == "provided":
         if config.init_endmembers is None or config.init_abundances is None:
             raise ValueError("init='provided' needs init_endmembers and init_abundances")
-        a0 = np.clip(np.asarray(config.init_endmembers, dtype=float), 0.0, 1.0)
-        s0 = project_columns_to_simplex(np.asarray(config.init_abundances, dtype=float))
+        a0 = np.clip(_finite_array("init_endmembers", config.init_endmembers), 0.0, 1.0)
+        s0 = project_columns_to_simplex(_finite_array("init_abundances", config.init_abundances))
         return a0, s0
     if config.init == "random":
         rng = np.random.default_rng(config.seed)
@@ -288,26 +315,47 @@ def _initialize(problem, config):
 
 
 def solve_coupled(y_ms, y_hs, spectral, spatial, config):
-    """Run the alternating projected descent scheme.
+    """Run the accelerated alternating projected descent scheme.
 
     Every iterate is feasible by construction and the objective trace is
     non-increasing. Stops on the relative objective change or an objective
     at the data's rounding level (both "converged"), an optional absolute
     objective floor, or the outer iteration cap (the cap is a termination
-    reason, not an error).
+    reason, not an error). Non-finite inputs raise ValueError.
     """
     problem = _Problem(y_ms, y_hs, spectral, spatial)
     a, s = _initialize(problem, config)
     f_cur = _finite(problem.value(a, s))
     trace = [f_cur]
     termination = "max_iterations"
-    iterations = 0
+    iterations = restarts = 0
+    a_prev, s_prev, t = a, s, 1.0
 
     for outer in range(1, config.max_outer + 1):
         iterations = outer
+        # Inertial step from the last two iterates, kept only if the
+        # objective did not rise; a rejected one restarts the momentum.
+        a_last, s_last, sg = a, s, None
+        t_next, beta = _momentum(t)
+        if beta > 0.0:
+            a_try = np.clip(a + beta * (a - a_prev), 0.0, 1.0)
+            # Columns of S + beta (S - S_prev) sum to one, so only those
+            # with a negative entry leave the simplex.
+            s_try = s + beta * (s - s_prev)
+            cols = np.flatnonzero((s_try < 0.0).any(axis=0))
+            s_try[:, cols] = project_columns_to_simplex(s_try[:, cols])
+            sg_try = problem.g.apply(s_try)
+            f_try = _finite(problem.value(a_try, s_try, sg_try))
+            if f_try <= f_cur:
+                a, s, sg, f_cur = a_try, s_try, sg_try, f_try
+            else:
+                t_next = 1.0
+                restarts += 1
+        a_prev, s_prev, t = a_last, s_last, t_next
+
         # A block whose Lipschitz constant is below _TINY is flat to double
         # precision, and its step 1/L could overflow: it is left as it is.
-        gradient, lipschitz, evaluate = problem.endmember_pass(s)
+        gradient, lipschitz, evaluate = problem.endmember_pass(s, sg)
         if lipschitz > _TINY:
             a, f_cur = _descend(a, gradient, lipschitz, lambda z: np.clip(z, 0.0, 1.0),
                                 evaluate, f_cur, config.inner_steps)
@@ -331,4 +379,5 @@ def solve_coupled(y_ms, y_hs, spectral, spatial, config):
         objective_trace=np.asarray(trace),
         iterations=iterations,
         termination=termination,
+        restarts=restarts,
     )

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from hsrfusion import SpatialResponse, Window
+from hsrfusion import Solution, SpatialResponse, Window
 from hsrfusion.fileio import (
     experiment_config_from_dict,
     read_matrix,
     read_spatial_response,
+    save_solution,
     scene_config_from_dict,
     solver_config_from_dict,
     write_matrix,
@@ -153,3 +154,13 @@ def test_config_readers_name_unknown_and_missing_keys():
         solver_config_from_dict({"materials": 2, "step_rule": "backtracking"})
     with pytest.raises(ValueError, match="missing key 'scene'"):
         experiment_config_from_dict({"snr_db": [15], "trials": 1, "solver": {"materials": 2}})
+
+
+def test_solution_json_records_the_momentum_restarts(tmp_path):
+    solution = Solution(endmembers=np.eye(2), abundances=np.eye(2),
+                        objective_trace=np.array([2.0, 1.0]), iterations=1,
+                        termination="converged", restarts=3)
+    save_solution(tmp_path, solution)
+    payload = json.loads((tmp_path / "solution.json").read_text())
+    assert payload["restarts"] == 3
+    assert payload["iterations"] == 1

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from hsrfusion import (
     SolverConfig,
+    add_noise,
     SpatialResponse,
     Window,
     build_counterexample,
@@ -17,6 +18,7 @@ from hsrfusion import (
     solve_coupled,
     spa_initialize,
 )
+from hsrfusion import solver
 from hsrfusion.model import spatial_decimate, spectral_decimate
 from hsrfusion.solver import abundance_gradient, endmember_gradient
 from conftest import desk_scene_config, random_simplex_columns
@@ -63,6 +65,20 @@ def test_objective_hand_arithmetic():
     y_ms = np.array([[2.0]])
     y_hs = np.array([[3.0]])
     assert objective(a, s, y_ms, y_hs, f, g) == pytest.approx(5.0, abs=0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_objective_equals_the_explicit_formula(seed, desk_spatial):
+    # the solver evaluates the MS term as (F A) S and the HS term as A (S G)
+    rng = np.random.default_rng(seed)
+    f = rng.uniform(size=(6, 50))
+    a = rng.uniform(size=(50, 6))
+    s = random_simplex_columns(rng, 6, desk_spatial.sr_pixel_count)
+    y_ms = rng.uniform(size=(6, desk_spatial.sr_pixel_count))
+    y_hs = rng.uniform(size=(50, desk_spatial.hs_pixel_count))
+    explicit = (np.sum((y_ms - f @ (a @ s)) ** 2)
+                + np.sum((y_hs - (a @ s) @ desk_spatial.to_dense()) ** 2))
+    assert abs(objective(a, s, y_ms, y_hs, f, desk_spatial) - explicit) <= 1e-12 * explicit
 
 
 def test_objective_dimension_mismatch():
@@ -131,6 +147,26 @@ def test_project_columns_matches_single_vector():
     cols = project_columns_to_simplex(v)
     for j in range(7):
         assert np.allclose(cols[:, j], project_simplex(v[:, j]), atol=1e-14)
+
+
+def _axis0_projection(v):
+    # the formula as it ran along the strided axis 0 of the columns
+    n = v.shape[0]
+    u = np.sort(v, axis=0)[::-1]
+    partial = (np.cumsum(u, axis=0) - 1.0) / np.arange(1, n + 1)[:, None]
+    active = u - partial > 0.0
+    k = n - 1 - np.argmax(active[::-1], axis=0)
+    theta = partial[k, np.arange(v.shape[1])]
+    return np.maximum(v - theta[None, :], 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(float, st.tuples(st.integers(1, 12), st.integers(1, 40)),
+              elements=st.floats(-1e6, 1e6)))
+def test_project_columns_equals_the_axis0_formula(v):
+    before = v.copy()
+    assert np.array_equal(project_columns_to_simplex(v), _axis0_projection(v))
+    assert np.array_equal(v, before)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +257,89 @@ def test_solver_determinism(desk_spatial):
     assert np.array_equal(first.endmembers, second.endmembers)
     assert np.array_equal(first.abundances, second.abundances)
     assert np.array_equal(first.objective_trace, second.objective_trace)
+
+
+def _criterion_8_solve(spatial, snr_db):
+    gen = generate_scene(desk_scene_config(seed=0), spatial)
+    y_ms, y_hs = observe(gen, spatial)
+    if snr_db is not None:
+        y_ms = add_noise(y_ms, snr_db, seed=1)
+        y_hs = add_noise(y_hs, snr_db, seed=2)
+    config = SolverConfig(materials=6, max_outer=500, inner_steps=15,
+                          rel_tol=1e-11, objective_floor=1e-20)
+    return solve_coupled(y_ms, y_hs, gen.spectral, spatial, config)
+
+
+def test_noisy_desk_solve_converges_with_momentum_restarts(desk_spatial):
+    solution = _criterion_8_solve(desk_spatial, 25.0)
+    assert solution.termination == "converged"
+    assert solution.iterations < 500
+    assert solution.restarts >= 1
+
+
+def test_noiseless_desk_solve_stops_after_one_iteration_without_restarts(desk_spatial):
+    solution = _criterion_8_solve(desk_spatial, None)
+    assert solution.termination == "objective_floor"
+    assert solution.iterations == 1
+    assert solution.restarts == 0
+
+
+def test_an_overshooting_fista_pass_falls_back_to_plain_steps(desk_spatial, monkeypatch):
+    gen = generate_scene(desk_scene_config(seed=33), desk_spatial)
+    y_ms, y_hs = observe(gen, desk_spatial)
+    y_ms = add_noise(y_ms, 20.0, seed=1)
+    y_hs = add_noise(y_hs, 20.0, seed=2)
+    real_pass = solver._pass
+    accelerated = []
+
+    def overshoot(x, gradient, step, project, steps, accelerate):
+        accelerated.append(accelerate)
+        return real_pass(x, gradient, step * (64.0 if accelerate else 1.0), project,
+                         steps, accelerate)
+
+    monkeypatch.setattr(solver, "_pass", overshoot)
+    config = SolverConfig(materials=6, max_outer=40, inner_steps=5, rel_tol=1e-12)
+    solution = solve_coupled(y_ms, y_hs, gen.spectral, desk_spatial, config)
+    assert accelerated[0] and accelerated.count(False) >= 10
+    trace = solution.objective_trace
+    assert np.all(trace[1:] <= trace[:-1] * (1.0 + 1e-12) ** 2 + 2e-300)
+    assert solution.endmembers.min() >= 0.0
+    assert solution.endmembers.max() <= 1.0
+    assert solution.abundances.min() >= 0.0
+    assert np.abs(solution.abundances.sum(axis=0) - 1.0).max() <= 1e-12
+
+
+def test_an_accepted_inertial_step_hands_over_its_s_g(desk_spatial, monkeypatch):
+    real_pass = solver._Problem.endmember_pass
+    handed = []
+
+    def check(self, s, sg=None):
+        if sg is not None:
+            handed.append(np.array_equal(sg, self.g.apply(s)))
+        return real_pass(self, s, sg)
+
+    monkeypatch.setattr(solver._Problem, "endmember_pass", check)
+    solution = _criterion_8_solve(desk_spatial, 25.0)
+    assert len(handed) > solution.iterations // 2
+    assert all(handed)
+
+
+@pytest.mark.parametrize("name, bad", [("y_ms", np.inf), ("y_hs", np.nan), ("spectral", -np.inf),
+                                       ("init_endmembers", np.nan),
+                                       ("init_abundances", np.inf)])
+def test_non_finite_input_is_rejected_naming_the_array(desk_spatial, capfd, name, bad):
+    gen = generate_scene(desk_scene_config(seed=35), desk_spatial)
+    y_ms, y_hs = observe(gen, desk_spatial)
+    inputs = {"y_ms": y_ms, "y_hs": y_hs, "spectral": gen.spectral.copy(),
+              "init_endmembers": gen.scene.endmembers.copy(),
+              "init_abundances": gen.scene.abundances.copy()}
+    inputs[name][1, 2] = bad
+    config = SolverConfig(materials=6, init="provided", max_outer=5,
+                          init_endmembers=inputs["init_endmembers"],
+                          init_abundances=inputs["init_abundances"])
+    with pytest.raises(ValueError, match=rf"^{name} has a non-finite entry$"):
+        solve_coupled(inputs["y_ms"], inputs["y_hs"], inputs["spectral"], desk_spatial, config)
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("pixel", [-1, 3])
