@@ -13,6 +13,13 @@ G enters only through the response's sparse operator, applied to the
 materials x L abundances: the HS term is evaluated as A (S G), the MS
 term as (F A) S, the S gradient as (S G) G^T, and |G^T G|_2 comes from
 the Lh x Lh Gram matrix. The dense L x Lh matrix is never formed.
+
+The abundances are pixel-major inside the solver: S is the n x L
+transpose of an L x n C-order buffer, one row per pixel, and so are the
+S gradient, the extrapolated S and S G (Lh x n underneath). The sparse
+products then receive C-order S^T and copy nothing, and the simplex
+projection sorts each pixel's contiguous row. Solution.abundances is that
+n x L view.
 """
 
 import functools
@@ -75,6 +82,21 @@ def _finite_array(name, array):
     return array
 
 
+def _energy(name, array):
+    """|array|_F^2, rejecting finite data whose squares overflow."""
+    with np.errstate(over="ignore"):
+        energy = float(np.sum(array * array))
+    if not math.isfinite(energy):
+        raise ValueError(f"{name} is too large: the sum of its squares overflows")
+    return energy
+
+
+def _shaped(name, array, shape, axes):
+    if array.shape != shape:
+        raise ValueError(f"{name} has shape {array.shape}, expected {shape} ({axes})")
+    return array
+
+
 def _sym_norm(m):
     """Largest eigenvalue of a small symmetric PSD matrix."""
     if m.size == 0:
@@ -100,13 +122,14 @@ class _Problem:
             raise ValueError("HS pixel count does not match the spatial response")
         if self.y_hs.shape[0] != self.f.shape[1]:
             raise ValueError("HS band count does not match the spectral response")
+        _energy("spectral", self.f)
         self.ftf = self.f.T @ self.f
         self.ft_yms = self.f.T @ self.y_ms
         self.lip_ftf = _sym_norm(self.ftf)
         # Each residual entry carries rounding error of order eps |y|, so
         # objective values below eps^2 |Y|^2 are rounding, not fit.
-        self.roundoff = np.finfo(float).eps ** 2 * float(
-            np.sum(self.y_ms * self.y_ms) + np.sum(self.y_hs * self.y_hs))
+        self.roundoff = np.finfo(float).eps ** 2 * (
+            _energy("y_ms", self.y_ms) + _energy("y_hs", self.y_hs))
 
     @functools.cached_property
     def lip_g(self):
@@ -147,16 +170,23 @@ class _Problem:
         return gradient, lipschitz, lambda a: self.value(a, s, sg)
 
     def abundance_pass(self, a):
-        """(gradient in S, Lipschitz constant, objective in S) at fixed A."""
+        """(gradient in S, Lipschitz constant, objective in S) at fixed A.
+        The gradient is formed as its L x n transpose and returned as the
+        n x L view of it, pixel-major as S is in the solver."""
         fa = self.f @ a
         fatfa = fa.T @ fa
         ata = a.T @ a
         lipschitz = 2.0 * (_sym_norm(fatfa) + _sym_norm(ata) * self.lip_g)
-        fat_yms = fa.T @ self.y_ms
-        at_yhs_gt = self.g.adjoint(a.T @ self.y_hs)
+        # 2 (FA^T Y_ms + A^T Y_hs G^T), transposed; A^T Y_hs enters the
+        # adjoint as the view of a C-order Y_hs^T A.
+        const_t = 2.0 * (self.y_ms.T @ fa + self.g.adjoint((self.y_hs.T @ a).T).T)
 
         def gradient(s):
-            return 2.0 * (fatfa @ s - fat_yms + ata @ self.g.adjoint(self.g.apply(s)) - at_yhs_gt)
+            grad_t = s.T @ fatfa.T
+            grad_t += self.g.adjoint(self.g.apply(s)).T @ ata.T
+            grad_t *= 2.0
+            grad_t -= const_t
+            return grad_t.T
 
         return gradient, lipschitz, functools.partial(self.value, a)
 
@@ -191,18 +221,29 @@ def project_columns_to_simplex(v):
     Sort-based threshold: with the column sorted decreasingly, the active
     size is the largest k for which u_k > (sum of the top k - 1) / k, and
     the output is max(v - theta, 0) at the matching threshold. Exact in
-    O(n log n) per column, worked along axis 1 of v^T.
+    O(n log n) per column. The work runs on v^T, one row per column, which
+    is contiguous for the solver's pixel-major abundances; the output has
+    the layout of ``v``.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[0] < 1:
         raise ValueError("need a nonempty 2-D array of column vectors")
     n = v.shape[0]
-    u = np.sort(v.T, axis=1)[:, ::-1]
-    partial = (np.cumsum(u, axis=1) - 1.0) / np.arange(1, n + 1)
-    active = u - partial > 0.0
-    k = n - 1 - np.argmax(active[:, ::-1], axis=1)
-    theta = partial[np.arange(v.shape[1]), k]
-    return np.maximum(v - theta, 0.0)
+    rows = v.T
+    u = np.array(rows, order="C")
+    u.sort(axis=1)
+    # A running sum over the sorted entries, largest first; the threshold
+    # is the candidate at the last active k, or at the last k when none is
+    # (entries of 2^53 and more, where u - 1 == u).
+    total = np.zeros(len(u))
+    theta = np.full(len(u), np.nan)
+    for k in range(n):
+        u_k = u[:, n - 1 - k]
+        total += u_k
+        candidate = (total - 1.0) / (k + 1)
+        np.copyto(theta, candidate, where=u_k > candidate)
+    np.copyto(theta, candidate, where=np.isnan(theta))
+    return np.maximum(rows - theta[:, None], 0.0).T
 
 
 def project_simplex(v):
@@ -295,23 +336,26 @@ def _descend(x, gradient, lipschitz, project, evaluate, f_start, steps):
 
 
 def _initialize(problem, config):
+    """The starting (A, S), feasible, with S pixel-major."""
     n = config.materials
     if config.init == "provided":
         if config.init_endmembers is None or config.init_abundances is None:
             raise ValueError("init='provided' needs init_endmembers and init_abundances")
-        a0 = np.clip(_finite_array("init_endmembers", config.init_endmembers), 0.0, 1.0)
-        s0 = project_columns_to_simplex(_finite_array("init_abundances", config.init_abundances))
-        return a0, s0
-    if config.init == "random":
+        a0 = _shaped("init_endmembers", _finite_array("init_endmembers", config.init_endmembers),
+                     (problem.y_hs.shape[0], n), "HS bands x materials")
+        s0 = _shaped("init_abundances", _finite_array("init_abundances", config.init_abundances),
+                     (n, problem.pixels), "materials x SR pixels")
+        a0 = np.clip(a0, 0.0, 1.0)
+    elif config.init == "random":
         rng = np.random.default_rng(config.seed)
         a0 = rng.uniform(0.0, 1.0, size=(problem.y_hs.shape[0], n))
-        s0 = project_columns_to_simplex(rng.uniform(0.0, 1.0, size=(n, problem.pixels)))
-        return a0, s0
-    # pure-pixel: successive projection on the HS image, then a simplex
-    # projected least squares fit of the MS image against F @ A0.
-    a0 = spa_initialize(problem.y_hs, n)
-    s_ls, *_ = np.linalg.lstsq(problem.f @ a0, problem.y_ms, rcond=None)
-    return a0, project_columns_to_simplex(s_ls)
+        s0 = rng.uniform(0.0, 1.0, size=(n, problem.pixels))
+    else:
+        # pure-pixel: successive projection on the HS image, then a simplex
+        # projected least squares fit of the MS image against F @ A0.
+        a0 = spa_initialize(problem.y_hs, n)
+        s0, *_ = np.linalg.lstsq(problem.f @ a0, problem.y_ms, rcond=None)
+    return a0, project_columns_to_simplex(np.asfortranarray(s0))
 
 
 def solve_coupled(y_ms, y_hs, spectral, spatial, config):
@@ -321,7 +365,8 @@ def solve_coupled(y_ms, y_hs, spectral, spatial, config):
     non-increasing. Stops on the relative objective change or an objective
     at the data's rounding level (both "converged"), an optional absolute
     objective floor, or the outer iteration cap (the cap is a termination
-    reason, not an error). Non-finite inputs raise ValueError.
+    reason, not an error). Non-finite inputs, data whose squares overflow
+    and provided initial factors of the wrong shape raise ValueError.
     """
     problem = _Problem(y_ms, y_hs, spectral, spatial)
     a, s = _initialize(problem, config)
@@ -342,8 +387,9 @@ def solve_coupled(y_ms, y_hs, spectral, spatial, config):
             # Columns of S + beta (S - S_prev) sum to one, so only those
             # with a negative entry leave the simplex.
             s_try = s + beta * (s - s_prev)
-            cols = np.flatnonzero((s_try < 0.0).any(axis=0))
-            s_try[:, cols] = project_columns_to_simplex(s_try[:, cols])
+            rows = s_try.T
+            cols = np.flatnonzero((rows < 0.0).any(axis=1))
+            rows[cols] = project_columns_to_simplex(rows[cols].T).T
             sg_try = problem.g.apply(s_try)
             f_try = _finite(problem.value(a_try, s_try, sg_try))
             if f_try <= f_cur:

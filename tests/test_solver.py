@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hsrfusion import (
+    SceneConfig,
     SolverConfig,
     add_noise,
     SpatialResponse,
     Window,
     build_counterexample,
+    build_spatial_response,
     feasible_family,
     generate_scene,
     objective,
@@ -19,7 +21,7 @@ from hsrfusion import (
     spa_initialize,
 )
 from hsrfusion import solver
-from hsrfusion.model import spatial_decimate, spectral_decimate
+from hsrfusion.model import SpatialOperator, spatial_decimate, spectral_decimate
 from hsrfusion.solver import abundance_gradient, endmember_gradient
 from conftest import desk_scene_config, random_simplex_columns
 
@@ -167,6 +169,54 @@ def test_project_columns_equals_the_axis0_formula(v):
     before = v.copy()
     assert np.array_equal(project_columns_to_simplex(v), _axis0_projection(v))
     assert np.array_equal(v, before)
+
+
+def _sort_cumsum_argmax_projection(v):
+    # the vectorised formula along axis 1 of v^T: cumsum over every sorted
+    # entry, then argmax for the last active index
+    n = v.shape[0]
+    u = np.sort(v.T, axis=1)[:, ::-1]
+    partial = (np.cumsum(u, axis=1) - 1.0) / np.arange(1, n + 1)
+    active = u - partial > 0.0
+    k = n - 1 - np.argmax(active[:, ::-1], axis=1)
+    theta = partial[np.arange(v.shape[1]), k]
+    return np.maximum(v - theta, 0.0)
+
+
+@st.composite
+def projection_inputs(draw):
+    """n x m columns, n in 1..12, single columns often, in C or F order.
+    Rounded entries put ties among a column's values; entries of 2^53 and
+    more make u - 1 == u, so that no index is active."""
+    shape = (draw(st.integers(1, 12)), draw(st.one_of(st.just(1), st.integers(1, 40))))
+    elements = draw(st.sampled_from([st.integers(-8, 8).map(lambda k: k / 4),
+                                     st.floats(-1e6, 1e6),
+                                     st.floats(-1e300, 1e300)]))
+    v = draw(arrays(float, shape, elements=elements))
+    return np.asfortranarray(v) if draw(st.booleans()) else v
+
+
+@settings(max_examples=300, deadline=None)
+@given(projection_inputs())
+def test_projection_is_the_sort_cumsum_argmax_formula_and_meets_kkt(v):
+    before = v.copy()
+    x = project_columns_to_simplex(v)
+    assert np.array_equal(x, _sort_cumsum_argmax_projection(v))
+    assert np.array_equal(v, before)
+    # KKT, where the values leave room for rounding: x on the simplex,
+    # v - x equal to one theta on the support and at most theta off it
+    if np.abs(v).max() > 1e6:
+        return
+    n = v.shape[0]
+    tol = 1e-13 * n * max(1.0, float(np.abs(v).max()))
+    assert x.min() >= 0.0
+    assert np.abs(x.sum(axis=0) - 1.0).max() <= tol
+    for vj, xj in zip(v.T, x.T):
+        support = xj > 0.0
+        gap = vj - xj
+        theta = gap[support].mean()
+        assert np.abs(gap[support] - theta).max() <= tol
+        assert np.all(vj[~support] <= theta + tol)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +372,66 @@ def test_an_accepted_inertial_step_hands_over_its_s_g(desk_spatial, monkeypatch)
     solution = _criterion_8_solve(desk_spatial, 25.0)
     assert len(handed) > solution.iterations // 2
     assert all(handed)
+
+
+def test_s_passes_hand_pixel_major_arrays_to_the_projection_and_the_operator(monkeypatch):
+    # A transposed-C input lets the projection sort contiguous rows and the
+    # sparse products multiply S^T without a ravel copy.
+    spatial = build_spatial_response(64, 64, kernel="gaussian", kernel_size=6, factor=4)
+    gen = generate_scene(SceneConfig(sr_bands=50, ms_bands=6, materials=6, width=64, height=64,
+                                     factor=4, max_support=3, kernel="gaussian", kernel_size=6,
+                                     seed=3, require_dominance=False), spatial)
+    y_ms, y_hs = observe(gen, spatial)
+    y_ms = add_noise(y_ms, 30.0, seed=1)
+    y_hs = add_noise(y_hs, 30.0, seed=2)
+    seen = {"project": [], "apply": [], "adjoint": []}
+
+    def watch(name, function):
+        def wrapper(*args):
+            seen[name].append(args[-1].T.flags.c_contiguous)
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(solver, "project_columns_to_simplex",
+                        watch("project", solver.project_columns_to_simplex))
+    for name in ("apply", "adjoint"):
+        monkeypatch.setattr(SpatialOperator, name, watch(name, getattr(SpatialOperator, name)))
+    solution = solve_coupled(y_ms, y_hs, gen.spectral, spatial,
+                             SolverConfig(materials=6, max_outer=4))
+    assert solution.restarts < solution.iterations - 1  # an inertial step was kept
+    for name, calls in seen.items():
+        assert len(calls) > solution.iterations, name
+        assert all(calls), name
+
+
+@pytest.mark.parametrize("name, shape", [("init_endmembers", (50, 7)),
+                                         ("init_abundances", (6, 255)),
+                                         ("init_abundances", (5, 256))])
+def test_provided_factors_of_the_wrong_shape_are_named(desk_spatial, capfd, name, shape):
+    gen = generate_scene(desk_scene_config(seed=35), desk_spatial)
+    y_ms, y_hs = observe(gen, desk_spatial)
+    factors = {"init_endmembers": gen.scene.endmembers, "init_abundances": gen.scene.abundances}
+    expected = factors[name].shape
+    factors[name] = np.full(shape, 1.0 / shape[0])
+    config = SolverConfig(materials=6, init="provided", max_outer=5, **factors)
+    message = rf"^{name} has shape \({shape[0]}, {shape[1]}\), expected \({expected[0]}, {expected[1]}\)"
+    with pytest.raises(ValueError, match=message) as raised:
+        solve_coupled(y_ms, y_hs, gen.spectral, desk_spatial, config)
+    assert "\n" not in str(raised.value)
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["y_ms", "y_hs", "spectral"])
+def test_data_whose_squares_overflow_is_rejected_naming_the_array(desk_spatial, capfd, name):
+    gen = generate_scene(desk_scene_config(seed=35), desk_spatial)
+    y_ms, y_hs = observe(gen, desk_spatial)
+    inputs = {"y_ms": y_ms, "y_hs": y_hs, "spectral": gen.spectral}
+    inputs[name] = inputs[name] * 1e200
+    config = SolverConfig(materials=6, max_outer=5)
+    with pytest.raises(ValueError, match=rf"^{name} is too large: the sum of its squares overflows$"):
+        solve_coupled(inputs["y_ms"], inputs["y_hs"], inputs["spectral"], desk_spatial, config)
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("name, bad", [("y_ms", np.inf), ("y_hs", np.nan), ("spectral", -np.inf),
