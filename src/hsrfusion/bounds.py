@@ -28,6 +28,13 @@ SUPPORT_TOL = 1e-9  # decimated abundance entries above this count as support
 PURE_TOL = 1e-6  # max deviation of a pure window from a unit vector
 
 
+def _guarded(n):
+    """n, after raising if n columns exceed the enumeration guard."""
+    if n > SUBSET_GUARD:
+        raise ValueError(f"column count {n} exceeds enumeration guard {SUBSET_GUARD}")
+    return n
+
+
 def _subset_spectra(a, size, principal=False):
     """(rows, sv) blocks over every size-`size` column subset of a.
 
@@ -36,9 +43,7 @@ def _subset_spectra(a, size, principal=False):
     blocks a[rows, rows], from one stacked SVD per SUBSET_BLOCK subsets.
     Raises at once past SUBSET_GUARD columns; blocks are drawn lazily.
     """
-    n = a.shape[1]
-    if n > SUBSET_GUARD:
-        raise ValueError(f"column count {n} exceeds enumeration guard {SUBSET_GUARD}")
+    n = _guarded(a.shape[1])
     combos = itertools.combinations(range(n), size)
     blocks = map(np.array, iter(lambda: list(itertools.islice(combos, SUBSET_BLOCK)), []))
     every_row = np.arange(a.shape[0])[:, None]
@@ -50,6 +55,63 @@ def _subset_spectra(a, size, principal=False):
 # Certificate ingredients
 # ---------------------------------------------------------------------------
 
+class _SubsetTables:
+    """sigma_min and sigma_max of a's column subsets, indexed by bitmask.
+
+    Each subset size is decomposed at most once, on first request, through
+    _subset_spectra; Kruskal rank and the subset condition number are
+    reductions over the same tables, so a certificate that needs both
+    decomposes every subset once. Raises past SUBSET_GUARD columns before
+    any work.
+    """
+
+    def __init__(self, a):
+        self.a = np.asarray(a, dtype=float)
+        n = _guarded(self.a.shape[1])
+        self.smin, self.smax = np.zeros(1 << n), np.zeros(1 << n)
+        self.floors = {}
+
+    def floor(self, k):
+        """Smallest sigma_min over the k-subsets; the first request
+        decomposes them and fills their entries of both tables."""
+        if k not in self.floors:
+            floor = math.inf
+            for rows, sv in _subset_spectra(self.a, k):
+                mask = (1 << rows).sum(axis=1)
+                self.smin[mask], self.smax[mask] = sv[:, -1], sv[:, 0]
+                floor = min(floor, float(sv[:, -1].min()))
+            self.floors[k] = floor
+        return self.floors[k]
+
+    def kruskal(self, tol=SINGULAR_REL):
+        """Largest k <= min(m, n) with every k-subset's sigma_k above
+        tol * sigma_max(a); sizes are visited in order up to the first
+        with a dependent subset."""
+        m, n = self.a.shape
+        scale = max(np.linalg.svd(self.a, compute_uv=False), default=0.0)
+        k = 0
+        for size in range(1, min(m, n) + 1):
+            if self.floor(size) <= tol * scale:
+                return k
+            k = size
+        return k
+
+    def condition(self):
+        """max sigma_max(complement) / sigma_min(subset) over proper subsets."""
+        n = self.a.shape[1]
+        if self.a.size == 0:
+            return 0.0
+        for size in range(1, n):
+            self.floor(size)
+        full = (1 << n) - 1
+        # mask j in 1 .. full-1 has complement full - j
+        top, bottom = self.smax[full - 1:0:-1], self.smin[1:full]
+        live = top != 0.0
+        if (bottom[live] <= 0.0).any():
+            return math.inf
+        return float((top[live] / bottom[live]).max(initial=0.0))
+
+
 def kruskal_rank(a, tol=SINGULAR_REL):
     """Largest k such that every k-column subset is linearly independent.
 
@@ -59,17 +121,10 @@ def kruskal_rank(a, tol=SINGULAR_REL):
     first size that has a dependent subset; guarded at 20 columns.
     """
     a = np.asarray(a, dtype=float)
-    m, n = a.shape
+    _, n = a.shape
     if n < 1:
         raise ValueError("need at least one column")
-    scale = max(np.linalg.svd(a, compute_uv=False), default=0.0)
-    k = 0
-    for size in range(1, min(m, n) + 1):
-        for _, sv in _subset_spectra(a, size):
-            if (sv[:, -1] <= tol * scale).any():
-                return k
-        k = size
-    return k
+    return _SubsetTables(a).kruskal(tol)
 
 
 def dominance_coefficient(endmembers):
@@ -106,22 +161,7 @@ def subset_condition_number(a_ms):
     subset is decomposed once; its sigma_min and sigma_max go into tables
     indexed by column bitmask, so a complement's sigma_max is a lookup.
     """
-    a = np.asarray(a_ms, dtype=float)
-    n = a.shape[1]
-    spectra = [_subset_spectra(a, size) for size in range(1, n)]  # raises past the guard
-    if a.size == 0:
-        return 0.0
-    full = (1 << n) - 1
-    smin, smax = np.zeros(full + 1), np.zeros(full + 1)
-    for rows, sv in itertools.chain.from_iterable(spectra):
-        mask = (1 << rows).sum(axis=1)
-        smin[mask], smax[mask] = sv[:, -1], sv[:, 0]
-    # mask j in 1 .. full-1 has complement full - j
-    top, bottom = smax[full - 1:0:-1], smin[1:full]
-    live = top != 0.0
-    if (bottom[live] <= 0.0).any():
-        return math.inf
-    return float((top[live] / bottom[live]).max(initial=0.0))
+    return _SubsetTables(a_ms).condition()
 
 
 def support_balance(materials, kruskal):
@@ -219,6 +259,12 @@ def check_assumptions(endmembers, abundances, spectral, spatial):
     (pure window indices, worst support size, dominance value). An
     invalid spatial response raises its first violation as ValueError.
     """
+    return _assess(endmembers, abundances, spectral, spatial)[0]
+
+
+def _assess(endmembers, abundances, spectral, spatial):
+    """check_assumptions' report, and the subset tables of F A behind its
+    Kruskal rank for the certificate to reduce further."""
     problems = spatial.validate()
     if problems:
         raise ValueError(str(problems[0]))
@@ -238,7 +284,8 @@ def check_assumptions(endmembers, abundances, spectral, spatial):
         f"decimated-abundance sv ratio {(sv_s[-1] / sv_s[0]) if len(sv_s) else 0.0:.3e}"
     )
 
-    kruskal = kruskal_rank(f @ a)
+    tables = _SubsetTables(f @ a)
+    kruskal = tables.kruskal()
     support_sizes = (np.abs(decimated) > SUPPORT_TOL).sum(axis=0)
     worst_pixel = int(np.argmax(support_sizes))
     worst_size = int(support_sizes[worst_pixel])
@@ -269,7 +316,7 @@ def check_assumptions(endmembers, abundances, spectral, spatial):
         + (" (some column has no band below 1/n)" if math.isinf(dominance_value) else "")
     )
 
-    return AssumptionReport(
+    report = AssumptionReport(
         full_rank=full_rank,
         full_rank_detail=rank_detail,
         sparsity=bool(sparsity),
@@ -284,6 +331,7 @@ def check_assumptions(endmembers, abundances, spectral, spatial):
         worst_support_pixel=worst_pixel,
         worst_support_size=worst_size,
     )
+    return report, tables
 
 
 def certify(endmembers, abundances, spectral, spatial):
@@ -292,13 +340,14 @@ def certify(endmembers, abundances, spectral, spatial):
     Degenerate inputs (undefined dominance, zero Kruskal rank) yield
     infinite bounds rather than errors: the certificate degrades to "no
     guarantee". An invalid spatial response raises its first violation
-    as ValueError.
+    as ValueError. Kruskal rank and the condition number come from one
+    decomposition of each column subset of F A.
     """
-    report = check_assumptions(endmembers, abundances, spectral, spatial)
+    report, tables = _assess(endmembers, abundances, spectral, spatial)
     a = np.asarray(endmembers, dtype=float)
     n = a.shape[1]
     kruskal, dominance = report.kruskal, report.dominance_value
-    condition = subset_condition_number(np.asarray(spectral, dtype=float) @ a)
+    condition = tables.condition()
     gamma = peak_window_weights(spatial)
     norm_a = float(np.linalg.svd(a, compute_uv=False)[0])
     balance = support_balance(n, kruskal) if kruskal >= 1 else math.nan

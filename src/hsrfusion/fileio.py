@@ -3,6 +3,12 @@
 Matrices are plain CSV, one row per line, '.' decimal separator, no
 header; dimensions are inferred. Values are written with 17 significant
 digits so a write/read round trip is bit exact for float64.
+
+The writer builds one row format, a comma-joined ``%.17g`` field per
+column and a newline, and streams the matrix through it one row at a
+time, so it never holds more than one row's text. ``%`` and
+``format(v, ".17g")`` share one formatter, so each line is byte for byte
+the comma join of the row's ``f"{v:.17g}"`` values.
 """
 
 import dataclasses
@@ -20,10 +26,9 @@ from .solver import SolverConfig
 
 def write_matrix(path, matrix):
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
+    line = ",".join(["%.17g"] * m.shape[-1]) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        for row in m:
-            handle.write(",".join(f"{v:.17g}" for v in row))
-            handle.write("\n")
+        handle.writelines(line % tuple(row.tolist()) for row in m)
 
 
 def read_matrix(path):

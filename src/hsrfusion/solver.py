@@ -243,7 +243,12 @@ def project_columns_to_simplex(v):
         candidate = (total - 1.0) / (k + 1)
         np.copyto(theta, candidate, where=u_k > candidate)
     np.copyto(theta, candidate, where=np.isnan(theta))
-    return np.maximum(rows - theta[:, None], 0.0).T
+    # Contiguous rows subtract a flat repeat of theta: broadcasting it
+    # along them would run numpy's inner loop over only n entries.
+    shift = theta.repeat(n).reshape(-1, n) if rows.flags.c_contiguous else theta[:, None]
+    out = rows - shift
+    np.maximum(out, 0.0, out=out)
+    return out.T
 
 
 def project_simplex(v):
@@ -366,9 +371,14 @@ def solve_coupled(y_ms, y_hs, spectral, spatial, config):
     at the data's rounding level (both "converged"), an optional absolute
     objective floor, or the outer iteration cap (the cap is a termination
     reason, not an error). Non-finite inputs, data whose squares overflow
-    and provided initial factors of the wrong shape raise ValueError.
+    and provided initial factors of the wrong shape raise ValueError, and
+    so does a spatial response that fails validate(), with its first
+    violation, before any product.
     """
     problem = _Problem(y_ms, y_hs, spectral, spatial)
+    problems = spatial.validate()
+    if problems:
+        raise ValueError(str(problems[0]))
     a, s = _initialize(problem, config)
     f_cur = _finite(problem.value(a, s))
     trace = [f_cur]

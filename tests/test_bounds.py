@@ -66,8 +66,12 @@ def test_kruskal_zero_matrix():
     assert kruskal_rank(np.zeros((3, 2))) == 0
 
 
-def test_kruskal_guard():
-    with pytest.raises(ValueError):
+def test_kruskal_guard(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a decomposition ran")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)  # the guard raises before any work
+    with pytest.raises(ValueError, match="exceeds enumeration guard"):
         kruskal_rank(np.ones((2, 21)))
 
 
@@ -360,6 +364,49 @@ def test_certify_and_assumptions_reject_an_invalid_spatial_response():
     for check in (certify, check_assumptions):
         with pytest.raises(ValueError, match="window_weight_positive"):
             check(inst.endmembers, inst.abundances, inst.spectral, inst.spatial)
+
+
+def _spy_on_subset_sizes(monkeypatch):
+    """Record the size of every column-subset enumeration requested."""
+    sizes = []
+    enumerate_subsets = bounds._subset_spectra
+
+    def spy(a, size, principal=False):
+        sizes.append(size)
+        return enumerate_subsets(a, size, principal)
+
+    monkeypatch.setattr(bounds, "_subset_spectra", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("m, n, duplicate", [(8, 12, False), (8, 12, True), (4, 7, False),
+                                             (6, 6, False), (8, 5, False), (8, 5, True)])
+def test_certify_enumerates_each_subset_size_of_f_a_once(monkeypatch, desk_spatial, m, n,
+                                                         duplicate):
+    rng = np.random.default_rng(m * 100 + n)
+    endmembers = rng.uniform(size=(50, n))
+    if duplicate:
+        endmembers[:, 3] = endmembers[:, 1]  # F A has a dependent pair
+    abundances = rng.exponential(size=(n, desk_spatial.sr_pixel_count))
+    abundances /= abundances.sum(axis=0)
+    spectral = rng.uniform(size=(m, 50))
+    sizes = _spy_on_subset_sizes(monkeypatch)
+    cert = certify(endmembers, abundances, spectral, desk_spatial)
+    assert sorted(sizes) == sorted(set(sizes))  # each size at most once
+    assert set(range(1, n)) <= set(sizes) <= set(range(1, n + 1))
+    fa = spectral @ endmembers
+    assert cert.kruskal == kruskal_rank(fa)
+    assert cert.condition == subset_condition_number(fa)  # bit for bit, inf too
+    assert cert.kruskal == (1 if duplicate else min(m, n))
+    assert (cert.condition > 1e12) == duplicate  # a dependent pair's sigma_min is roundoff
+
+
+def test_kruskal_rank_on_its_own_stops_after_the_first_dependent_size(monkeypatch):
+    a = np.random.default_rng(3).uniform(size=(8, 12))
+    a[:, 5] = a[:, 2]
+    sizes = _spy_on_subset_sizes(monkeypatch)
+    assert kruskal_rank(a) == 1
+    assert sizes == [1, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hsrfusion import Solution, SpatialResponse, Window
 from hsrfusion.fileio import (
@@ -25,6 +28,35 @@ def test_matrix_round_trip_is_bit_exact(tmp_path):
     back = read_matrix(path)
     assert back.shape == m.shape
     assert np.array_equal(back, m)
+
+
+# Extremes of float64 next to integers and ordinary values: signed zero,
+# the smallest subnormal and magnitudes near the largest finite double.
+cells = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7e308, -1.7e308]),
+    st.integers(-2 ** 60, 2 ** 60).map(float),
+)
+shapes = st.one_of(
+    st.just((1, 1)),
+    st.tuples(st.just(1), st.integers(1, 8)),
+    st.tuples(st.integers(1, 8), st.just(1)),
+    st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    st.tuples(st.integers(1, 8)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(float, shapes, elements=cells))
+def test_matrix_round_trip_is_bit_exact_with_per_value_17g_lines(tmp_path_factory, m):
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    write_matrix(path, m)
+    expected = np.atleast_2d(m)
+    old_format = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in expected)
+    assert path.read_bytes() == old_format.encode("utf-8")
+    back = read_matrix(path)
+    assert back.shape == expected.shape
+    assert np.array_equal(back.view(np.int64), expected.view(np.int64))  # -0.0 too
 
 
 def test_ragged_rows_name_the_line(tmp_path):

@@ -469,6 +469,39 @@ def test_out_of_range_pixel_is_rejected_before_any_product(pixel):
         solve_coupled(np.ones((1, 3)), np.ones((2, 2)), np.ones((1, 2)), g, config)
 
 
+# Windows over 4 SR pixels, each list breaking one check of validate();
+# a pixel index out of range is the operator's check, tested above.
+_HALVES = ([0, 1], [0.5, 0.5])
+_INVALID_RESPONSES = {
+    "spatial_size": [([0], [1.0]), ([1], [1.0]), ([2], [1.0]), ([3], [1.0])],
+    "window_empty": [([0, 1, 2, 3], [0.25] * 4), ([], [])],
+    "window_weight_finite": [_HALVES, ([2, 3], [np.nan, 0.5])],
+    "window_weight_positive": [_HALVES, ([2, 3], [-0.5, 1.5])],
+    "window_weight_sum": [_HALVES, ([2, 3], [0.5, 0.6])],
+    "window_duplicate_pixel": [_HALVES, ([2, 3, 3], [0.5, 0.25, 0.25])],
+    "coverage": [_HALVES, ([2], [1.0])],
+}
+
+
+@pytest.mark.parametrize("check", sorted(_INVALID_RESPONSES))
+def test_an_invalid_spatial_response_is_rejected_before_any_product(check, monkeypatch, capfd):
+    windows = [Window(pixels=np.array(p, dtype=int), weights=np.array(w, dtype=float))
+               for p, w in _INVALID_RESPONSES[check]]
+    g = SpatialResponse(sr_pixel_count=4, windows=windows)
+
+    def refuse(self, x):
+        raise AssertionError("a product with G ran")
+
+    for name in ("apply", "adjoint"):
+        monkeypatch.setattr(SpatialOperator, name, refuse)
+    config = SolverConfig(materials=1, init="random", max_outer=2)
+    with pytest.raises(ValueError, match=rf"^\[{check}\] ") as raised:
+        solve_coupled(np.ones((1, 4)), np.ones((2, len(windows))), np.ones((1, 2)), g, config)
+    assert "\n" not in str(raised.value)
+    assert str(raised.value) == str(g.validate()[0])
+    assert capfd.readouterr().err == ""
+
+
 def test_solver_never_forms_the_dense_spatial_matrix(desk_spatial, monkeypatch):
     gen = generate_scene(desk_scene_config(seed=34), desk_spatial)
     y_ms, y_hs = observe(gen, desk_spatial)
@@ -486,15 +519,21 @@ def test_solver_never_forms_the_dense_spatial_matrix(desk_spatial, monkeypatch):
 
 @st.composite
 def small_fusion_problems(draw):
-    """Random small shapes, windows with positive weights summing to one,
-    data in [0, 1] and a solver budget of at most 8 outer iterations."""
+    """Random small shapes, valid windows (nonempty, positive weights
+    summing to one, every SR pixel covered), data in [0, 1] and a solver
+    budget of at most 8 outer iterations."""
     materials = draw(st.integers(1, 4))
     bands = draw(st.integers(1, 8))
     ms_bands = draw(st.integers(1, 4))
     pixels = draw(st.integers(2, 10))
+    count = draw(st.integers(1, pixels - 1))
+    # Deal a shuffled pixel order round the windows, so each window gets
+    # one and every pixel is covered, then let windows overlap.
+    order = draw(st.permutations(range(pixels)))
     windows = []
-    for _ in range(draw(st.integers(1, pixels - 1))):
-        members = draw(st.lists(st.integers(0, pixels - 1), min_size=1, unique=True))
+    for i in range(count):
+        extra = draw(st.lists(st.integers(0, pixels - 1), max_size=3))
+        members = sorted(set(order[i::count]) | set(extra))
         raw = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=len(members),
                                      max_size=len(members))))
         windows.append(Window(pixels=np.array(members), weights=raw / raw.sum()))
@@ -505,7 +544,9 @@ def small_fusion_problems(draw):
     config = SolverConfig(materials=materials, init="random", seed=draw(st.integers(0, 2**16)),
                           inner_steps=draw(st.integers(1, 20)),
                           max_outer=draw(st.integers(1, 8)), rel_tol=1e-12)
-    return y_ms, y_hs, spectral, SpatialResponse(sr_pixel_count=pixels, windows=windows), config
+    spatial = SpatialResponse(sr_pixel_count=pixels, windows=windows)
+    assert spatial.validate() == []
+    return y_ms, y_hs, spectral, spatial, config
 
 
 @settings(max_examples=100, deadline=None)
