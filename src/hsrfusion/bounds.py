@@ -58,8 +58,9 @@ def _subset_spectra(a, size, principal=False):
 class _SubsetTables:
     """sigma_min and sigma_max of a's column subsets, indexed by bitmask.
 
-    Each subset size is decomposed at most once, on first request, through
-    _subset_spectra; Kruskal rank and the subset condition number are
+    Each subset size is enumerated at most once, through one
+    _subset_spectra generator drawn on demand, so each subset is
+    decomposed at most once; Kruskal rank and the subset condition number are
     reductions over the same tables, so a certificate that needs both
     decomposes every subset once. Raises past SUBSET_GUARD columns before
     any work.
@@ -71,27 +72,36 @@ class _SubsetTables:
         self.smin, self.smax = np.zeros(1 << n), np.zeros(1 << n)
         self.floors = {}
 
-    def floor(self, k):
-        """Smallest sigma_min over the k-subsets; the first request
-        decomposes them and fills their entries of both tables."""
+    def floor(self, k, stop=-math.inf):
+        """Smallest sigma_min over the k-subsets, filling their entries of
+        both tables block by block. The enumeration pauses at the first
+        block whose sigma_min is at or below `stop`, returning that
+        block's floor; a later request resumes it where it paused."""
         if k not in self.floors:
-            floor = math.inf
-            for rows, sv in _subset_spectra(self.a, k):
-                mask = (1 << rows).sum(axis=1)
-                self.smin[mask], self.smax[mask] = sv[:, -1], sv[:, 0]
-                floor = min(floor, float(sv[:, -1].min()))
-            self.floors[k] = floor
-        return self.floors[k]
+            self.floors[k] = [_subset_spectra(self.a, k), math.inf]
+        entry = self.floors[k]
+        blocks, floor = entry
+        while floor > stop:
+            block = next(blocks, None)
+            if block is None:
+                break
+            rows, sv = block
+            mask = (1 << rows).sum(axis=1)
+            self.smin[mask], self.smax[mask] = sv[:, -1], sv[:, 0]
+            floor = min(floor, float(sv[:, -1].min()))
+        entry[1] = floor
+        return floor
 
     def kruskal(self, tol=SINGULAR_REL):
         """Largest k <= min(m, n) with every k-subset's sigma_k above
         tol * sigma_max(a); sizes are visited in order up to the first
-        with a dependent subset."""
+        with a dependent subset, and that size's enumeration stops at the
+        first block holding one."""
         m, n = self.a.shape
         scale = max(np.linalg.svd(self.a, compute_uv=False), default=0.0)
         k = 0
         for size in range(1, min(m, n) + 1):
-            if self.floor(size) <= tol * scale:
+            if self.floor(size, stop=tol * scale) <= tol * scale:
                 return k
             k = size
         return k
@@ -118,7 +128,8 @@ def kruskal_rank(a, tol=SINGULAR_REL):
     Independence is decided by the k-th singular value of the subset
     exceeding tol times the largest singular value of the full matrix.
     Exhaustive over subsets by increasing size, with early exit at the
-    first size that has a dependent subset; guarded at 20 columns.
+    first block of SUBSET_BLOCK subsets that holds a dependent one;
+    guarded at 20 columns.
     """
     a = np.asarray(a, dtype=float)
     _, n = a.shape

@@ -243,12 +243,7 @@ def project_columns_to_simplex(v):
         candidate = (total - 1.0) / (k + 1)
         np.copyto(theta, candidate, where=u_k > candidate)
     np.copyto(theta, candidate, where=np.isnan(theta))
-    # Contiguous rows subtract a flat repeat of theta: broadcasting it
-    # along them would run numpy's inner loop over only n entries.
-    shift = theta.repeat(n).reshape(-1, n) if rows.flags.c_contiguous else theta[:, None]
-    out = rows - shift
-    np.maximum(out, 0.0, out=out)
-    return out.T
+    return np.maximum(rows - theta[:, None], 0.0).T
 
 
 def project_simplex(v):

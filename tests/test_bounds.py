@@ -409,6 +409,26 @@ def test_kruskal_rank_on_its_own_stops_after_the_first_dependent_size(monkeypatc
     assert sizes == [1, 2]
 
 
+def test_kruskal_rank_stops_at_the_first_block_with_a_dependent_subset(monkeypatch):
+    a = np.random.default_rng(4).uniform(size=(8, 12))
+    a[:, 1] = a[:, 0]  # (0, 1) leads the first block of 2-subsets
+    expected = subset_condition_number(a)
+    monkeypatch.setattr(bounds, "SUBSET_BLOCK", 4)
+    stacks = []
+    svd = np.linalg.svd
+
+    def count(x, *args, **kwargs):
+        stacks.append(np.ndim(x) == 3)
+        return svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", count)
+    tables = bounds._SubsetTables(a)
+    assert tables.kruskal() == 1
+    assert sum(stacks) == 3 + 1  # every block of 1-subsets, one of 2-subsets
+    # the condition number resumes the paused size and matches a fresh enumeration
+    assert tables.condition() == expected
+
+
 # ---------------------------------------------------------------------------
 # assumption report
 # ---------------------------------------------------------------------------
