@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import decimate_abundances
 
@@ -506,6 +505,9 @@ def _pivot_permutation(r):
 
 def _assignment_permutation(r):
     """Row order maximizing the diagonal sum (Hungarian assignment)."""
+    # Imported here: scipy.optimize costs every process ~0.3 s and 27 MB at start-up.
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(-r)
     perm = np.empty(r.shape[0], dtype=int)
     perm[cols] = rows

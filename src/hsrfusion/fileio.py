@@ -76,9 +76,8 @@ def write_spatial_response(path, spatial):
         "Lh": spatial.hs_pixel_count,
         "windows": [{"pixels": pixels[a:b], "weights": weights[a:b]} for a, b in bounds],
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    # One-shot json.dumps without indent is the only call that runs CPython's C encoder.
+    Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
 
 
 def read_spatial_response(path):

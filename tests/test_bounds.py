@@ -579,6 +579,21 @@ def test_alignment_undoes_column_permutation():
     assert report.max_offdiagonal <= 1e-9
 
 
+def test_alignment_falls_back_to_hungarian_when_pivoting_fails():
+    inst = build_counterexample(0.1)
+    assert dominance_coefficient(inst.endmembers) < 0.9
+    # Partial pivoting picks rows [0, 2, 1], leaving 0.9 off the diagonal;
+    # the assignment [1, 0, 2] leaves at most 0.5.
+    m = np.array([[0.5, 0.9, 0.0], [0.45, 0.0, 0.1], [0.05, 0.1, 0.9]])
+    s_true = decimate_abundances(inst.abundances, inst.spatial)
+    report = extract_alignment(inst.endmembers, inst.endmembers @ np.linalg.inv(m),
+                               s_true, m @ s_true)
+    assert report.method == "hungarian"
+    assert report.permutation.tolist() == [1, 0, 2]
+    assert report.max_offdiagonal == pytest.approx(0.5, abs=1e-12)
+    assert not report.offdiagonal_pass
+
+
 def test_alignment_on_noiseless_solution():
     gen, spatial, solution = _scene_and_solution(seed=55)
     s_true = decimate_abundances(gen.scene.abundances, spatial)

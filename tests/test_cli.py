@@ -128,6 +128,36 @@ def test_written_files_are_re_readable(tmp_path):
         assert np.all(np.isfinite(m))
 
 
+def test_generate_and_certify_leave_heavy_scipy_subpackages_unloaded(tmp_path):
+    # Each CLI command starts a fresh process, so every module-level import
+    # is paid on every call; scipy.optimize alone costs ~0.3 s and 27 MB.
+    scene_config = {
+        "sr_bands": 30, "ms_bands": 4, "materials": 3, "width": 8,
+        "height": 8, "factor": 2, "max_support": 2, "kernel": "uniform",
+        "kernel_size": 2, "seed": 1, "require_dominance": False,
+    }
+    config_path = tmp_path / "scene.json"
+    config_path.write_text(json.dumps(scene_config), encoding="utf-8")
+    scene = tmp_path / "scene"
+    generate = ["generate", "--config", str(config_path), "--out", str(scene)]
+    certify = ["certify",
+               *[arg for name in ("endmembers", "abundances", "spectral")
+                 for arg in (f"--{name}", str(scene / f"{name}.csv"))],
+               "--spatial", str(scene / "spatial.json")]
+    script = f"""
+import sys
+import hsrfusion
+from hsrfusion import cli
+assert cli.main({generate!r}) == 0
+assert cli.main({certify!r}) == 0
+heavy = ("scipy.optimize", "scipy.linalg", "scipy.sparse.linalg")
+loaded = [name for name in heavy if name in sys.modules]
+assert not loaded, f"loaded at start-up: {{loaded}}"
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_validation_failure_exits_one(tmp_path):
     code = main(["counterexample", "--rho", "0.9"])
     assert code == 1
