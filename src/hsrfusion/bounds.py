@@ -93,14 +93,25 @@ class _SubsetTables:
 
     def kruskal(self, tol=SINGULAR_REL):
         """Largest k <= min(m, n) with every k-subset's sigma_k above
-        tol * sigma_max(a); sizes are visited in order up to the first
-        with a dependent subset, and that size's enumeration stops at the
-        first block holding one."""
+        tol * sigma_max(a).
+
+        The largest size kmax = min(m, n) is asked first: by Cauchy
+        interlacing each smaller subset's sigma_min is at least that of a
+        kmax-subset holding it, so a kmax floor above the threshold by a
+        margin that covers the SVDs' rounding twice over gives kmax.
+        Otherwise sizes are visited in order up to the first with a
+        dependent subset, and that size's enumeration stops at the first
+        block holding one."""
         m, n = self.a.shape
+        kmax = min(m, n)
         scale = max(np.linalg.svd(self.a, compute_uv=False), default=0.0)
+        threshold = tol * scale
+        clear = threshold + 1e-12 * scale  # SVD rounding is about 100 eps * scale
+        if kmax and self.floor(kmax, stop=clear) > clear:
+            return kmax
         k = 0
-        for size in range(1, min(m, n) + 1):
-            if self.floor(size, stop=tol * scale) <= tol * scale:
+        for size in range(1, kmax + 1):
+            if self.floor(size, stop=threshold) <= threshold:
                 return k
             k = size
         return k
@@ -126,9 +137,10 @@ def kruskal_rank(a, tol=SINGULAR_REL):
 
     Independence is decided by the k-th singular value of the subset
     exceeding tol times the largest singular value of the full matrix.
-    Exhaustive over subsets by increasing size, with early exit at the
-    first block of SUBSET_BLOCK subsets that holds a dependent one;
-    guarded at 20 columns.
+    The largest size min(m, n) is tried first and settles a full Kruskal
+    rank alone; otherwise exhaustive over subsets by increasing size, with
+    early exit at the first block of SUBSET_BLOCK subsets that holds a
+    dependent one. Guarded at 20 columns.
     """
     a = np.asarray(a, dtype=float)
     _, n = a.shape

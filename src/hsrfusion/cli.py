@@ -21,7 +21,9 @@ from .model import decimate_abundances, spatial_decimate, spectral_decimate
 
 
 def _print_json(payload, out=None):
-    text = json.dumps(payload, indent=2, default=fileio.json_default)
+    # Without indent CPython serialises with its C encoder; a certificate
+    # holds two numbers per SR pixel.
+    text = json.dumps(payload, separators=(",", ":"), default=fileio.json_default)
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
         Path(out).write_text(text + "\n", encoding="utf-8")

@@ -4,11 +4,22 @@ Matrices are plain CSV, one row per line, '.' decimal separator, no
 header; dimensions are inferred. Values are written with 17 significant
 digits so a write/read round trip is bit exact for float64.
 
-The writer builds one row format, a comma-joined ``%.17g`` field per
-column and a newline, and streams the matrix through it one row at a
-time, so it never holds more than one row's text. ``%`` and
-``format(v, ".17g")`` share one formatter, so each line is byte for byte
-the comma join of the row's ``f"{v:.17g}"`` values.
+The writer formats whole rows of about _CHUNK_CELLS cells at a time in
+numpy, byte for byte the comma join of the row's ``f"{v:.17g}"`` values:
+
+- A cell with 1e-4 <= |v| < 1e16 prints in fixed notation. Its decimal
+  exponent X comes from log10 and is corrected where that misses by one
+  at a power of ten. |v| * 10**(16 - X) is formed exactly as a
+  double-double (Dekker's product; 10**k is exact for k <= 22), whose
+  high part is an integer >= 2**53, so the 17-digit significand is
+  rounded half to even in int64 with no error. Its digits are peeled
+  from two uint32 halves.
+- Each cell then fills one row of a fixed byte template (sign, "0.000",
+  the 17 digits with a '.' after each of the first 16, separator), and
+  a mask per exponent and count of significant digits keeps the bytes
+  of its fixed form; one compress of the chunk gives the text.
+- Zeros print as "0" or "-0". Exponent forms, nan and inf go through
+  ``b"%.17g"`` one cell at a time; they are rare in scene files.
 """
 
 import dataclasses
@@ -24,11 +35,130 @@ from .scenegen import SceneConfig
 from .solver import SolverConfig
 
 
+# Whole rows of about this many cells go through the CSV kernel at a time.
+_CHUNK_CELLS = 1 << 12
+# 10**k for 0 <= k <= 22 is an exact double, and so is its split into
+# two 26-bit halves.
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+_SPLITTER = float(2 ** 27 + 1)
+
+
+def _split(a):
+    """Dekker's split of a into a high and a low half of 26 bits each."""
+    c = _SPLITTER * a
+    high = c - (c - a)
+    return high, a - high
+
+
+_POW10_HIGH, _POW10_LOW = _split(_POW10)
+
+
+def _two_product(a, k):
+    """a * 10**k exactly, as the rounded product and its error (Dekker)."""
+    product = a * _POW10[k]
+    ah, al = _split(a)
+    bh, bl = _POW10_HIGH[k], _POW10_LOW[k]
+    return product, ((ah * bh - product) + ah * bl + al * bh) + al * bl
+
+
+def _decimal_digits(a):
+    """Decimal exponent X of each a, 1e-4 <= a < 1e16, after rounding to
+    17 significant digits half to even, and those digits as numbers, one
+    row per position."""
+    x = np.floor(np.log10(a)).astype(np.int64)
+    while True:
+        high, low = _two_product(a, 16 - x)
+        under = (high < 1e16) | ((high == 1e16) & (low < 0))
+        over = (high > 1e17) | ((high == 1e17) & (low >= 0))
+        if not (under.any() or over.any()):
+            break
+        x += over.astype(np.int64) - under  # log10 missed by one at a power of ten
+    # high is an integer >= 2**53 and low - floor(low) is exact, so the
+    # significand is rounded half to even in int64 with no error.
+    whole = np.floor(low)
+    frac = low - whole
+    d = high.astype(np.int64) + whole.astype(np.int64)
+    d += (frac > 0.5) | ((frac == 0.5) & ((d & 1) == 1))
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    x += carry
+    # Two uint32 halves: numpy divides them by a scalar through libdivide.
+    top = (d // 10 ** 9).astype(np.uint32)
+    bottom = d.astype(np.uint32) - top * np.uint32(10 ** 9)  # d % 10**9, mod 2**32
+    digits = np.empty((17, a.size), np.uint8)
+    for q, first, last in ((bottom, 16, 8), (top, 7, 0)):
+        for j in range(first, last - 1, -1):
+            rest = q // 10
+            digits[j] = q - rest * 10
+            q = rest
+    return x, digits
+
+
+# One cell's block: a sign, the "0.000" that leads a fixed form below 1,
+# the 17 digits with a '.' after each of the first 16, and the separator.
+# A cell's bytes are the columns its mask keeps.
+_TEMPLATE = np.frombuffer(b"-0.000" + b"0." * 16 + b"0,", np.uint8)
+_DIGITS = slice(6, 39, 2)
+
+
+def _fixed_masks():
+    """Masks of the fixed form, row 18 * (X + 4) + s for decimal exponent
+    X in [-4, 16] and s significant digits, 0 <= s <= 17."""
+    masks = np.zeros((21, 18, _TEMPLATE.size), bool)
+    masks[..., -1] = True
+    for x in range(-4, 17):
+        for s in range(18):
+            keep = masks[x + 4, s]
+            if x < 0:
+                keep[1:2 - x] = True  # "0." and -x - 1 zeros
+                keep[6:6 + 2 * s:2] = True
+            else:
+                keep[6:8 + 2 * max(s - 1, x):2] = True
+                keep[7 + 2 * x] = s > x + 1
+    return masks.reshape(-1, _TEMPLATE.size)
+
+
+_MASKS = _fixed_masks()
+_POSITIONS = np.arange(1, 18, dtype=np.uint8)[:, None]
+
+
+def _format_cells(v, columns):
+    """Bytes of the %.17g CSV lines of the flat cells v, `columns` a row."""
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e16)
+    x, digits = _decimal_digits(np.where(fast, a, 1.0))
+    significant = ((digits != 0) * _POSITIONS).max(axis=0)
+    slow = ~fast
+    # Zeros print as "0"; the other slow cells are replaced below.
+    digits[0, slow], x[slow], significant[slow] = 0, 0, 1
+    digits += ord("0")
+    block = np.tile(_TEMPLATE, (v.size, 1))
+    block[:, _DIGITS] = digits.T
+    block[columns - 1::columns, -1] = ord("\n")
+    mask = _MASKS.take((x + 4) * 18 + significant, axis=0)
+    mask[:, 0] = np.signbit(v)
+    other = np.flatnonzero(slow & (a != 0))  # exponent form, nan and inf
+    if other.size:
+        texts = [b"%.17g" % value for value in v[other].tolist()]
+        lengths = np.array([len(t) for t in texts])
+        separators = block[other, -1]
+        block[other] = np.frombuffer(b"".join(t.ljust(_TEMPLATE.size) for t in texts),
+                                     np.uint8).reshape(-1, _TEMPLATE.size)
+        block[other, lengths] = separators
+        mask[other] = np.arange(_TEMPLATE.size) <= lengths[:, None]
+    return np.compress(mask.ravel(), block.ravel()).tobytes()
+
+
 def write_matrix(path, matrix):
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
-    line = ",".join(["%.17g"] * m.shape[-1]) + "\n"
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(line % tuple(row.tolist()) for row in m)
+    rows, columns = m.shape
+    with open(path, "wb") as handle:
+        if columns == 0:
+            handle.write(b"\n" * rows)
+            return
+        step = max(1, _CHUNK_CELLS // columns)
+        for first in range(0, rows, step):
+            handle.write(_format_cells(m[first:first + step].ravel(), columns))
 
 
 def read_matrix(path):

@@ -406,7 +406,7 @@ def test_kruskal_rank_on_its_own_stops_after_the_first_dependent_size(monkeypatc
     a[:, 5] = a[:, 2]
     sizes = _spy_on_subset_sizes(monkeypatch)
     assert kruskal_rank(a) == 1
-    assert sizes == [1, 2]
+    assert sizes == [8, 1, 2]  # the largest size is asked first, then sizes in order
 
 
 def test_kruskal_rank_stops_at_the_first_block_with_a_dependent_subset(monkeypatch):
@@ -424,9 +424,49 @@ def test_kruskal_rank_stops_at_the_first_block_with_a_dependent_subset(monkeypat
     monkeypatch.setattr(np.linalg, "svd", count)
     tables = bounds._SubsetTables(a)
     assert tables.kruskal() == 1
-    assert sum(stacks) == 3 + 1  # every block of 1-subsets, one of 2-subsets
+    # one block of 8-subsets (the largest size, asked first), every block
+    # of 1-subsets, one of 2-subsets
+    assert sum(stacks) == 1 + 3 + 1
     # the condition number resumes the paused size and matches a fresh enumeration
     assert tables.condition() == expected
+
+
+@pytest.mark.parametrize("m, n", [(8, 12), (4, 7), (6, 4), (8, 5)])
+@pytest.mark.parametrize("duplicate", [False, True])
+def test_top_down_kruskal_rank_equals_bottom_up(monkeypatch, m, n, duplicate):
+    a = np.random.default_rng(m * 100 + n).uniform(-1.0, 1.0, size=(m, n))
+    if duplicate:
+        a[:, 3] = a[:, 1]
+    sizes = _spy_on_subset_sizes(monkeypatch)
+    assert kruskal_rank(a) == _kruskal_oracle(a) == (1 if duplicate else min(m, n))
+    if not duplicate:
+        assert sizes == [min(m, n)]  # the largest size settles it alone
+
+
+@pytest.mark.parametrize("m, n", [(3, 6), (5, 8), (6, 4), (8, 5)])
+@pytest.mark.parametrize("ratio", [0.99, 0.9999, 1.0001, 1.01, 10.0])
+def test_top_down_kruskal_rank_equals_bottom_up_at_the_threshold(m, n, ratio):
+    """The last column is columns 0 and 1 plus t times a unit vector
+    orthogonal to both, with t set so that sigma_min of columns
+    {0, 1, n - 1} is ratio * SINGULAR_REL * sigma_max(a)."""
+    rng = np.random.default_rng(m * 100 + n)
+    a = rng.uniform(-1.0, 1.0, size=(m, n))
+    w = np.linalg.qr(a[:, :2], mode="complete")[0][:, 2]
+    triple = [0, 1, n - 1]
+
+    def set_tail(t):
+        a[:, n - 1] = a[:, 0] + a[:, 1] + t * w
+        scale = np.linalg.svd(a, compute_uv=False)[0]
+        return np.linalg.svd(a[:, triple], compute_uv=False)[-1] / (bounds.SINGULAR_REL * scale)
+
+    t = 1e-6
+    for _ in range(4):  # sigma_min is close to linear in a small t
+        t *= ratio / set_tail(t)
+    assert set_tail(t) == pytest.approx(ratio, rel=1e-6)
+    expected = _kruskal_oracle(a)
+    assert kruskal_rank(a) == expected
+    if ratio < 1.0:
+        assert expected == 2
 
 
 # ---------------------------------------------------------------------------

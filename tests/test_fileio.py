@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,63 @@ def test_matrix_round_trip_is_bit_exact_with_per_value_17g_lines(tmp_path_factor
     back = read_matrix(path)
     assert back.shape == expected.shape
     assert np.array_equal(back.view(np.int64), expected.view(np.int64))  # -0.0 too
+
+
+def _per_value_17g(m):
+    """The CSV text of the per-value ``f"{v:.17g}"`` join, as bytes."""
+    rows = np.atleast_2d(np.asarray(m, dtype=float))
+    return "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows).encode()
+
+
+def _near_powers_of_ten():
+    """Each power of ten 1e-6 .. 1e17, and its 3 float neighbours on either
+    side, both signs."""
+    cells = 10.0 ** np.arange(-6, 18)
+    for direction in (0.0, np.inf):
+        step = cells
+        for _ in range(3):
+            step = np.nextafter(step, direction)
+            cells = np.concatenate([cells, step])
+    return np.concatenate([cells, -cells])
+
+
+def test_matrix_bytes_equal_the_per_value_17g_join_at_scale(tmp_path):
+    rng = np.random.default_rng(20)
+    half = 2.0 ** -2  # magnitude ~1e15 with a .25 or .75 tail: 17 digits end on a tie
+    cases = {
+        "bit patterns": rng.integers(0, 2 ** 64, size=10 ** 5, dtype=np.uint64)
+                           .view(np.float64).reshape(200, 500),
+        "powers of ten": _near_powers_of_ten().reshape(-1, 4),
+        "fast-path edges": np.array([[1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1),
+                                      1e16, np.nextafter(1e16, 0), 9.9999999999999999e15,
+                                      -1e-4, -1e16, 0.00099999999999999999, 1e17]]),
+        "ties": (rng.integers(2 ** 52, 2 ** 53, size=(50, 20)) | 1) * half,
+        "rounded decimals": np.round(rng.uniform(-1e5, 1e5, size=(40, 50)), 3),
+        "specials": np.array([[0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1.0]]),
+        "row of 0": np.zeros((3, 0)),
+        "column of 0": np.zeros((0, 3)),
+        "1-D": np.array([0.5, -2.0, 1e-7]),
+        "0-d": np.array(-3.25),
+        "long row": rng.uniform(size=(2, 20000)),  # one row per chunk
+    }
+    path = tmp_path / "m.csv"
+    for name, m in cases.items():
+        write_matrix(path, m)
+        assert path.read_bytes() == _per_value_17g(m), name
+    assert _per_value_17g(np.zeros((3, 0))) == b"\n\n\n"
+    assert _per_value_17g(np.zeros((0, 3))) == b""
+
+
+def test_matrix_writer_streams_through_bounded_memory(tmp_path):
+    m = np.random.default_rng(21).uniform(size=(200, 4096))
+    path = tmp_path / "m.csv"
+    tracemalloc.start()
+    try:
+        write_matrix(path, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
 
 
 def test_ragged_rows_name_the_line(tmp_path):
