@@ -23,6 +23,7 @@ from .model import decimate_abundances
 SUBSET_GUARD = 20  # subset enumeration cap for every subset reduction below
 SUBSET_BLOCK = 2048  # subsets per stacked SVD: bounds the gathered copy at any n <= guard
 SINGULAR_REL = 1e-9  # rank decisions: singular value ratio to the largest
+ROUNDING_REL = 1e-12  # margin on an SVD's rounding (about 100 eps), relative to sigma_max(a)
 SUPPORT_TOL = 1e-9  # decimated abundance entries above this count as support
 PURE_TOL = 1e-6  # max deviation of a pure window from a unit vector
 
@@ -34,20 +35,47 @@ def _guarded(n):
     return n
 
 
-def _subset_spectra(a, size, principal=False):
-    """(rows, sv) blocks over every size-`size` column subset of a.
+def _block_spectra(a, blocks, principal=False):
+    """(rows, sv) per block of equal-size column subsets.
 
-    rows: column indices in itertools.combinations order; sv: singular
-    values (descending) of the blocks a[:, rows], or of the principal
-    blocks a[rows, rows], from one stacked SVD per SUBSET_BLOCK subsets.
-    Raises at once past SUBSET_GUARD columns; blocks are drawn lazily.
+    rows: one subset's column indices per row; sv: singular values
+    (descending) of the blocks a[:, rows], or of the principal blocks
+    a[rows, rows], from one stacked SVD per block. Blocks are drawn lazily.
     """
-    n = _guarded(a.shape[1])
-    combos = itertools.combinations(range(n), size)
-    blocks = map(np.array, iter(lambda: list(itertools.islice(combos, SUBSET_BLOCK)), []))
     every_row = np.arange(a.shape[0])[:, None]
     return ((sub, np.linalg.svd(a[sub[:, :, None] if principal else every_row, sub[:, None, :]],
                                 compute_uv=False)) for sub in blocks)
+
+
+def _subset_spectra(a, size, principal=False):
+    """_block_spectra over every size-`size` column subset of a, in
+    itertools.combinations order and SUBSET_BLOCK subsets per block.
+    Raises at once past SUBSET_GUARD columns."""
+    n = _guarded(a.shape[1])
+    combos = itertools.combinations(range(n), size)
+    return _block_spectra(
+        a, map(np.array, iter(lambda: list(itertools.islice(combos, SUBSET_BLOCK)), [])),
+        principal)
+
+
+def _bit_passes(table, n, combine, down):
+    """Fold `table`, indexed by n-bit masks, over masks differing in one
+    bit, in place: with down, each mask takes combine of itself and every
+    superset; otherwise of itself and every subset."""
+    for bit in range(n):
+        pairs = table.reshape(-1, 2, 1 << bit)  # axis 1: whether the mask holds `bit`
+        low, high = (pairs[:, 0], pairs[:, 1]) if down else (pairs[:, 1], pairs[:, 0])
+        combine(low, high, out=low)
+    return table
+
+
+def _worst_ratio(top, bottom):
+    """max top / bottom over the entries with top != 0; inf when one of
+    them has bottom <= 0."""
+    live = top != 0.0
+    if (bottom[live] <= 0.0).any():
+        return math.inf
+    return float((top[live] / bottom[live]).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -57,19 +85,25 @@ def _subset_spectra(a, size, principal=False):
 class _SubsetTables:
     """sigma_min and sigma_max of a's column subsets, indexed by bitmask.
 
-    Each subset size is enumerated at most once, through one
-    _subset_spectra generator drawn on demand, so each subset is
-    decomposed at most once; Kruskal rank and the subset condition number are
-    reductions over the same tables, so a certificate that needs both
-    decomposes every subset once. Raises past SUBSET_GUARD columns before
-    any work.
+    Entries not decomposed yet are NaN. Each subset size is enumerated at
+    most once, through one _subset_spectra generator drawn on demand, so
+    each subset is decomposed at most once; Kruskal rank and the subset
+    condition number are reductions over the same tables, so a
+    certificate that needs both shares the subsets they decompose. Raises
+    past SUBSET_GUARD columns before any work.
     """
 
     def __init__(self, a):
         self.a = np.asarray(a, dtype=float)
         n = _guarded(self.a.shape[1])
-        self.smin, self.smax = np.zeros(1 << n), np.zeros(1 << n)
+        self.smin, self.smax = np.full(1 << n, math.nan), np.full(1 << n, math.nan)
         self.floors = {}
+        self.scale = max(np.linalg.svd(self.a, compute_uv=False), default=0.0)
+
+    def _fill(self, rows, sv):
+        mask = (1 << rows).sum(axis=1)
+        self.smin[mask], self.smax[mask] = sv[:, -1], sv[:, 0]
+        return sv[:, -1]
 
     def floor(self, k, stop=-math.inf):
         """Smallest sigma_min over the k-subsets, filling their entries of
@@ -84,10 +118,7 @@ class _SubsetTables:
             block = next(blocks, None)
             if block is None:
                 break
-            rows, sv = block
-            mask = (1 << rows).sum(axis=1)
-            self.smin[mask], self.smax[mask] = sv[:, -1], sv[:, 0]
-            floor = min(floor, float(sv[:, -1].min()))
+            floor = min(floor, float(self._fill(*block).min()))
         entry[1] = floor
         return floor
 
@@ -104,9 +135,8 @@ class _SubsetTables:
         block holding one."""
         m, n = self.a.shape
         kmax = min(m, n)
-        scale = max(np.linalg.svd(self.a, compute_uv=False), default=0.0)
-        threshold = tol * scale
-        clear = threshold + 1e-12 * scale  # SVD rounding is about 100 eps * scale
+        threshold = tol * self.scale
+        clear = threshold + ROUNDING_REL * self.scale
         if kmax and self.floor(kmax, stop=clear) > clear:
             return kmax
         k = 0
@@ -117,19 +147,60 @@ class _SubsetTables:
         return k
 
     def condition(self):
-        """max sigma_max(complement) / sigma_min(subset) over proper subsets."""
-        n = self.a.shape[1]
-        if self.a.size == 0:
+        """max sigma_max(complement) / sigma_min(subset) over proper subsets.
+
+        Exact branch and bound around k = min(m, n - 1). The k-subsets,
+        their complements and the complements of single columns are
+        decomposed. By Cauchy interlacing every other subset J has
+            sigma_max(J^c) <= min over j in J of sigma_max({j}^c),
+            sigma_min(J) >= max sigma_min over the k-supersets of J when
+                            |J| <= k, over the k-subsets of J when |J| >= k.
+        J is decomposed only when these bounds, each widened by twice the
+        SVDs' rounding margin, leave its ratio at or above the largest
+        exact one, so the result is bit for bit that of every subset, inf
+        included.
+        """
+        m, n = self.a.shape
+        if self.a.size == 0 or n < 2:
             return 0.0
-        for size in range(1, n):
-            self.floor(size)
+        k = min(m, n - 1)
         full = (1 << n) - 1
-        # mask j in 1 .. full-1 has complement full - j
-        top, bottom = self.smax[full - 1:0:-1], self.smin[1:full]
-        live = top != 0.0
-        if (bottom[live] <= 0.0).any():
-            return math.inf
-        return float((top[live] / bottom[live]).max(initial=0.0))
+        for size in (k, n - k, n - 1):
+            self.floor(size)
+        # subset J is mask 1 .. full-1; its complement is full - J
+        bottom, top = self.smin[1:full], self.smax[full - 1:0:-1]
+        exact = ~(np.isnan(bottom) | np.isnan(top))
+        best = _worst_ratio(top[exact], bottom[exact])
+        if math.isinf(best):
+            return best
+        margin = 2.0 * ROUNDING_REL * self.scale
+        sizes = np.zeros(1, np.int64)  # popcount of each mask
+        for _ in range(n):
+            sizes = np.concatenate([sizes, sizes + 1])
+        level = np.where(sizes == k, self.smin, -math.inf)
+        lower = _bit_passes(level.copy(), n, np.maximum, down=True)
+        np.copyto(lower, _bit_passes(level, n, np.maximum, down=False), where=sizes > k)
+        low = lower[1:full] - margin
+        singles = 1 << np.arange(n)
+        caps = np.full(full + 1, math.inf)
+        caps[singles] = self.smax[full - singles]
+        high = _bit_passes(caps, n, np.minimum, down=False)[1:full] + margin
+        masks = 1 + np.flatnonzero(~exact & ~((low > 0.0) & (high < best * low)))
+        self._decompose(np.union1d(masks[np.isnan(self.smin[masks])],
+                                   (full - masks)[np.isnan(self.smax[full - masks])]))
+        return max(best, _worst_ratio(self.smax[full - masks], self.smin[masks]))
+
+    def _decompose(self, masks):
+        """Fill both tables at `masks`: stacked SVDs of SUBSET_BLOCK subsets
+        of one size each."""
+        n = self.a.shape[1]
+        bits = (masks[:, None] >> np.arange(n)) & 1 == 1
+        sizes = bits.sum(axis=1)
+        for size in np.unique(sizes):
+            rows = np.nonzero(bits[sizes == size])[1].reshape(-1, size)
+            blocks = (rows[i:i + SUBSET_BLOCK] for i in range(0, len(rows), SUBSET_BLOCK))
+            for block in _block_spectra(self.a, blocks):
+                self._fill(*block)
 
 
 def kruskal_rank(a, tol=SINGULAR_REL):
@@ -176,11 +247,15 @@ def dominance_coefficient(endmembers):
 def subset_condition_number(a_ms):
     """Worst ratio sigma_max(complement block) / sigma_min(subset block).
 
-    Enumerates every nonempty column subset of the MS-decimated endmember
-    matrix. For rectangular blocks sigma_min means the min(m, k)-th
-    singular value and the empty complement contributes sigma_max = 0.
-    Returns +inf when some subset block is rank deficient. Each proper
-    subset is decomposed once; its sigma_min and sigma_max go into tables
+    The maximum runs over every nonempty column subset of the
+    MS-decimated endmember matrix. For rectangular blocks sigma_min means
+    the min(m, k)-th singular value and the empty complement contributes
+    sigma_max = 0. Returns +inf when some subset block is rank deficient.
+    Only the subsets of size k = min(m, n - 1), their complements and the
+    complements of single columns are certain to be decomposed; Cauchy
+    interlacing bounds the rest, and a subset is decomposed only when its
+    bound could reach the largest ratio found, so the result equals that
+    of the full enumeration bit for bit. Decomposed values go into tables
     indexed by column bitmask, so a complement's sigma_max is a lookup.
     """
     return _SubsetTables(a_ms).condition()

@@ -4,8 +4,9 @@ Matrices are plain CSV, one row per line, '.' decimal separator, no
 header; dimensions are inferred. Values are written with 17 significant
 digits so a write/read round trip is bit exact for float64.
 
-The writer formats whole rows of about _CHUNK_CELLS cells at a time in
-numpy, byte for byte the comma join of the row's ``f"{v:.17g}"`` values:
+The writer formats whole rows of about _CHUNK_CELLS formatted cells at a
+time in numpy, byte for byte the comma join of the row's ``f"{v:.17g}"``
+values:
 
 - A cell with 1e-4 <= |v| < 1e16 prints in fixed notation. Its decimal
   exponent X comes from log10 and is corrected where that misses by one
@@ -18,13 +19,21 @@ numpy, byte for byte the comma join of the row's ``f"{v:.17g}"`` values:
   the 17 digits with a '.' after each of the first 16, separator), and
   a mask per exponent and count of significant digits keeps the bytes
   of its fixed form; one compress of the chunk gives the text.
-- Zeros print as "0" or "-0". Exponent forms, nan and inf go through
-  ``b"%.17g"`` one cell at a time; they are rare in scene files.
+- Zeros, three quarters of an abundance file, skip all of this: the
+  kernel formats only the nonzero cells, and "0" or "-0" is written
+  around its text. Exponent forms, nan and inf go through ``b"%.17g"``
+  one cell at a time; they are rare in scene files.
+
+The reader parses with numpy's C reader. A file it refuses, or one with
+a non-finite cell, is read again line by line with ``float``, which
+names the offending line and column, and accepts what ``float`` does
+(such as "1_0").
 """
 
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -119,25 +128,28 @@ def _fixed_masks():
 
 
 _MASKS = _fixed_masks()
+_WIDTHS = _MASKS.sum(axis=1)
 _POSITIONS = np.arange(1, 18, dtype=np.uint8)[:, None]
 
 
-def _format_cells(v, columns):
-    """Bytes of the %.17g CSV lines of the flat cells v, `columns` a row."""
+def _nonzero_text(v, row_ends):
+    """Bytes of the %.17g texts of the nonzero cells v, each followed by a
+    comma, or by a newline at the cells `row_ends` indexes, and each
+    cell's length in bytes."""
     a = np.abs(v)
     fast = (a >= 1e-4) & (a < 1e16)
     x, digits = _decimal_digits(np.where(fast, a, 1.0))
     significant = ((digits != 0) * _POSITIONS).max(axis=0)
-    slow = ~fast
-    # Zeros print as "0"; the other slow cells are replaced below.
-    digits[0, slow], x[slow], significant[slow] = 0, 0, 1
     digits += ord("0")
     block = np.tile(_TEMPLATE, (v.size, 1))
     block[:, _DIGITS] = digits.T
-    block[columns - 1::columns, -1] = ord("\n")
-    mask = _MASKS.take((x + 4) * 18 + significant, axis=0)
-    mask[:, 0] = np.signbit(v)
-    other = np.flatnonzero(slow & (a != 0))  # exponent form, nan and inf
+    block[row_ends, -1] = ord("\n")
+    form = (x + 4) * 18 + significant
+    mask = _MASKS.take(form, axis=0)
+    negative = np.signbit(v)
+    mask[:, 0] = negative
+    widths = _WIDTHS[form] + negative
+    other = np.flatnonzero(~fast)  # exponent form, nan and inf
     if other.size:
         texts = [b"%.17g" % value for value in v[other].tolist()]
         lengths = np.array([len(t) for t in texts])
@@ -146,7 +158,34 @@ def _format_cells(v, columns):
                                      np.uint8).reshape(-1, _TEMPLATE.size)
         block[other, lengths] = separators
         mask[other] = np.arange(_TEMPLATE.size) <= lengths[:, None]
-    return np.compress(mask.ravel(), block.ravel()).tobytes()
+        widths[other] = lengths + 1
+    return np.compress(mask.ravel(), block.ravel()), widths
+
+
+def _format_cells(v, columns):
+    """Bytes of the %.17g CSV lines of the flat cells v, `columns` a row."""
+    zero = v == 0.0
+    if not zero.any():
+        return _nonzero_text(v, slice(columns - 1, None, columns))[0].tobytes()
+    # Zeros print as "0" or "-0" and skip the digit kernel: their bytes
+    # are set in place around the kernel's text.
+    nonzero = np.flatnonzero(~zero)
+    text, widths = _nonzero_text(v[nonzero], nonzero % columns == columns - 1)
+    negative = np.signbit(v)
+    lengths = 2 + negative.astype(np.int64)
+    lengths[nonzero] = widths
+    stops = np.cumsum(lengths)
+    out = np.empty(stops[-1], np.uint8)
+    last = stops[zero] - 1
+    first = last + 1 - lengths[zero]
+    in_zero = np.zeros(out.size, bool)
+    in_zero[first] = in_zero[first + 1] = in_zero[last] = True
+    out[~in_zero] = text
+    out[first] = np.where(negative[zero], ord("-"), ord("0"))
+    out[first + 1] = ord("0")
+    # after "0", or over the "0" of a "0,"
+    out[last] = np.where(np.flatnonzero(zero) % columns == columns - 1, ord("\n"), ord(","))
+    return out.tobytes()
 
 
 def write_matrix(path, matrix):
@@ -156,12 +195,29 @@ def write_matrix(path, matrix):
         if columns == 0:
             handle.write(b"\n" * rows)
             return
-        step = max(1, _CHUNK_CELLS // columns)
-        for first in range(0, rows, step):
-            handle.write(_format_cells(m[first:first + step].ravel(), columns))
+        # Chunks of whole rows with about _CHUNK_CELLS cells' work: a zero
+        # costs about an eighth of a formatted cell.
+        work = columns - 7 / 8 * np.count_nonzero(m == 0.0, axis=1)
+        chunk = (np.cumsum(work) - work) // _CHUNK_CELLS
+        edges = np.flatnonzero(np.diff(chunk, append=math.inf)) + 1
+        for first, stop in zip([0, *edges[:-1]], edges):
+            handle.write(_format_cells(m[first:stop].ravel(), columns))
 
 
 def read_matrix(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an empty file only warns
+                matrix = np.loadtxt(handle, delimiter=",", ndmin=2, comments=None)
+        except (ValueError, UserWarning):
+            matrix = None
+    if matrix is not None and matrix.size and np.isfinite(matrix).all():
+        return matrix
+    return _read_matrix_lines(path)
+
+
+def _read_matrix_lines(path):
     rows, linenos = [], []
     width = None
     with open(path, "r", encoding="utf-8") as handle:
@@ -210,36 +266,75 @@ def write_spatial_response(path, spatial):
     Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number", float: "number",
+               bool: "boolean", type(None): "null"}
+
+
+def _window_values(path, windows, key):
+    """Every window's `key` list, concatenated, as floats; the first entry
+    that is not a JSON number is named with its window."""
+    values = [v for w in windows for v in w[key]]
+    if not set(map(type, values)) <= {int, float}:
+        window, value = next((i, v) for i, w in enumerate(windows) for v in w[key]
+                             if type(v) not in (int, float))
+        raise ValueError(
+            f"{path}: window {window}: {key} entry {json.dumps(value)} is not a number")
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{path}: {key} entry out of the float range") from None
+
+
 def read_spatial_response(path):
-    """Read a spatial response; raise ValueError on the first invalid window."""
+    """Read a spatial response; raise ValueError, naming the path, on the
+    first badly shaped part or invalid window."""
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {_JSON_TYPES[type(payload)]}")
+    windows = payload.get("windows", [])
+    if not isinstance(windows, list):
+        raise ValueError(f"{path}: windows must be an array, got {_JSON_TYPES[type(windows)]}")
+    shapes = [f"window {i}: expected a JSON object, got {_JSON_TYPES[type(w)]}"
+              for i, w in enumerate(windows) if not isinstance(w, dict)]
+    if shapes:
+        raise ValueError(f"{path}: {shapes[0]}")
     missing = [f"missing key {key!r}" for key in ("L", "windows") if key not in payload]
-    missing += [f"window {i}: missing key {key!r}" for i, w in enumerate(payload.get("windows", []))
+    missing += [f"window {i}: missing key {key!r}" for i, w in enumerate(windows)
                 for key in ("pixels", "weights") if key not in w]
+    missing += [f"window {i}: {key} must be an array, got {_JSON_TYPES[type(w[key])]}"
+                for i, w in enumerate(windows) for key in ("pixels", "weights")
+                if key in w and not isinstance(w[key], list)]
     if missing:
         raise ValueError(f"{path}: {missing[0]}")
-    windows = payload["windows"]
     sizes = [len(w["pixels"]) for w in windows]
     counts = {key: payload[key] for key in ("L", "Lh") if key in payload}
     for key, value in counts.items():
         if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not float(value).is_integer()):
+                or isinstance(value, float) and not value.is_integer()):
             raise ValueError(f"{path}: {key} {value!r} is not an integer")
+        if value < 0:
+            raise ValueError(f"{path}: {key} {value!r} is negative")
     if "Lh" in counts and counts["Lh"] != len(sizes):
         raise ValueError(
             f"{path}: declared Lh {payload['Lh']} does not match {len(sizes)} windows")
     if sizes != [len(w["weights"]) for w in windows]:
         raise ValueError(f"{path}: window pixels and weights must have equal length")
     indptr = np.cumsum([0] + sizes)
-    pixels = np.array([p for w in windows for p in w["pixels"]], dtype=float)
+    pixels = _window_values(path, windows, "pixels")
+    if counts["L"] > pixels.size:  # checked before any array of L entries is made
+        raise ValueError(f"{path}: L {counts['L']} exceeds the {pixels.size} window pixel "
+                         "entries, so some SR pixel is not covered")
     bad = np.flatnonzero(~(np.isfinite(pixels) & (pixels == np.round(pixels))))
     if bad.size:
         raise ValueError(f"{path}: window {np.searchsorted(indptr, bad[0], 'right') - 1}: "
                          f"pixel index {float(pixels[bad[0]])} is not an integer")
     spatial = SpatialResponse(
         int(counts["L"]), indptr=indptr, pixels=pixels.astype(int),
-        weights=np.array([v for w in windows for v in w["weights"]], dtype=float))
+        weights=_window_values(path, windows, "weights"))
     problems = spatial.validate()
     if problems:
         raise ValueError(f"{path}: {problems[0]}")

@@ -7,6 +7,7 @@ rejection sampling) the spectral-dominance condition on the endmembers.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +15,10 @@ from scipy import sparse
 
 from . import bounds
 from .model import Scene, SpatialResponse, spatial_decimate
+
+
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -44,6 +49,17 @@ class SceneConfig:
     max_draws: int = 10000
 
     def __post_init__(self):
+        counts = ["sr_bands", "ms_bands", "materials", "width", "height", "factor",
+                  "max_support", "max_draws"] + ["kernel_size"] * (self.kernel_size is not None)
+        for name in counts:
+            value = getattr(self, name)
+            if not _is_integer(value) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        var = self.kernel_var
+        if isinstance(var, bool) or not isinstance(var, numbers.Real) or not 0 < var < math.inf:
+            raise ValueError(f"kernel_var must be a positive number, got {var!r}")
         if self.ms_bands >= self.sr_bands:
             raise ValueError("ms_bands must be smaller than sr_bands")
         if self.materials < 2:

@@ -29,7 +29,7 @@ from hsrfusion import (
 from hsrfusion import bounds
 from hsrfusion.bounds import SUBSET_GUARD, AlignmentReport, principal_floor
 from hsrfusion.model import SpatialResponse, Window, spatial_decimate, spectral_decimate
-from conftest import desk_scene_config
+from conftest import desk_scene_config, random_simplex_columns
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +393,8 @@ def test_certify_enumerates_each_subset_size_of_f_a_once(monkeypatch, desk_spati
     sizes = _spy_on_subset_sizes(monkeypatch)
     cert = certify(endmembers, abundances, spectral, desk_spatial)
     assert sorted(sizes) == sorted(set(sizes))  # each size at most once
-    assert set(range(1, n)) <= set(sizes) <= set(range(1, n + 1))
+    k = min(m, n - 1)  # the condition number enumerates these sizes in full
+    assert {k, n - k, n - 1} <= set(sizes) <= set(range(1, n + 1))
     fa = spectral @ endmembers
     assert cert.kruskal == kruskal_rank(fa)
     assert cert.condition == subset_condition_number(fa)  # bit for bit, inf too
@@ -429,6 +430,53 @@ def test_kruskal_rank_stops_at_the_first_block_with_a_dependent_subset(monkeypat
     assert sum(stacks) == 1 + 3 + 1
     # the condition number resumes the paused size and matches a fresh enumeration
     assert tables.condition() == expected
+
+
+def _count_decompositions(monkeypatch):
+    """Record the number of matrices in each stacked SVD."""
+    counts = []
+    svd = np.linalg.svd
+
+    def count(x, *args, **kwargs):
+        if np.ndim(x) == 3:
+            counts.append(np.shape(x)[0])
+        return svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", count)
+    return counts
+
+
+def test_certify_decomposes_the_pruning_levels_of_a_full_kruskal_f_a_only(monkeypatch,
+                                                                          desk_spatial):
+    rng = np.random.default_rng(12)
+    endmembers = rng.uniform(size=(50, 12))
+    abundances = random_simplex_columns(rng, 12, desk_spatial.sr_pixel_count)
+    spectral = rng.uniform(size=(8, 50))
+    counts = _count_decompositions(monkeypatch)
+    cert = certify(endmembers, abundances, spectral, desk_spatial)
+    assert cert.kruskal == 8
+    # the 8-subsets, their 4-column complements and the 11-column complements
+    # of single columns, of 4,094 proper subsets
+    assert sum(counts) <= 495 + 495 + 12
+    assert cert.condition == _condition_oracle(spectral @ endmembers)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (4, 1), (1, 2), (5, 2), (1, 3), (2, 3), (6, 3)])
+def test_condition_equals_the_oracle_where_nothing_is_pruned(m, n):
+    a = np.random.default_rng(m * 10 + n).uniform(-1.0, 1.0, size=(m, n))
+    assert subset_condition_number(a) == _condition_oracle(a)
+
+
+def test_condition_equals_the_oracle_with_a_duplicated_column():
+    """Subsets of at most 8 columns holding both copies have a roundoff
+    sigma_min that no bound can clear, so they are all decomposed."""
+    a = np.random.default_rng(6).uniform(size=(8, 12))
+    a[:, 7] = a[:, 4]
+    tables = bounds._SubsetTables(a)
+    assert tables.condition() == _condition_oracle(a)
+    both = [mask for mask in range(1 << 12)
+            if mask & 0b10010000 == 0b10010000 and mask.bit_count() <= 8]
+    assert not np.isnan(tables.smin[both]).any()
 
 
 @pytest.mark.parametrize("m, n", [(8, 12), (4, 7), (6, 4), (8, 5)])

@@ -271,3 +271,55 @@ def test_console_entry_point_help():
     for sub in ("generate", "observe", "solve", "certify", "align",
                 "counterexample", "dominance", "experiment"):
         assert sub in proc.stdout
+
+
+def _one_line_error(capsys, argv):
+    """stderr's one line of a run of main that exits 1."""
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    return lines[0]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: [], "expected a JSON object, got array"),
+    (lambda p: None, "expected a JSON object, got null"),
+    (lambda p: {**p, "windows": 5}, "windows must be an array, got number"),
+    (lambda p: {**p, "windows": [1, 2]}, "window 0: expected a JSON object, got number"),
+    (lambda p: {**p, "windows": [{"pixels": 0, "weights": [1.0]}] + p["windows"][1:]},
+     "window 0: pixels must be an array, got number"),
+    (lambda p: {**p, "windows": [{"pixels": [0, 1], "weights": ["a", 0.5]}] + p["windows"][1:]},
+     'window 0: weights entry "a" is not a number'),
+    (lambda p: {**p, "windows": [{"pixels": [0, None], "weights": [0.5, 0.5]}]
+                + p["windows"][1:]},
+     "window 0: pixels entry null is not a number"),
+    (lambda p: {**p, "L": -5}, "L -5 is negative"),
+    (lambda p: {**p, "L": 10 ** 11},
+     "L 100000000000 exceeds the 6 window pixel entries, so some SR pixel is not covered"),
+    (lambda p: {**p, "L": 10 ** 400},
+     f"L {10 ** 400} exceeds the 6 window pixel entries, so some SR pixel is not covered"),
+], ids=["array", "null", "windows-number", "window-number", "pixels-number",
+        "string-weight", "null-pixel", "negative-L", "huge-L", "L-past-float"])
+def test_badly_shaped_spatial_json_is_a_one_line_error(counterexample_files, capsys, edit,
+                                                        message):
+    path = counterexample_files / "spatial.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))), encoding="utf-8")
+    line = _one_line_error(capsys, [
+        "certify", *[arg for name in ("endmembers", "abundances", "spectral")
+                     for arg in (f"--{name}", str(counterexample_files / f"{name}.csv"))],
+        "--spatial", str(path)])
+    assert line == f"error: {path}: {message}"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sr_bands", "x"), ("sr_bands", None), ("factor", 0), ("width", True), ("height", 8.0),
+    ("ms_bands", -2), ("kernel_size", "4"), ("seed", "x"), ("kernel_var", 0.0),
+])
+def test_bad_scene_config_value_is_a_one_line_error(tmp_path, capsys, key, value):
+    config = {"sr_bands": 30, "ms_bands": 4, "materials": 3, "width": 8, "height": 8,
+              "factor": 2, "max_support": 2, key: value}
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    line = _one_line_error(capsys, ["generate", "--config", str(path),
+                                    "--out", str(tmp_path / "scene")])
+    assert f"{key} must be a" in line and repr(value) in line

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,17 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hsrfusion import Solution, SpatialResponse, Window
+from hsrfusion import Solution, SpatialResponse, Window, build_spatial_response, generate_scene
+from hsrfusion import fileio
 from hsrfusion.fileio import (
     experiment_config_from_dict,
     read_matrix,
     read_spatial_response,
+    save_generated_scene,
     save_solution,
     scene_config_from_dict,
     solver_config_from_dict,
     write_matrix,
     write_spatial_response,
 )
+from conftest import desk_scene_config
 
 
 def test_matrix_round_trip_is_bit_exact(tmp_path):
@@ -146,6 +150,67 @@ def test_non_finite_cell_names_line_and_column(tmp_path, cell):
         read_matrix(path)
 
 
+def test_generated_csvs_read_the_same_as_the_line_loop(tmp_path, monkeypatch):
+    generated = generate_scene(desk_scene_config(4), build_spatial_response(
+        16, 16, kernel="uniform", kernel_size=2, factor=2))
+    save_generated_scene(tmp_path, generated)
+    read_lines, fallbacks = fileio._read_matrix_lines, []
+    monkeypatch.setattr(fileio, "_read_matrix_lines", fallbacks.append)
+    for path in sorted(tmp_path.glob("*.csv")):
+        fast, loop = read_matrix(path), read_lines(path)
+        assert fast.shape == loop.shape and fast.tobytes() == loop.tobytes(), path.name
+    assert fallbacks == []  # numpy's C reader took every file
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,2,3\n4,5\n", "line 2: expected 3 columns, got 2"),
+    ("1,2\n3,oops\n", "line 2, column 2: cannot parse 'oops'"),
+    ("1,2,\n", "line 1, column 3: cannot parse ''"),
+    ("# a comment\n1,2\n", "line 1, column 1: cannot parse '# a comment'"),
+    ("1,2\n\n3,nan\n", "line 3, column 2: non-finite value nan"),
+    ("-inf,2\n", "line 1, column 1: non-finite value -inf"),
+    ("", "zero rows"),
+    ("\n  \n", "zero rows"),
+], ids=["ragged", "parse", "trailing-comma", "comment", "nan", "inf", "empty", "blank"])
+def test_reader_error_messages_name_the_path_line_and_column(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning of the C reader escapes
+        with pytest.raises(ValueError) as caught:
+            read_matrix(path)
+    assert str(caught.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("1,2\n\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    (" 1 ,\t2 \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2\n   \n3,4", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1_0,-0\n", [[10.0, -0.0]]),
+    ("1,2,3\n", [[1.0, 2.0, 3.0]]),
+    ("1\n2\n", [[1.0], [2.0]]),
+], ids=["blank-line", "whitespace", "crlf", "whitespace-line", "underscore", "one-row",
+        "one-column"])
+def test_reader_accepts_what_float_accepts(tmp_path, text, expected):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode())
+    back = read_matrix(path)
+    assert back.tolist() == expected
+    assert np.array_equal(np.signbit(back), np.signbit(expected))
+
+
+def test_writer_skips_zeros_byte_for_byte(tmp_path):
+    rng = np.random.default_rng(23)
+    m = rng.uniform(size=(12, 4096)) * (rng.uniform(size=(12, 4096)) < 0.25)
+    m[:, :6] = [[-0.0, 5e-324, 1e-5, 1e17, -1e-5, -5e-324]]
+    m[3] = 0.0  # a row of zeros only
+    assert (m == 0.0).mean() > 0.75
+    path = tmp_path / "m.csv"
+    write_matrix(path, m)
+    assert path.read_bytes() == _per_value_17g(m)
+
+
 def test_spatial_response_round_trip(tmp_path):
     g = SpatialResponse(
         sr_pixel_count=6,
@@ -213,6 +278,14 @@ def test_spatial_response_rejects_a_non_integer_pixel(tmp_path, pixel):
     )
     with pytest.raises(ValueError, match="window 1: pixel index .* is not an integer"):
         read_spatial_response(path)
+
+
+def test_spatial_response_names_the_path_of_a_json_syntax_error(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text('{"L": 4, "windows": [', encoding="utf-8")
+    with pytest.raises(ValueError) as caught:
+        read_spatial_response(path)
+    assert str(caught.value).startswith(f"{path}: Expecting value")
 
 
 def test_experiment_config_parses_infinite_snr():
