@@ -127,10 +127,15 @@ class SpatialResponse:
         finite = self._reduce(np.logical_and, np.isfinite(self.weights), True)
         wmin = self._reduce(np.minimum, self.weights, 1.0)
         total = self._reduce(np.add, self.weights, 1.0)
-        # (window, pixel) keys of the in-range windows: a repeat sorts next to itself
-        keys = np.sort((owners * count + self.pixels)[in_range[owners]])
+        # (window, pixel) pairs of the in-range windows: a repeat sorts next to itself
+        kept = in_range[owners]
+        pixels = self.pixels[kept]
+        windows = owners[kept]
+        order = np.lexsort((pixels, windows))
+        pixels, windows = pixels[order], windows[order]
+        repeat = (windows[1:] == windows[:-1]) & (pixels[1:] == pixels[:-1])
         duplicate = np.zeros(lh, dtype=bool)
-        duplicate[keys[1:][keys[1:] == keys[:-1]] // count] = True
+        duplicate[windows[1:][repeat]] = True
         flagged = ~in_range | ~finite | ~(wmin > 0.0) | (np.abs(total - 1.0) > tol) | duplicate
         for i in np.flatnonzero(flagged).tolist():
             where = f"window {i}"
@@ -156,10 +161,19 @@ class SpatialResponse:
                                      f"weights sum to {total[i]:.12g}, expected 1"))
             if duplicate[i]:
                 out.append(Violation("window_duplicate_pixel", where, 1.0, "pixel listed twice"))
-        covered = np.bincount(self.pixels[in_range[owners]], minlength=count) > 0
-        out += [Violation("coverage", f"pixel {j}", 1.0,
-                          f"SR pixel {j} is not covered by any window")
-                for j in np.flatnonzero(~covered).tolist()]
+        # Coverage from the entries alone: each uncovered pixel is named only
+        # while they are no more than the entries, which bounds the mask.
+        covered = np.unique(pixels)
+        missing = count - covered.size
+        if missing > self.pixels.size:
+            out.append(Violation("coverage", "pixels", float(missing),
+                                 f"{missing} of {count} SR pixels are not covered by any window"))
+        elif missing:
+            uncovered = np.ones(count, dtype=bool)
+            uncovered[covered] = False
+            out += [Violation("coverage", f"pixel {j}", 1.0,
+                              f"SR pixel {j} is not covered by any window")
+                    for j in np.flatnonzero(uncovered).tolist()]
         return out
 
 

@@ -17,9 +17,19 @@ the Lh x Lh Gram matrix. The dense L x Lh matrix is never formed.
 The abundances are pixel-major inside the solver: S is the n x L
 transpose of an L x n C-order buffer, one row per pixel, and so are the
 S gradient, the extrapolated S and S G (Lh x n underneath). The sparse
-products then receive C-order S^T and copy nothing, and the simplex
+products then receive C-order S^T and copy nothing, and the exact simplex
 projection sorts each pixel's contiguous row. Solution.abundances is that
 n x L view.
+
+The S passes project through a support check instead of a sort. Each
+column's support is guessed from the previous step's output (at first,
+from the point the pass starts at), and on an n x L C-order copy, whose
+rows are long, the threshold theta = (sum over the guess - 1) / its size
+is formed per column. A column whose entries exceed theta exactly on the
+guess is projected by max(v - theta, 0): the KKT conditions make that the
+unique projection (Duchi et al. 2008; Condat 2016). The other columns,
+usually a handful, go through the sort formula, which also projects the
+initial S and the inertial step's columns.
 """
 
 import functools
@@ -246,6 +256,47 @@ def project_columns_to_simplex(v):
     return np.maximum(rows - theta[:, None], 0.0).T
 
 
+def _project_on_support(v, support):
+    """The projection of ``project_columns_to_simplex``, checked against a
+    guess of each column's support instead of sorted.
+
+    ``support`` is an n x L boolean C-order guess. On a column's guessed
+    support P, theta = (sum_P v - 1) / |P|; when v - theta > 0 holds on P
+    and nowhere else, max(v - theta, 0) meets the KKT conditions, so it is
+    the (unique) projection. Other columns go through the sort formula.
+    The work runs on an n x L C-order copy, whose rows are long. Returns the
+    projection in ``v``'s layout and its support, the next guess.
+    """
+    u = np.array(v, order="C")
+    count = support.sum(axis=0)
+    theta = (u * support).sum(axis=0)
+    theta -= 1.0
+    theta /= np.maximum(count, 1)
+    u -= theta
+    found = u > 0.0
+    np.maximum(u, 0.0, out=u)
+    miss = np.flatnonzero((found != support).any(axis=0) | (count == 0))
+    if miss.size:
+        u[:, miss] = project_columns_to_simplex(v.T[miss].T)
+        found[:, miss] = u[:, miss] > 0.0
+    x = np.empty_like(v)
+    x[...] = u
+    return x, found
+
+
+def _support_projection(s):
+    """The S passes' projection, guessing each column's support from the
+    previous output, the first time from ``s``."""
+    support = np.ascontiguousarray(s > 0.0)
+
+    def project(v):
+        nonlocal support
+        x, support = _project_on_support(v, support)
+        return x
+
+    return project
+
+
 def project_simplex(v):
     """Euclidean projection of a single vector onto the unit simplex."""
     v = np.asarray(v, dtype=float)
@@ -306,14 +357,12 @@ def _momentum(t):
 
 
 def _pass(x, gradient, step, project, steps, accelerate):
-    """Up to ``steps`` projected steps from ``x``, stopped early at a fixed
-    point; ``accelerate`` extrapolates each gradient point (FISTA)."""
+    """``steps`` projected steps from ``x``; ``accelerate`` extrapolates
+    each gradient point (FISTA)."""
     x_new = y = x
     t = 1.0
     for _ in range(steps):
         x_next = project(y - step * gradient(y))
-        if np.array_equal(x_next, x_new):
-            break
         y = x_next
         if accelerate:
             t, beta = _momentum(t)
@@ -412,7 +461,7 @@ def solve_coupled(y_ms, y_hs, spectral, spatial, config):
                                 evaluate, f_cur, config.inner_steps)
         gradient, lipschitz, evaluate = problem.abundance_pass(a)
         if lipschitz > _TINY:
-            s, f_cur = _descend(s, gradient, lipschitz, project_columns_to_simplex,
+            s, f_cur = _descend(s, gradient, lipschitz, _support_projection(s),
                                 evaluate, f_cur, config.inner_steps)
 
         prev = trace[-1]

@@ -282,6 +282,27 @@ def test_validate_flags_a_pixel_listed_twice():
     assert [(v.check, v.location) for v in report] == [("window_duplicate_pixel", "window 0")]
 
 
+@pytest.mark.parametrize("count", [10**11, 2**62])
+def test_validate_counts_uncovered_pixels_of_a_huge_response_without_sizing_by_them(count):
+    # One window over two pixels: the check works from the two entries, so it
+    # neither allocates a mask of `count` pixels nor overflows a key.
+    g = SpatialResponse(count, indptr=[0, 2], pixels=[0, 1], weights=[0.5, 0.5])
+    report = g.validate()
+    assert [(v.check, v.location, v.magnitude) for v in report] == [
+        ("coverage", "pixels", float(count - 2))]
+    assert report[0].message == f"{count - 2} of {count} SR pixels are not covered by any window"
+
+
+def test_validate_finds_a_repeat_among_huge_pixel_indices():
+    # window * count + pixel would pass 2^63 at window 2
+    big = 2**62 - 1
+    g = SpatialResponse(2**62, indptr=[0, 2, 4, 6], pixels=[0, big, 1, big, big, big],
+                        weights=[0.5] * 6)
+    report = g.validate()
+    assert [(v.check, v.location) for v in report] == [("window_duplicate_pixel", "window 2"),
+                                                       ("coverage", "pixels")]
+
+
 # ---------------------------------------------------------------------------
 # validate_model
 # ---------------------------------------------------------------------------

@@ -219,6 +219,43 @@ def test_projection_is_the_sort_cumsum_argmax_formula_and_meets_kkt(v):
         assert np.all(vj[~support] <= theta + tol)
 
 
+@st.composite
+def projections_with_guesses(draw):
+    """projection_inputs with a C-order support guess per column: the right
+    one, a drawn one (mostly wrong), none or all."""
+    v = draw(projection_inputs())
+    right = project_columns_to_simplex(v) > 0.0
+    drawn = draw(arrays(bool, v.shape))
+    kind = draw(arrays(np.int8, v.shape[1], elements=st.integers(0, 3)))
+    return v, np.where(kind == 0, right, np.where(kind == 1, drawn, kind == 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(projections_with_guesses())
+def test_support_verified_projection_is_the_sort_projection_within_4_ulp(case):
+    v, guess = case
+    before, guess_before = v.copy(), guess.copy()
+    x, support = solver._project_on_support(v, guess)
+    assert np.array_equal(v, before) and np.array_equal(guess, guess_before)
+    assert x.flags.c_contiguous == v.flags.c_contiguous
+    assert np.array_equal(support, x > 0.0) and support.flags.c_contiguous
+    ulp = np.spacing(np.maximum(1.0, np.abs(v).max(axis=0)))
+    assert np.all(np.abs(x - project_columns_to_simplex(v)) <= 4.0 * ulp)
+    # the KKT half of the exact formula's test
+    if np.abs(v).max() > 1e6:
+        return
+    n = v.shape[0]
+    tol = 1e-13 * n * max(1.0, float(np.abs(v).max()))
+    assert x.min() >= 0.0
+    assert np.abs(x.sum(axis=0) - 1.0).max() <= tol
+    for vj, xj in zip(v.T, x.T):
+        on = xj > 0.0
+        gap = vj - xj
+        theta = gap[on].mean()
+        assert np.abs(gap[on] - theta).max() <= tol
+        assert np.all(vj[~on] <= theta + tol)
+
+
 # ---------------------------------------------------------------------------
 # successive projection initialization
 # ---------------------------------------------------------------------------
@@ -374,34 +411,56 @@ def test_an_accepted_inertial_step_hands_over_its_s_g(desk_spatial, monkeypatch)
     assert all(handed)
 
 
-def test_s_passes_hand_pixel_major_arrays_to_the_projection_and_the_operator(monkeypatch):
-    # A transposed-C input lets the projection sort contiguous rows and the
-    # sparse products multiply S^T without a ravel copy.
+def _gaussian_64_problem(seed):
+    """A 64x64 scene, factor 4, Gaussian kernel 6, observed at 30 dB."""
     spatial = build_spatial_response(64, 64, kernel="gaussian", kernel_size=6, factor=4)
     gen = generate_scene(SceneConfig(sr_bands=50, ms_bands=6, materials=6, width=64, height=64,
                                      factor=4, max_support=3, kernel="gaussian", kernel_size=6,
-                                     seed=3, require_dominance=False), spatial)
+                                     seed=seed, require_dominance=False), spatial)
     y_ms, y_hs = observe(gen, spatial)
-    y_ms = add_noise(y_ms, 30.0, seed=1)
-    y_hs = add_noise(y_hs, 30.0, seed=2)
-    seen = {"project": [], "apply": [], "adjoint": []}
+    return add_noise(y_ms, 30.0, seed=1), add_noise(y_hs, 30.0, seed=2), gen.spectral, spatial
 
-    def watch(name, function):
+
+def test_s_passes_hand_pixel_major_arrays_to_the_projection_and_the_operator(monkeypatch):
+    # Pixel-major (transposed-C) S: the S passes' projection copies it into
+    # long rows, the sort formula (fallback, initial and inertial projections)
+    # sorts its contiguous rows, and the sparse products multiply S^T without
+    # a ravel copy.
+    problem = _gaussian_64_problem(seed=3)
+    seen = {"project": [], "sort": [], "apply": [], "adjoint": []}
+
+    def watch(name, function, position):
         def wrapper(*args):
-            seen[name].append(args[-1].T.flags.c_contiguous)
+            seen[name].append(args[position].T.flags.c_contiguous)
             return function(*args)
         return wrapper
 
+    monkeypatch.setattr(solver, "_project_on_support",
+                        watch("project", solver._project_on_support, 0))
     monkeypatch.setattr(solver, "project_columns_to_simplex",
-                        watch("project", solver.project_columns_to_simplex))
+                        watch("sort", solver.project_columns_to_simplex, 0))
     for name in ("apply", "adjoint"):
-        monkeypatch.setattr(SpatialOperator, name, watch(name, getattr(SpatialOperator, name)))
-    solution = solve_coupled(y_ms, y_hs, gen.spectral, spatial,
-                             SolverConfig(materials=6, max_outer=4))
+        monkeypatch.setattr(SpatialOperator, name, watch(name, getattr(SpatialOperator, name), 1))
+    solution = solve_coupled(*problem, SolverConfig(materials=6, max_outer=4))
     assert solution.restarts < solution.iterations - 1  # an inertial step was kept
     for name, calls in seen.items():
-        assert len(calls) > solution.iterations, name
         assert all(calls), name
+    for name in ("project", "apply", "adjoint"):
+        assert len(seen[name]) > solution.iterations, name
+    assert seen["sort"]
+
+
+def test_support_verified_s_passes_follow_the_sort_path_to_roundoff(monkeypatch):
+    problem = _gaussian_64_problem(seed=1)
+    configs = (SolverConfig(materials=6, max_outer=20), SolverConfig(materials=6, rel_tol=1e-11))
+    verified = [solve_coupled(*problem, config) for config in configs]
+    monkeypatch.setattr(solver, "_support_projection", lambda s: project_columns_to_simplex)
+    sort = [solve_coupled(*problem, config) for config in configs]
+    f_verified, f_sort = verified[0].objective_trace[-1], sort[0].objective_trace[-1]
+    assert verified[0].iterations == sort[0].iterations == 20
+    assert abs(f_verified - f_sort) <= 1e-12 * f_sort
+    assert verified[1].termination == sort[1].termination == "converged"
+    assert verified[1].iterations == sort[1].iterations
 
 
 @pytest.mark.parametrize("name, shape", [("init_endmembers", (50, 7)),
