@@ -31,10 +31,8 @@ from .counterexample import (
 )
 from .experiment import ExperimentConfig, run_experiment
 from .model import (
-    ObservedPair,
     Scene,
     SpatialResponse,
-    Window,
     decimate_abundances,
     reconstruct,
     spatial_decimate,

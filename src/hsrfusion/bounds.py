@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import decimate_abundances
+from .model import decimate_abundances, validate_model
 
 SUBSET_GUARD = 20  # subset enumeration cap for every subset reduction below
 SUBSET_BLOCK = 2048  # subsets per stacked SVD: bounds the gathered copy at any n <= guard
@@ -353,8 +353,8 @@ def check_assumptions(endmembers, abundances, spectral, spatial):
     """Validate the four structural conditions on a concrete scene.
 
     Report-only: every condition gets a pass/fail flag and a witness
-    (pure window indices, worst support size, dominance value). An
-    invalid spatial response raises its first violation as ValueError.
+    (pure window indices, worst support size, dominance value). Inputs
+    that fail validate_model raise its first violation as ValueError.
     """
     return _assess(endmembers, abundances, spectral, spatial)[0]
 
@@ -362,7 +362,7 @@ def check_assumptions(endmembers, abundances, spectral, spatial):
 def _assess(endmembers, abundances, spectral, spatial):
     """check_assumptions' report, and the subset tables of F A behind its
     Kruskal rank for the certificate to reduce further."""
-    problems = spatial.validate()
+    problems = validate_model(endmembers, abundances, spectral, spatial)
     if problems:
         raise ValueError(str(problems[0]))
     a = np.asarray(endmembers, dtype=float)
@@ -436,7 +436,7 @@ def certify(endmembers, abundances, spectral, spatial):
 
     Degenerate inputs (undefined dominance, zero Kruskal rank) yield
     infinite bounds rather than errors: the certificate degrades to "no
-    guarantee". An invalid spatial response raises its first violation
+    guarantee". Inputs that fail validate_model raise its first violation
     as ValueError. Kruskal rank and the condition number come from one
     decomposition of each column subset of F A.
     """

@@ -51,7 +51,7 @@ def _cmd_observe(args):
     spatial = fileio.read_spatial_response(args.spatial)
     y_ms = spectral_decimate(spectral, image)
     y_hs = spatial_decimate(image, spatial)
-    if args.snr_db is not None and not math.isinf(args.snr_db):
+    if args.snr_db is not None:
         y_ms = scenegen.add_noise(y_ms, args.snr_db, args.seed)
         y_hs = scenegen.add_noise(y_hs, args.snr_db, args.seed + 1)
     out = Path(args.out)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .model import SpatialResponse, Window, reconstruct, spatial_decimate, spectral_decimate
+from .model import SpatialResponse, reconstruct, spatial_decimate, spectral_decimate
 from .solver import objective
 
 
@@ -49,14 +49,8 @@ def build_counterexample(rho):
         [0.0, 0.0, 0.0, 0.0, 1.0, 1.0],
     ])
     spectral = np.array([[1.0, 1.0, 1.0]])
-    spatial = SpatialResponse(
-        sr_pixel_count=6,
-        windows=[
-            Window(pixels=np.array([0, 1]), weights=np.array([0.5, 0.5])),
-            Window(pixels=np.array([2, 3]), weights=np.array([0.5, 0.5])),
-            Window(pixels=np.array([4, 5]), weights=np.array([0.5, 0.5])),
-        ],
-    )
+    spatial = SpatialResponse(6, indptr=[0, 2, 4, 6], pixels=np.arange(6),
+                              weights=np.full(6, 0.5))
     return CounterexampleInstance(
         rho=rho, endmembers=endmembers, abundances=abundances,
         spectral=spectral, spatial=spatial,
@@ -142,6 +136,8 @@ def verify_counterexample(instance, alpha1, grid_points=21, tol=1e-12):
     rho = instance.rho
     if not -rho <= alpha1 <= rho:
         raise ValueError(f"alpha1 = {alpha1} outside the feasible range [-{rho}, {rho}]")
+    if grid_points < 1:
+        raise ValueError(f"the alpha grid needs at least 1 point, got {grid_points}")
     y_ms, y_hs = instance.observations()
 
     error = first_pixel_error(instance, alpha1)

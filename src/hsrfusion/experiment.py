@@ -16,6 +16,7 @@ import numpy as np
 
 from . import bounds, scenegen, solver
 from .model import spatial_decimate, spectral_decimate
+from .scenegen import _is_integer, _is_number
 
 
 @dataclass
@@ -30,10 +31,18 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not self.snr_db:
-            raise ValueError("need at least one SNR value")
+        if not _is_integer(self.trials) or self.trials < 1:
+            raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
+        if not _is_integer(self.master_seed) or self.master_seed < 0:
+            raise ValueError(
+                f"master_seed must be a non-negative integer, got {self.master_seed!r}")
+        if not isinstance(self.snr_db, (list, tuple)) or not self.snr_db:
+            raise ValueError(f"snr_db must be a nonempty list, got {self.snr_db!r}")
+        for value in self.snr_db:
+            if not _is_number(value) or not -math.inf < value <= math.inf:
+                raise ValueError(f"snr_db entries must be numbers, finite or inf, got {value!r}")
+        if self.output_dir is not None and not isinstance(self.output_dir, (str, Path)):
+            raise ValueError(f"output_dir must be a path string, got {self.output_dir!r}")
 
 
 @dataclass

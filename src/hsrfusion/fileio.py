@@ -40,7 +40,7 @@ import numpy as np
 
 from .experiment import ExperimentConfig
 from .model import SpatialResponse
-from .scenegen import SceneConfig
+from .scenegen import SceneConfig, _is_number
 from .solver import SolverConfig
 
 
@@ -369,6 +369,9 @@ def json_default(obj):
 
 def _check_keys(cls, payload):
     """Raise ValueError naming every unknown and missing key of a config."""
+    if not isinstance(payload, dict):
+        kind = _JSON_TYPES.get(type(payload), type(payload).__name__)
+        raise ValueError(f"{cls.__name__}: expected a JSON object, got {kind}")
     fields = dataclasses.fields(cls)
     names = [f.name for f in fields]
     required = [f.name for f in fields if f.default is dataclasses.MISSING
@@ -394,12 +397,17 @@ def experiment_config_from_dict(payload):
     payload = dict(payload)
     payload["scene"] = scene_config_from_dict(payload["scene"])
     payload["solver"] = solver_config_from_dict(payload["solver"])
-    payload["snr_db"] = [_parse_snr(v) for v in payload["snr_db"]]
+    if isinstance(payload["snr_db"], list):
+        payload["snr_db"] = [_parse_snr(v) for v in payload["snr_db"]]
     return ExperimentConfig(**payload)
 
 
 def _parse_snr(value):
-    return math.inf if value is None else float(value)
+    """null reads as inf and a number or string as a float; anything else is
+    left for ExperimentConfig to reject."""
+    if value is None:
+        return math.inf
+    return float(value) if isinstance(value, str) or _is_number(value) else value
 
 
 def read_scene_config(path):

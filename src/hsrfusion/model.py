@@ -48,30 +48,12 @@ def _as_matrix(x, name):
 # Spatial response
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Window:
-    """One output pixel of the spatial decimation: index set plus weights."""
-
-    pixels: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=int)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.pixels.shape != self.weights.shape:
-            raise ValueError("window pixels and weights must have equal length")
-
-
 class SpatialResponse:
     """Blur-and-downsample response G in compressed-column form: window i
     (HS pixel i) holds pixels[indptr[i]:indptr[i+1]] with the matching
-    weights. Hand-made responses may pass a list of Window objects instead."""
+    weights."""
 
-    def __init__(self, sr_pixel_count, windows=(), *, indptr=None, pixels=None, weights=None):
-        if indptr is None:
-            indptr = np.cumsum([0] + [len(w.pixels) for w in windows])
-            pixels = np.concatenate([np.zeros(0, dtype=int)] + [w.pixels for w in windows])
-            weights = np.concatenate([np.zeros(0)] + [w.weights for w in windows])
+    def __init__(self, sr_pixel_count, *, indptr, pixels, weights):
         self.sr_pixel_count = int(sr_pixel_count)
         self.indptr = np.asarray(indptr, dtype=int)
         self.pixels = np.asarray(pixels, dtype=int)
@@ -89,12 +71,6 @@ class SpatialResponse:
         """Window index of every (pixel, weight) entry."""
         return np.repeat(np.arange(self.hs_pixel_count), np.diff(self.indptr))
 
-    @property
-    def windows(self):
-        """The windows as Window objects whose arrays are views into this response."""
-        bounds = zip(self.indptr[:-1], self.indptr[1:])
-        return [Window(pixels=self.pixels[a:b], weights=self.weights[a:b]) for a, b in bounds]
-
     def _reduce(self, ufunc, values, empty):
         """Per window, ufunc over its entries (last axis); ``empty`` if none."""
         starts = self.indptr[:-1]
@@ -106,12 +82,6 @@ class SpatialResponse:
     def operator(self):
         """G as a linear map on images, built from the arrays on every call."""
         return SpatialOperator(self)
-
-    def to_dense(self):
-        """Dense (sr_pixel_count x hs_pixel_count) matrix; a test oracle."""
-        g = np.zeros((self.sr_pixel_count, self.hs_pixel_count))
-        g[self.pixels, self.owners] = self.weights
-        return g
 
     def validate(self, tol=TAU_SIMPLEX):
         """List every violated window invariant; empty means valid."""
@@ -277,7 +247,7 @@ def validate_spectral(f, tol=0.0):
 
 
 # ---------------------------------------------------------------------------
-# Scene containers
+# Scene container
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -304,40 +274,6 @@ class Scene:
             out.append(Violation(
                 "scene_product", "image", gap,
                 "image differs from endmembers @ abundances",
-            ))
-        return out
-
-
-@dataclass
-class ObservedPair:
-    """The co-registered observation pair: MS image and HS image."""
-
-    ms: np.ndarray
-    hs: np.ndarray
-
-    def validate(self, spectral, spatial):
-        """Check dimensional consistency against the two responses."""
-        out = []
-        f = _as_matrix(spectral, "spectral response")
-        if self.ms.shape[0] != f.shape[0]:
-            out.append(Violation(
-                "observed_ms_bands", "ms", 0.0,
-                f"MS image has {self.ms.shape[0]} bands, response produces {f.shape[0]}",
-            ))
-        if self.hs.shape[0] != f.shape[1]:
-            out.append(Violation(
-                "observed_hs_bands", "hs", 0.0,
-                f"HS image has {self.hs.shape[0]} bands, response expects {f.shape[1]}",
-            ))
-        if self.ms.shape[1] != spatial.sr_pixel_count:
-            out.append(Violation(
-                "observed_ms_pixels", "ms", 0.0,
-                f"MS image has {self.ms.shape[1]} pixels, expected {spatial.sr_pixel_count}",
-            ))
-        if self.hs.shape[1] != spatial.hs_pixel_count:
-            out.append(Violation(
-                "observed_hs_pixels", "hs", 0.0,
-                f"HS image has {self.hs.shape[1]} pixels, expected {spatial.hs_pixel_count}",
             ))
         return out
 

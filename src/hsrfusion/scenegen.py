@@ -21,6 +21,10 @@ def _is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class SceneConfig:
     """Parameters of a synthetic scene.
@@ -58,7 +62,7 @@ class SceneConfig:
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         var = self.kernel_var
-        if isinstance(var, bool) or not isinstance(var, numbers.Real) or not 0 < var < math.inf:
+        if not _is_number(var) or not 0 < var < math.inf:
             raise ValueError(f"kernel_var must be a positive number, got {var!r}")
         if self.ms_bands >= self.sr_bands:
             raise ValueError("ms_bands must be smaller than sr_bands")
@@ -341,11 +345,13 @@ def add_noise(y, snr_db, seed=0):
     """Add i.i.d. Gaussian noise rescaled to hit the target SNR exactly.
 
     The drawn noise is deterministically rescaled so that
-    10*log10(|Y|_F^2 / |E|_F^2) equals snr_db. An infinite SNR returns a
-    copy of the input.
+    10*log10(|Y|_F^2 / |E|_F^2) equals snr_db. An SNR of +inf returns a
+    copy of the input; NaN and -inf raise ValueError.
     """
     y = np.asarray(y, dtype=float)
-    if math.isinf(snr_db):
+    if not -math.inf < snr_db <= math.inf:
+        raise ValueError(f"SNR must be a finite number of dB or inf, got {snr_db}")
+    if snr_db == math.inf:
         return y.copy()
     signal = float(np.linalg.norm(y))
     if signal == 0.0:

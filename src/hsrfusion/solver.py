@@ -38,6 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .scenegen import _is_integer, _is_number
+
 _TINY = 1e-300
 
 
@@ -56,12 +58,16 @@ class SolverConfig:
     init_abundances: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.materials < 1:
-            raise ValueError("materials must be >= 1")
-        if self.max_outer < 1 or self.inner_steps < 1:
-            raise ValueError("iteration caps must be >= 1")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        for name in ("materials", "max_outer", "inner_steps"):
+            value = getattr(self, name)
+            if not _is_integer(value) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not _is_number(self.rel_tol) or not self.rel_tol > 0:
+            raise ValueError(f"rel_tol must be a positive number, got {self.rel_tol!r}")
+        if not _is_number(self.objective_floor):
+            raise ValueError(f"objective_floor must be a number, got {self.objective_floor!r}")
         if self.init not in ("pure-pixel", "random", "provided"):
             raise ValueError(f"unknown init mode {self.init!r}")
 
@@ -132,6 +138,8 @@ class _Problem:
             raise ValueError("HS pixel count does not match the spatial response")
         if self.y_hs.shape[0] != self.f.shape[1]:
             raise ValueError("HS band count does not match the spectral response")
+        if self.y_ms.shape[0] != self.f.shape[0]:
+            raise ValueError("MS band count does not match the spectral response")
         _energy("spectral", self.f)
         self.ftf = self.f.T @ self.f
         self.ft_yms = self.f.T @ self.y_ms

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hsrfusion import SceneConfig, build_spatial_response
+from hsrfusion import SceneConfig, SpatialResponse, build_spatial_response
 
 # The CLI tests start `python -m hsrfusion` in a subprocess; give it the
 # source tree too, as pyproject's pythonpath gives it to this process.
@@ -33,3 +33,30 @@ def desk_spatial():
 def random_simplex_columns(rng, rows, cols):
     v = rng.exponential(size=(rows, cols))
     return v / v.sum(axis=0, keepdims=True)
+
+
+def response_from_windows(sr_pixel_count, windows):
+    """A SpatialResponse from one (pixels, weights) pair per HS pixel."""
+    pixels = [np.asarray(p, dtype=int) for p, _ in windows]
+    weights = [np.asarray(w, dtype=float) for _, w in windows]
+    return SpatialResponse(sr_pixel_count, indptr=np.cumsum([0] + [p.size for p in pixels]),
+                           pixels=np.concatenate([np.zeros(0, dtype=int)] + pixels),
+                           weights=np.concatenate([np.zeros(0)] + weights))
+
+
+def identity_response(n):
+    """n one-pixel windows of weight 1: G is the identity."""
+    return response_from_windows(n, [([i], [1.0]) for i in range(n)])
+
+
+def windows_of(g):
+    """Every window's (pixels, weights), as views into the response's arrays."""
+    return [(g.pixels[a:b], g.weights[a:b]) for a, b in zip(g.indptr[:-1], g.indptr[1:])]
+
+
+def to_dense(g):
+    """Dense (sr_pixel_count x hs_pixel_count) matrix: the oracle the sparse
+    operator is checked against."""
+    dense = np.zeros((g.sr_pixel_count, g.hs_pixel_count))
+    dense[g.pixels, g.owners] = g.weights
+    return dense

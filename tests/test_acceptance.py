@@ -14,7 +14,7 @@ import pytest
 
 import hsrfusion as hf
 from hsrfusion.model import spatial_decimate, spectral_decimate
-from conftest import desk_scene_config
+from conftest import desk_scene_config, response_from_windows
 
 
 def _report(name, ok, detail):
@@ -316,21 +316,17 @@ def test_criterion_9_solver_soundness(desk_runs, desk_spatial):
 
     # analytic block gradients against central differences
     from hsrfusion.solver import abundance_gradient, endmember_gradient
-    from hsrfusion.model import SpatialResponse, Window
 
     worst_gradient = 0.0
     rng = np.random.default_rng(7)
     for _ in range(10):
         m, mm, n, pixels = 5, 2, 3, 6
         f = rng.uniform(size=(mm, m))
-        g = SpatialResponse(
-            sr_pixel_count=pixels,
-            windows=[
-                Window(pixels=np.array([0, 1, 2]), weights=np.array([0.3, 0.4, 0.3])),
-                Window(pixels=np.array([2, 3, 4]), weights=np.array([0.25, 0.5, 0.25])),
-                Window(pixels=np.array([4, 5]), weights=np.array([0.5, 0.5])),
-            ],
-        )
+        g = response_from_windows(pixels, [
+            ([0, 1, 2], [0.3, 0.4, 0.3]),
+            ([2, 3, 4], [0.25, 0.5, 0.25]),
+            ([4, 5], [0.5, 0.5]),
+        ])
         a = rng.uniform(0.2, 0.8, size=(m, n))
         v = rng.exponential(size=(n, pixels))
         s = v / v.sum(axis=0, keepdims=True)

@@ -28,8 +28,13 @@ from hsrfusion import (
 )
 from hsrfusion import bounds
 from hsrfusion.bounds import SUBSET_GUARD, AlignmentReport, principal_floor
-from hsrfusion.model import SpatialResponse, Window, spatial_decimate, spectral_decimate
-from conftest import desk_scene_config, random_simplex_columns
+from hsrfusion.model import spatial_decimate, spectral_decimate
+from conftest import (
+    desk_scene_config,
+    identity_response,
+    random_simplex_columns,
+    response_from_windows,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -275,29 +280,17 @@ def test_peak_weights_counterexample():
 
 
 def test_peak_weights_identity_windows():
-    g = SpatialResponse(
-        sr_pixel_count=3,
-        windows=[Window(pixels=np.array([i]), weights=np.array([1.0])) for i in range(3)],
-    )
+    g = identity_response(3)
     assert np.allclose(peak_window_weights(g), 1.0, atol=0)
 
 
 def test_peak_weights_take_max_over_windows():
-    g = SpatialResponse(
-        sr_pixel_count=2,
-        windows=[
-            Window(pixels=np.array([0, 1]), weights=np.array([0.7, 0.3])),
-            Window(pixels=np.array([0, 1]), weights=np.array([0.4, 0.6])),
-        ],
-    )
+    g = response_from_windows(2, [([0, 1], [0.7, 0.3]), ([0, 1], [0.4, 0.6])])
     assert np.allclose(peak_window_weights(g), [0.7, 0.6], atol=0)
 
 
 def test_peak_weights_uncovered_pixel_errors():
-    g = SpatialResponse(
-        sr_pixel_count=3,
-        windows=[Window(pixels=np.array([0, 1]), weights=np.array([0.5, 0.5]))],
-    )
+    g = response_from_windows(3, [([0, 1], [0.5, 0.5])])
     with pytest.raises(ValueError, match="pixel 2"):
         peak_window_weights(g)
 
@@ -310,13 +303,7 @@ def test_certificate_zero_dominance_zeroes_the_bound():
     endmembers = np.eye(2)
     abundances = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]])
     spectral = np.array([[0.5, 0.5]])
-    spatial = SpatialResponse(
-        sr_pixel_count=3,
-        windows=[
-            Window(pixels=np.array([0, 1]), weights=np.array([0.5, 0.5])),
-            Window(pixels=np.array([1, 2]), weights=np.array([0.5, 0.5])),
-        ],
-    )
+    spatial = response_from_windows(3, [([0, 1], [0.5, 0.5]), ([1, 2], [0.5, 0.5])])
     cert = certify(endmembers, abundances, spectral, spatial)
     assert cert.dominance == 0.0
     assert np.allclose(cert.pixel_bounds, 0.0, atol=0)

@@ -323,3 +323,77 @@ def test_bad_scene_config_value_is_a_one_line_error(tmp_path, capsys, key, value
     line = _one_line_error(capsys, ["generate", "--config", str(path),
                                     "--out", str(tmp_path / "scene")])
     assert f"{key} must be a" in line and repr(value) in line
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("endmembers", lambda m: 2.0 * m, "[endmember_range] "),
+    ("abundances", lambda m: 3.0 * m, "[abundance_sum] "),
+    ("endmembers", lambda m: m[:2], "[shape] spectral/endmembers: "),
+], ids=["endmembers-x2", "abundances-x3", "endmember-rows"])
+def test_invalid_model_is_a_one_line_certify_error(counterexample_files, capsys, name, edit,
+                                                   message):
+    path = counterexample_files / f"{name}.csv"
+    write_matrix(path, edit(read_matrix(path)))
+    line = _one_line_error(capsys, [
+        "certify", *[arg for key in ("endmembers", "abundances", "spectral")
+                     for arg in (f"--{key}", str(counterexample_files / f"{key}.csv"))],
+        "--spatial", str(counterexample_files / "spatial.json")])
+    assert line.startswith(f"error: {message}")
+
+
+_SWEEP = {"scene": {"sr_bands": 30, "ms_bands": 4, "materials": 3, "width": 8, "height": 8,
+                    "factor": 2, "max_support": 2},
+          "snr_db": ["inf"], "trials": 1, "solver": {"materials": 3}}
+
+
+@pytest.mark.parametrize("payload, message", [
+    (None, "ExperimentConfig: expected a JSON object, got null"),
+    (5, "ExperimentConfig: expected a JSON object, got number"),
+    ({**_SWEEP, "solver": None}, "SolverConfig: expected a JSON object, got null"),
+    ({**_SWEEP, "scene": [1]}, "SceneConfig: expected a JSON object, got array"),
+    ({**_SWEEP, "solver": {"materials": "6"}}, "materials must be a positive integer, got '6'"),
+    ({**_SWEEP, "solver": {"materials": 3, "max_outer": 1.5}},
+     "max_outer must be a positive integer, got 1.5"),
+    ({**_SWEEP, "solver": {"materials": 3, "inner_steps": True}},
+     "inner_steps must be a positive integer, got True"),
+    ({**_SWEEP, "solver": {"materials": 3, "seed": -1}},
+     "seed must be a non-negative integer, got -1"),
+    ({**_SWEEP, "solver": {"materials": 3, "rel_tol": "1e-9"}},
+     "rel_tol must be a positive number, got '1e-9'"),
+    ({**_SWEEP, "solver": {"materials": 3, "objective_floor": None}},
+     "objective_floor must be a number, got None"),
+    ({**_SWEEP, "trials": 2.0}, "trials must be a positive integer, got 2.0"),
+    ({**_SWEEP, "master_seed": "x"}, "master_seed must be a non-negative integer, got 'x'"),
+    ({**_SWEEP, "snr_db": 30}, "snr_db must be a nonempty list, got 30"),
+    ({**_SWEEP, "snr_db": ["nan"]}, "snr_db entries must be numbers, finite or inf, got nan"),
+    ({**_SWEEP, "snr_db": [[30]]}, "snr_db entries must be numbers, finite or inf, got [30]"),
+    ({**_SWEEP, "output_dir": 5}, "output_dir must be a path string, got 5"),
+], ids=["null", "number", "solver-null", "scene-array", "materials-string", "max_outer-float",
+        "inner_steps-bool", "seed-negative", "rel_tol-string", "objective_floor-null",
+        "trials-float", "master_seed-string", "snr_db-number", "snr-nan", "snr-array",
+        "output_dir-number"])
+def test_bad_experiment_config_is_a_one_line_error(tmp_path, capsys, payload, message):
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    line = _one_line_error(capsys, ["experiment", "--config", str(path)])
+    assert line == f"error: {message}"
+
+
+@pytest.mark.parametrize("snr", ["nan", "-inf"])
+def test_observe_rejects_an_snr_that_is_not_finite_or_plus_inf(counterexample_files, capsys,
+                                                               snr):
+    inst = build_counterexample(0.1)
+    write_matrix(counterexample_files / "image.csv", inst.endmembers @ inst.abundances)
+    out = counterexample_files / "obs"
+    line = _one_line_error(capsys, [
+        "observe", "--image", str(counterexample_files / "image.csv"),
+        "--spectral", str(counterexample_files / "spectral.csv"),
+        "--spatial", str(counterexample_files / "spatial.json"),
+        f"--snr-db={snr}", "--out", str(out)])
+    assert line == f"error: SNR must be a finite number of dB or inf, got {float(snr)}"
+    assert not out.exists()
+
+
+def test_an_empty_counterexample_grid_is_a_one_line_error(capsys):
+    line = _one_line_error(capsys, ["counterexample", "--rho", "0.2", "--grid", "0"])
+    assert line == "error: the alpha grid needs at least 1 point, got 0"

@@ -76,6 +76,12 @@ def test_error_zero_when_rho_zero():
     assert report.passed
 
 
+@pytest.mark.parametrize("grid_points", [0, -3])
+def test_verify_rejects_an_empty_alpha_grid(grid_points):
+    with pytest.raises(ValueError, match=f"alpha grid needs at least 1 point, got {grid_points}"):
+        verify_counterexample(build_counterexample(0.2), 0.2, grid_points)
+
+
 def test_error_below_certificate_bound():
     inst = build_counterexample(0.1)
     report = verify_counterexample(inst, 0.05)

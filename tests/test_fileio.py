@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hsrfusion import Solution, SpatialResponse, Window, build_spatial_response, generate_scene
+from hsrfusion import Solution, build_spatial_response, generate_scene
 from hsrfusion import fileio
 from hsrfusion.fileio import (
     experiment_config_from_dict,
@@ -22,7 +22,7 @@ from hsrfusion.fileio import (
     write_matrix,
     write_spatial_response,
 )
-from conftest import desk_scene_config
+from conftest import desk_scene_config, response_from_windows, windows_of
 
 
 def test_matrix_round_trip_is_bit_exact(tmp_path):
@@ -212,22 +212,19 @@ def test_writer_skips_zeros_byte_for_byte(tmp_path):
 
 
 def test_spatial_response_round_trip(tmp_path):
-    g = SpatialResponse(
-        sr_pixel_count=6,
-        windows=[
-            Window(pixels=np.array([0, 1]), weights=np.array([0.5, 0.5])),
-            Window(pixels=np.array([2, 3, 4]), weights=np.array([0.25, 0.5, 0.25])),
-            Window(pixels=np.array([5]), weights=np.array([1.0])),
-        ],
-    )
+    g = response_from_windows(6, [
+        ([0, 1], [0.5, 0.5]),
+        ([2, 3, 4], [0.25, 0.5, 0.25]),
+        ([5], [1.0]),
+    ])
     path = tmp_path / "g.json"
     write_spatial_response(path, g)
     back = read_spatial_response(path)
     assert back.sr_pixel_count == 6
     assert back.hs_pixel_count == 3
-    for original, loaded in zip(g.windows, back.windows):
-        assert np.array_equal(original.pixels, loaded.pixels)
-        assert np.array_equal(original.weights, loaded.weights)
+    for original, loaded in zip(windows_of(g), windows_of(back)):
+        assert np.array_equal(original[0], loaded[0])
+        assert np.array_equal(original[1], loaded[1])
 
 
 def test_spatial_response_rejects_inconsistent_header(tmp_path):

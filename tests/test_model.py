@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from hsrfusion import (
     SpatialResponse,
-    Window,
     build_counterexample,
     decimate_abundances,
+    objective,
     peak_window_weights,
     reconstruct,
     spatial_decimate,
@@ -15,14 +15,13 @@ from hsrfusion import (
     validate_model,
 )
 from hsrfusion.fileio import read_spatial_response, write_spatial_response
-from conftest import random_simplex_columns
-
-
-def identity_windows(n):
-    return SpatialResponse(
-        sr_pixel_count=n,
-        windows=[Window(pixels=np.array([i]), weights=np.array([1.0])) for i in range(n)],
-    )
+from conftest import (
+    identity_response,
+    random_simplex_columns,
+    response_from_windows,
+    to_dense,
+    windows_of,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +95,7 @@ def test_spectral_decimate_dimension_mismatch():
 def test_spatial_decimate_identity_windows():
     rng = np.random.default_rng(1)
     x = rng.uniform(size=(3, 5))
-    assert np.allclose(spatial_decimate(x, identity_windows(5)), x, atol=0)
+    assert np.allclose(spatial_decimate(x, identity_response(5)), x, atol=0)
 
 
 def test_spatial_decimate_counterexample_abundances():
@@ -107,38 +106,28 @@ def test_spatial_decimate_counterexample_abundances():
 def test_spatial_decimate_matches_window_summation_oracle():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(4, 6))
-    g = SpatialResponse(
-        sr_pixel_count=6,
-        windows=[
-            Window(pixels=np.array([0, 1, 2]), weights=np.array([0.2, 0.5, 0.3])),
-            Window(pixels=np.array([2, 3]), weights=np.array([0.6, 0.4])),
-            Window(pixels=np.array([3, 4, 5]), weights=np.array([0.1, 0.1, 0.8])),
-        ],
-    )
+    g = response_from_windows(6, [
+        ([0, 1, 2], [0.2, 0.5, 0.3]),
+        ([2, 3], [0.6, 0.4]),
+        ([3, 4, 5], [0.1, 0.1, 0.8]),
+    ])
     result = spatial_decimate(x, g)
-    for i, win in enumerate(g.windows):
+    for i, (pixels, weights) in enumerate(windows_of(g)):
         expected = np.zeros(4)
-        for pixel, weight in zip(win.pixels, win.weights):
+        for pixel, weight in zip(pixels, weights):
             expected += x[:, pixel] * weight
         assert np.allclose(result[:, i], expected, rtol=1e-14, atol=1e-15)
 
 
 def test_spatial_decimate_gives_zero_for_an_empty_window():
-    g = SpatialResponse(
-        sr_pixel_count=3,
-        windows=[
-            Window(pixels=np.array([], dtype=int), weights=np.array([])),
-            Window(pixels=np.array([2, 0]), weights=np.array([0.5, 0.5])),
-            Window(pixels=np.array([], dtype=int), weights=np.array([])),
-        ],
-    )
+    g = response_from_windows(3, [([], []), ([2, 0], [0.5, 0.5]), ([], [])])
     x = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     assert np.array_equal(spatial_decimate(x, g), [[0.0, 2.0, 0.0], [0.0, 5.0, 0.0]])
 
 
 def test_spatial_decimate_dimension_mismatch():
     with pytest.raises(ValueError):
-        spatial_decimate(np.ones((2, 4)), identity_windows(5))
+        spatial_decimate(np.ones((2, 4)), identity_response(5))
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +137,7 @@ def test_spatial_decimate_dimension_mismatch():
 def test_decimate_abundances_constant_columns():
     s = np.zeros((3, 4))
     s[0] = 1.0
-    g = SpatialResponse(
-        sr_pixel_count=4,
-        windows=[
-            Window(pixels=np.array([0, 1]), weights=np.array([0.5, 0.5])),
-            Window(pixels=np.array([1, 2, 3]), weights=np.array([0.2, 0.3, 0.5])),
-        ],
-    )
+    g = response_from_windows(4, [([0, 1], [0.5, 0.5]), ([1, 2, 3], [0.2, 0.3, 0.5])])
     out = decimate_abundances(s, g)
     assert np.allclose(out, np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]), atol=0)
 
@@ -163,14 +146,11 @@ def test_decimate_abundances_stays_on_simplex():
     rng = np.random.default_rng(3)
     s = random_simplex_columns(rng, 4, 10)
     pix = rng.permutation(10)
-    g = SpatialResponse(
-        sr_pixel_count=10,
-        windows=[
-            Window(pixels=pix[:4], weights=np.array([0.25] * 4)),
-            Window(pixels=pix[3:7], weights=np.array([0.4, 0.3, 0.2, 0.1])),
-            Window(pixels=pix[6:], weights=np.array([0.7, 0.1, 0.1, 0.1])),
-        ],
-    )
+    g = response_from_windows(10, [
+        (pix[:4], [0.25] * 4),
+        (pix[3:7], [0.4, 0.3, 0.2, 0.1]),
+        (pix[6:], [0.7, 0.1, 0.1, 0.1]),
+    ])
     out = decimate_abundances(s, g)
     assert np.all(out >= 0)
     assert np.abs(out.sum(axis=0) - 1.0).max() <= 1e-12
@@ -184,17 +164,12 @@ def test_support_nesting():
         sup = rng.choice(5, size=2, replace=False)
         w = rng.dirichlet(np.ones(2))
         s[sup, j] = w
-    g = SpatialResponse(
-        sr_pixel_count=8,
-        windows=[
-            Window(pixels=np.array([0, 1, 2, 3]), weights=np.full(4, 0.25)),
-            Window(pixels=np.array([4, 5, 6, 7]), weights=np.full(4, 0.25)),
-        ],
-    )
+    g = response_from_windows(8, [([0, 1, 2, 3], np.full(4, 0.25)),
+                                  ([4, 5, 6, 7], np.full(4, 0.25))])
     out = decimate_abundances(s, g)
-    for i, win in enumerate(g.windows):
+    for i, (pixels, _) in enumerate(windows_of(g)):
         out_support = set(np.flatnonzero(out[:, i] > 0))
-        for j in win.pixels:
+        for j in pixels:
             assert set(np.flatnonzero(s[:, j] > 0)) <= out_support
 
 
@@ -217,15 +192,15 @@ def spatial_responses(draw):
     windows = []
     for pix in members:
         raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(pix), max_size=len(pix))))
-        windows.append(Window(pixels=np.searchsorted(used, pix), weights=raw / raw.sum()))
-    return SpatialResponse(sr_pixel_count=len(used), windows=windows)
+        windows.append((np.searchsorted(used, pix), raw / raw.sum()))
+    return response_from_windows(len(used), windows)
 
 
 @settings(max_examples=200, deadline=None)
 @given(spatial_responses(), st.integers(0, 2**16))
 def test_arrays_dense_matrix_and_file_agree(tmp_path_factory, g, seed):
     assert g.validate() == []
-    dense = g.to_dense()
+    dense = to_dense(g)
     x = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(3, g.sr_pixel_count))
     assert np.abs(spatial_decimate(x, g) - x @ dense).max() <= 1e-12
     assert np.array_equal(peak_window_weights(g), dense.max(axis=1))
@@ -240,7 +215,7 @@ def test_arrays_dense_matrix_and_file_agree(tmp_path_factory, g, seed):
 @settings(max_examples=200, deadline=None)
 @given(spatial_responses(), st.integers(0, 2**16))
 def test_operator_matches_the_dense_oracle(g, seed):
-    dense = g.to_dense()
+    dense = to_dense(g)
     op = g.operator()
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=(3, g.sr_pixel_count))
@@ -254,13 +229,7 @@ def test_operator_matches_the_dense_oracle(g, seed):
 
 @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
 def test_validate_flags_a_non_finite_weight(weight):
-    g = SpatialResponse(
-        sr_pixel_count=3,
-        windows=[
-            Window(pixels=np.array([0, 1]), weights=np.array([weight, 0.5])),
-            Window(pixels=np.array([1, 2]), weights=np.array([0.5, 0.5])),
-        ],
-    )
+    g = response_from_windows(3, [([0, 1], [weight, 0.5]), ([1, 2], [0.5, 0.5])])
     report = g.validate()
     assert [(v.check, v.location) for v in report] == [("window_weight_finite", "window 0")]
     assert report[0].message == f"weight {weight} is not finite"
@@ -269,15 +238,9 @@ def test_validate_flags_a_non_finite_weight(weight):
 def test_validate_flags_a_pixel_listed_twice():
     # Read as a list, this window weighs pixel 0 by 0.5 + 0.5; written into a
     # matrix, the second entry overwrites the first. Neither reading is valid.
-    g = SpatialResponse(
-        sr_pixel_count=3,
-        windows=[
-            Window(pixels=np.array([0, 0]), weights=np.array([0.5, 0.5])),
-            Window(pixels=np.array([1, 2]), weights=np.array([0.5, 0.5])),
-        ],
-    )
+    g = response_from_windows(3, [([0, 0], [0.5, 0.5]), ([1, 2], [0.5, 0.5])])
     x = np.array([[1.0, 2.0, 3.0]])
-    assert not np.allclose(spatial_decimate(x, g), x @ g.to_dense())
+    assert not np.allclose(spatial_decimate(x, g), x @ to_dense(g))
     report = g.validate()
     assert [(v.check, v.location) for v in report] == [("window_duplicate_pixel", "window 0")]
 
@@ -318,18 +281,16 @@ def test_validate_model_accepts_valid_inputs():
 
 def test_validate_model_flags_zero_weight():
     a, s, f, g = _valid_instance()
-    bad = SpatialResponse(
-        sr_pixel_count=g.sr_pixel_count,
-        windows=[Window(pixels=w.pixels.copy(), weights=w.weights.copy()) for w in g.windows],
-    )
-    bad.windows[1].weights[0] = 0.0
+    weights = g.weights.copy()
+    weights[g.indptr[1]] = 0.0  # the first weight of window 1
+    bad = SpatialResponse(g.sr_pixel_count, indptr=g.indptr, pixels=g.pixels, weights=weights)
     report = validate_model(a, s, f, bad)
     assert any(v.check == "window_weight_positive" for v in report)
 
 
 def test_validate_model_names_uncovered_pixel():
     a, s, f, g = _valid_instance()
-    bad = SpatialResponse(sr_pixel_count=6, windows=g.windows[:2])
+    bad = response_from_windows(6, windows_of(g)[:2])
     report = validate_model(a, s, f, bad)
     coverage = [v for v in report if v.check == "coverage"]
     assert {v.location for v in coverage} == {"pixel 4", "pixel 5"}
@@ -352,7 +313,7 @@ def test_validate_model_flags_bad_abundance_column():
 
 
 # ---------------------------------------------------------------------------
-# scene and observation containers
+# the scene container and the observation shapes
 # ---------------------------------------------------------------------------
 
 def test_scene_validates_its_product():
@@ -366,16 +327,15 @@ def test_scene_validates_its_product():
     assert any(v.check == "scene_product" for v in broken.validate())
 
 
-def test_observed_pair_dimension_checks():
-    from hsrfusion import ObservedPair
-
+def test_objective_rejects_observations_that_do_not_fit_the_responses():
     inst = build_counterexample(0.15)
     y_ms, y_hs = inst.observations()
-    pair = ObservedPair(ms=y_ms, hs=y_hs)
-    assert pair.validate(inst.spectral, inst.spatial) == []
-    bad = ObservedPair(ms=y_ms[:, :4], hs=y_hs)
-    assert any(v.check == "observed_ms_pixels"
-               for v in bad.validate(inst.spectral, inst.spatial))
+    args = inst.endmembers, inst.abundances
+    assert objective(*args, y_ms, y_hs, inst.spectral, inst.spatial) <= 1e-24
+    with pytest.raises(ValueError, match="^MS pixel count does not match"):
+        objective(*args, y_ms[:, :4], y_hs, inst.spectral, inst.spatial)
+    with pytest.raises(ValueError, match="^MS band count does not match"):
+        objective(*args, np.vstack([y_ms, y_ms]), y_hs, inst.spectral, inst.spatial)
 
 
 # ---------------------------------------------------------------------------

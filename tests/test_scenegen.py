@@ -16,7 +16,7 @@ from hsrfusion import (
     kruskal_rank,
     mse,
 )
-from conftest import desk_scene_config
+from conftest import desk_scene_config, windows_of
 
 
 # ---------------------------------------------------------------------------
@@ -61,26 +61,26 @@ def test_spectral_requires_strictly_fewer_rows():
 def test_uniform_box_window():
     g = build_spatial_response(2, 2, kernel="uniform", kernel_size=2, factor=2)
     assert g.hs_pixel_count == 1
-    win = g.windows[0]
-    assert sorted(win.pixels.tolist()) == [0, 1, 2, 3]
-    assert np.allclose(win.weights, 0.25, atol=0)
+    pixels, weights = windows_of(g)[0]
+    assert sorted(pixels.tolist()) == [0, 1, 2, 3]
+    assert np.allclose(weights, 0.25, atol=0)
 
 
 def test_gaussian_windows_match_kernel_oracle():
     var = 1.0
     g = build_spatial_response(4, 4, kernel="gaussian", kernel_size=3, variance=var, factor=2)
     assert g.hs_pixel_count == 4
-    for i, win in enumerate(g.windows):
-        assert abs(win.weights.sum() - 1.0) <= 1e-12
+    for i, (pixels, weights) in enumerate(windows_of(g)):
+        assert abs(weights.sum() - 1.0) <= 1e-12
         cy, cx = divmod(i, 2)
         center_y = cy * 2 + 0.5
         center_x = cx * 2 + 0.5
         raw = []
-        for p in win.pixels:
+        for p in pixels:
             row, col = divmod(int(p), 4)
             raw.append(math.exp(-((row - center_y) ** 2 + (col - center_x) ** 2) / (2 * var)))
         expected = np.array(raw) / np.sum(raw)
-        assert np.allclose(win.weights, expected, rtol=1e-12, atol=1e-15)
+        assert np.allclose(weights, expected, rtol=1e-12, atol=1e-15)
 
 
 def test_paper_scale_window_count():
@@ -226,6 +226,12 @@ def test_add_noise_hits_target_snr_exactly():
 def test_add_noise_rejects_zero_signal():
     with pytest.raises(ValueError):
         add_noise(np.zeros((2, 2)), 20.0, seed=0)
+
+
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+def test_add_noise_rejects_an_snr_that_is_not_finite_or_plus_inf(snr_db):
+    with pytest.raises(ValueError, match=f"got {snr_db}$"):
+        add_noise(np.ones((2, 2)), snr_db, seed=0)
 
 
 def test_mse_identical_is_zero():

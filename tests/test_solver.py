@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,6 @@ from hsrfusion import (
     SceneConfig,
     SolverConfig,
     add_noise,
-    SpatialResponse,
-    Window,
     build_counterexample,
     build_spatial_response,
     feasible_family,
@@ -23,14 +23,13 @@ from hsrfusion import (
 from hsrfusion import solver
 from hsrfusion.model import SpatialOperator, spatial_decimate, spectral_decimate
 from hsrfusion.solver import abundance_gradient, endmember_gradient
-from conftest import desk_scene_config, random_simplex_columns
-
-
-def identity_windows(n):
-    return SpatialResponse(
-        sr_pixel_count=n,
-        windows=[Window(pixels=np.array([i]), weights=np.array([1.0])) for i in range(n)],
-    )
+from conftest import (
+    desk_scene_config,
+    identity_response,
+    random_simplex_columns,
+    response_from_windows,
+    to_dense,
+)
 
 
 def observe(gen, spatial):
@@ -63,7 +62,7 @@ def test_objective_hand_arithmetic():
     f = np.array([[1.0]])
     a = np.array([[1.0]])
     s = np.array([[1.0]])
-    g = identity_windows(1)
+    g = identity_response(1)
     y_ms = np.array([[2.0]])
     y_hs = np.array([[3.0]])
     assert objective(a, s, y_ms, y_hs, f, g) == pytest.approx(5.0, abs=0)
@@ -79,14 +78,24 @@ def test_objective_equals_the_explicit_formula(seed, desk_spatial):
     y_ms = rng.uniform(size=(6, desk_spatial.sr_pixel_count))
     y_hs = rng.uniform(size=(50, desk_spatial.hs_pixel_count))
     explicit = (np.sum((y_ms - f @ (a @ s)) ** 2)
-                + np.sum((y_hs - (a @ s) @ desk_spatial.to_dense()) ** 2))
+                + np.sum((y_hs - (a @ s) @ to_dense(desk_spatial)) ** 2))
     assert abs(objective(a, s, y_ms, y_hs, f, desk_spatial) - explicit) <= 1e-12 * explicit
 
 
 def test_objective_dimension_mismatch():
     with pytest.raises(ValueError):
         objective(np.ones((2, 2)), np.ones((3, 4)) / 3, np.ones((1, 4)),
-                  np.ones((2, 4)), np.ones((1, 2)), identity_windows(4))
+                  np.ones((2, 4)), np.ones((1, 2)), identity_response(4))
+
+
+def test_an_ms_band_count_that_f_does_not_produce_is_rejected():
+    inst = build_counterexample(0.2)
+    y_ms, y_hs = inst.observations()
+    y_ms = np.vstack([y_ms, y_ms])  # two MS bands; F has one row
+    with pytest.raises(ValueError, match="^MS band count does not match the spectral response$"):
+        objective(inst.endmembers, inst.abundances, y_ms, y_hs, inst.spectral, inst.spatial)
+    with pytest.raises(ValueError, match="^MS band count does not match the spectral response$"):
+        solve_coupled(y_ms, y_hs, inst.spectral, inst.spatial, SolverConfig(materials=3))
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +524,7 @@ def test_non_finite_input_is_rejected_naming_the_array(desk_spatial, capfd, name
 def test_out_of_range_pixel_is_rejected_before_any_product(pixel):
     # scipy's CSR constructor accepts such an index, and its products then
     # read out of bounds; the operator names the window instead.
-    g = SpatialResponse(
-        sr_pixel_count=3,
-        windows=[Window(pixels=np.array([0, 1]), weights=np.array([0.5, 0.5])),
-                 Window(pixels=np.array([2, pixel]), weights=np.array([0.5, 0.5]))],
-    )
+    g = response_from_windows(3, [([0, 1], [0.5, 0.5]), ([2, pixel], [0.5, 0.5])])
     x = np.ones((2, 3))
     with pytest.raises(ValueError, match=f"window 1: pixel index {pixel} is out of range"):
         spatial_decimate(x, g)
@@ -544,9 +549,7 @@ _INVALID_RESPONSES = {
 
 @pytest.mark.parametrize("check", sorted(_INVALID_RESPONSES))
 def test_an_invalid_spatial_response_is_rejected_before_any_product(check, monkeypatch, capfd):
-    windows = [Window(pixels=np.array(p, dtype=int), weights=np.array(w, dtype=float))
-               for p, w in _INVALID_RESPONSES[check]]
-    g = SpatialResponse(sr_pixel_count=4, windows=windows)
+    g = response_from_windows(4, _INVALID_RESPONSES[check])
 
     def refuse(self, x):
         raise AssertionError("a product with G ran")
@@ -555,25 +558,26 @@ def test_an_invalid_spatial_response_is_rejected_before_any_product(check, monke
         monkeypatch.setattr(SpatialOperator, name, refuse)
     config = SolverConfig(materials=1, init="random", max_outer=2)
     with pytest.raises(ValueError, match=rf"^\[{check}\] ") as raised:
-        solve_coupled(np.ones((1, 4)), np.ones((2, len(windows))), np.ones((1, 2)), g, config)
+        solve_coupled(np.ones((1, 4)), np.ones((2, g.hs_pixel_count)), np.ones((1, 2)), g, config)
     assert "\n" not in str(raised.value)
     assert str(raised.value) == str(g.validate()[0])
     assert capfd.readouterr().err == ""
 
 
-def test_solver_never_forms_the_dense_spatial_matrix(desk_spatial, monkeypatch):
-    gen = generate_scene(desk_scene_config(seed=34), desk_spatial)
-    y_ms, y_hs = observe(gen, desk_spatial)
-
-    def refuse(self):
-        raise AssertionError("the dense L x Lh matrix was formed")
-
-    monkeypatch.setattr(SpatialResponse, "to_dense", refuse)
-    config = SolverConfig(materials=6, max_outer=5)
-    solution = solve_coupled(y_ms, y_hs, gen.spectral, desk_spatial, config)
-    value = objective(solution.endmembers, solution.abundances, y_ms, y_hs,
-                      gen.spectral, desk_spatial)
-    assert value == solution.objective_trace[-1]
+def test_solver_never_forms_the_dense_spatial_matrix():
+    # At 64x64, factor 4, the dense L x Lh float64 matrix alone is 8 L Lh =
+    # 8.39 MB; a solve that works through the sparse operator stays below it.
+    y_ms, y_hs, spectral, spatial = _gaussian_64_problem(0)
+    dense_bytes = 8 * spatial.sr_pixel_count * spatial.hs_pixel_count
+    config = SolverConfig(materials=6, max_outer=2)
+    tracemalloc.start()
+    try:
+        solution = solve_coupled(y_ms, y_hs, spectral, spatial, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solution.iterations == 2
+    assert peak < dense_bytes
 
 
 @st.composite
@@ -595,7 +599,7 @@ def small_fusion_problems(draw):
         members = sorted(set(order[i::count]) | set(extra))
         raw = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=len(members),
                                      max_size=len(members))))
-        windows.append(Window(pixels=np.array(members), weights=raw / raw.sum()))
+        windows.append((members, raw / raw.sum()))
     unit = st.floats(0.0, 1.0)
     spectral = draw(arrays(float, (ms_bands, bands), elements=unit))
     y_ms = draw(arrays(float, (ms_bands, pixels), elements=unit))
@@ -603,7 +607,7 @@ def small_fusion_problems(draw):
     config = SolverConfig(materials=materials, init="random", seed=draw(st.integers(0, 2**16)),
                           inner_steps=draw(st.integers(1, 20)),
                           max_outer=draw(st.integers(1, 8)), rel_tol=1e-12)
-    spatial = SpatialResponse(sr_pixel_count=pixels, windows=windows)
+    spatial = response_from_windows(pixels, windows)
     assert spatial.validate() == []
     return y_ms, y_hs, spectral, spatial, config
 
@@ -645,14 +649,11 @@ def test_block_gradients_match_central_differences(seed):
     rng = np.random.default_rng(seed)
     m, mm, n, pixels = 6, 3, 3, 8
     f = rng.uniform(size=(mm, m))
-    g = SpatialResponse(
-        sr_pixel_count=pixels,
-        windows=[
-            Window(pixels=np.array([0, 1, 2, 3]), weights=np.full(4, 0.25)),
-            Window(pixels=np.array([3, 4, 5]), weights=np.array([0.5, 0.25, 0.25])),
-            Window(pixels=np.array([5, 6, 7]), weights=np.array([0.2, 0.4, 0.4])),
-        ],
-    )
+    g = response_from_windows(pixels, [
+        ([0, 1, 2, 3], np.full(4, 0.25)),
+        ([3, 4, 5], [0.5, 0.25, 0.25]),
+        ([5, 6, 7], [0.2, 0.4, 0.4]),
+    ])
     a = rng.uniform(0.2, 0.8, size=(m, n))
     s = random_simplex_columns(rng, n, pixels)
     y_ms = rng.uniform(size=(mm, pixels))
