@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, scenegen, solver
-from .model import spatial_decimate, spectral_decimate
-from .scenegen import _is_integer, _is_number
+from .model import _is_integer, _is_number, spatial_decimate, spectral_decimate
 
 
 @dataclass
@@ -75,9 +74,8 @@ def run_trial(config, spatial, snr_db, snr_index, trial):
 
     y_ms = spectral_decimate(generated.spectral, scene.image)
     y_hs = spatial_decimate(scene.image, spatial)
-    if not math.isinf(snr_db):
-        y_ms = scenegen.add_noise(y_ms, snr_db, _child_seed(config.master_seed, snr_index, trial, 1))
-        y_hs = scenegen.add_noise(y_hs, snr_db, _child_seed(config.master_seed, snr_index, trial, 2))
+    y_ms = scenegen.add_noise(y_ms, snr_db, _child_seed(config.master_seed, snr_index, trial, 1))
+    y_hs = scenegen.add_noise(y_hs, snr_db, _child_seed(config.master_seed, snr_index, trial, 2))
 
     solution = solver.solve_coupled(y_ms, y_hs, generated.spectral, spatial, config.solver)
 

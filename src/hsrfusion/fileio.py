@@ -39,8 +39,8 @@ from pathlib import Path
 import numpy as np
 
 from .experiment import ExperimentConfig
-from .model import SpatialResponse
-from .scenegen import SceneConfig, _is_number
+from .model import SpatialResponse, _is_number
+from .scenegen import SceneConfig
 from .solver import SolverConfig
 
 

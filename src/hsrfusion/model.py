@@ -10,6 +10,7 @@ applied on the left) and a spatial response G (a collection of pixel
 windows with positive weights summing to one, applied on the right).
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,14 @@ import scipy.sparse
 # Absolute tolerance on simplex membership (column sums, nonnegativity).
 # Double precision accumulation over <= 1e4-length columns stays well below.
 TAU_SIMPLEX = 1e-9
+
+
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------

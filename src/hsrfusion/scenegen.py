@@ -7,22 +7,13 @@ rejection sampling) the spectral-dominance condition on the endmembers.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 
 from . import bounds
-from .model import Scene, SpatialResponse, spatial_decimate
-
-
-def _is_integer(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_number(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+from .model import Scene, SpatialResponse, _is_integer, _is_number, spatial_decimate
 
 
 @dataclass

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scenegen import _is_integer, _is_number
+from .model import _is_integer, _is_number
 
 _TINY = 1e-300
 
