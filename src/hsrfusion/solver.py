@@ -9,27 +9,27 @@ on each block, L being the block's exact Lipschitz constant. A pass that
 raised the objective is redone with plain steps, halving the step. So the
 trace never increases and every iterate is feasible by projection.
 
-G enters only through the response's sparse operator, applied to the
-materials x L abundances: the HS term is evaluated as A (S G), the MS
-term as (F A) S, the S gradient as (S G) G^T, and |G^T G|_2 comes from
-the Lh x Lh Gram matrix. The dense L x Lh matrix is never formed.
+Each step is one affine map X -> X - t grad(X), whose small factors are
+formed once per pass, and one projection. G enters only through the
+response's sparse operator, applied to the materials x L abundances: the
+HS term is evaluated as A (S G), the MS term as (F A) S, the S step's
+G G^T term as (A^T A S G) G^T, two sparse products, and |G^T G|_2 comes
+from the Lh x Lh Gram matrix. The dense L x Lh matrix is never formed.
 
 The abundances are pixel-major inside the solver: S is the n x L
 transpose of an L x n C-order buffer, one row per pixel, and so are the
-S gradient, the extrapolated S and S G (Lh x n underneath). The sparse
-products then receive C-order S^T and copy nothing, and the exact simplex
-projection sorts each pixel's contiguous row. Solution.abundances is that
-n x L view.
+S steps, the extrapolated S and S G (Lh x n underneath). The sparse
+products then receive C-order S^T and copy nothing, and the projections
+work on each pixel's contiguous row. Solution.abundances is that view.
 
 The S passes project through a support check instead of a sort. Each
 column's support is guessed from the previous step's output (at first,
-from the point the pass starts at), and on an n x L C-order copy, whose
-rows are long, the threshold theta = (sum over the guess - 1) / its size
-is formed per column. A column whose entries exceed theta exactly on the
-guess is projected by max(v - theta, 0): the KKT conditions make that the
-unique projection (Duchi et al. 2008; Condat 2016). The other columns,
-usually a handful, go through the sort formula, which also projects the
-initial S and the inertial step's columns.
+from the point the pass starts at) and theta = (sum over the guess - 1) /
+its size is formed per column. A column whose entries exceed theta
+exactly on the guess is projected by max(v - theta, 0): the KKT
+conditions make that the unique projection (Duchi et al. 2008; Condat
+2016). The other columns, usually a handful, go through the sort
+formula, which also projects the initial S and the inertial step's.
 """
 
 import functools
@@ -122,9 +122,11 @@ def _sym_norm(m):
 
 class _Problem:
     """The coupled objective on fixed data: its value and, per block pass,
-    the block's gradient, Lipschitz constant and objective, reusing F^T F,
-    F^T Y_ms, |F^T F|_2 and |G^T G|_2. G is applied sparsely and only to
-    abundances (materials rows), never to a bands x L image."""
+    the block's step map, Lipschitz constant and objective, reusing F^T F,
+    |F^T F|_2 and |G^T G|_2. ``step_map(t, keep=1.0)`` is the map X -> keep
+    X - t grad(X): step_map(t) steps and step_map(-1.0, 0.0) is the
+    gradient. G is applied sparsely and only to abundances (materials
+    rows), never to a bands x L image."""
 
     def __init__(self, y_ms, y_hs, spectral, spatial):
         self.g = spatial.operator()
@@ -142,7 +144,6 @@ class _Problem:
             raise ValueError("MS band count does not match the spectral response")
         _energy("spectral", self.f)
         self.ftf = self.f.T @ self.f
-        self.ft_yms = self.f.T @ self.y_ms
         self.lip_ftf = _sym_norm(self.ftf)
         # Each residual entry carries rounding error of order eps |y|, so
         # objective values below eps^2 |Y|^2 are rounding, not fit.
@@ -173,40 +174,45 @@ class _Problem:
         return float(np.sum(r_ms * r_ms) + np.sum(r_hs * r_hs))
 
     def endmember_pass(self, s, sg=None):
-        """(gradient in A, Lipschitz constant, objective in A) at fixed S."""
+        """(step map in A, Lipschitz constant, objective in A) at fixed S."""
         if sg is None:
             sg = self.g.apply(s)
         sst = s @ s.T
         sg_sgt = sg @ sg.T
         lipschitz = 2.0 * (self.lip_ftf * _sym_norm(sst) + _sym_norm(sg_sgt))
-        ft_yms_st = self.ft_yms @ s.T
+        ft_yms_st = self.f.T @ (self.y_ms @ s.T)
         yhs_sgt = self.y_hs @ sg.T
 
-        def gradient(a):
-            return 2.0 * (self.ftf @ a @ sst - ft_yms_st + a @ sg_sgt - yhs_sgt)
+        def step_map(t, keep=1.0):
+            return lambda a: keep * a - 2.0 * t * (
+                self.ftf @ a @ sst - ft_yms_st + a @ sg_sgt - yhs_sgt)
 
-        return gradient, lipschitz, lambda a: self.value(a, s, sg)
+        return step_map, lipschitz, lambda a: self.value(a, s, sg)
 
     def abundance_pass(self, a):
-        """(gradient in S, Lipschitz constant, objective in S) at fixed A.
-        The gradient is formed as its L x n transpose and returned as the
-        n x L view of it, pixel-major as S is in the solver."""
+        """(step map in S, Lipschitz constant, objective in S) at fixed A.
+        With S pixel-major, the map's L x n transpose is S^T (keep I - 2t
+        FA^T FA) - G (G^T S^T 2t A^T A) + t C^T: the n x n factors and t C^T
+        are formed once per map, and a call makes two sparse products."""
         fa = self.f @ a
         fatfa = fa.T @ fa
         ata = a.T @ a
         lipschitz = 2.0 * (_sym_norm(fatfa) + _sym_norm(ata) * self.lip_g)
-        # 2 (FA^T Y_ms + A^T Y_hs G^T), transposed; A^T Y_hs enters the
-        # adjoint as the view of a C-order Y_hs^T A.
+        # C^T = 2 (Y_ms^T FA + G Y_hs^T A), Y_hs^T A C-order for the adjoint.
         const_t = 2.0 * (self.y_ms.T @ fa + self.g.adjoint((self.y_hs.T @ a).T).T)
 
-        def gradient(s):
-            grad_t = s.T @ fatfa.T
-            grad_t += self.g.adjoint(self.g.apply(s)).T @ ata.T
-            grad_t *= 2.0
-            grad_t -= const_t
-            return grad_t.T
+        def step_map(t, keep=1.0):
+            m = keep * np.eye(len(ata)) - 2.0 * t * fatfa
+            k = -2.0 * t * ata
+            c = t * const_t
+            def move(s):
+                out = s.T @ m
+                out += self.g.adjoint((self.g.apply(s).T @ k).T).T
+                out += c
+                return out.T
+            return move
 
-        return gradient, lipschitz, functools.partial(self.value, a)
+        return step_map, lipschitz, functools.partial(self.value, a)
 
 
 def objective(endmembers, abundances, y_ms, y_hs, spectral, spatial):
@@ -219,14 +225,14 @@ def endmember_gradient(endmembers, abundances, y_ms, y_hs, spectral, spatial):
     """Gradient of the coupled objective in the endmember block."""
     problem = _Problem(y_ms, y_hs, spectral, spatial)
     a, s = problem.factors(endmembers, abundances)
-    return problem.endmember_pass(s)[0](a)
+    return problem.endmember_pass(s)[0](-1.0, 0.0)(a)
 
 
 def abundance_gradient(endmembers, abundances, y_ms, y_hs, spectral, spatial):
     """Gradient of the coupled objective in the abundance block."""
     problem = _Problem(y_ms, y_hs, spectral, spatial)
     a, s = problem.factors(endmembers, abundances)
-    return problem.abundance_pass(a)[0](s)
+    return problem.abundance_pass(a)[0](-1.0, 0.0)(s)
 
 
 # ---------------------------------------------------------------------------
@@ -238,68 +244,69 @@ def project_columns_to_simplex(v):
 
     Sort-based threshold: with the column sorted decreasingly, the active
     size is the largest k for which u_k > (sum of the top k - 1) / k, and
-    the output is max(v - theta, 0) at the matching threshold. Exact in
-    O(n log n) per column. The work runs on v^T, one row per column, which
-    is contiguous for the solver's pixel-major abundances; the output has
-    the layout of ``v``.
+    the output is max(v - theta, 0) at the matching threshold, or at the
+    last k when none is active (entries of 2^53 and more, where u - 1 ==
+    u). Exact in O(n log n) per column, in a fixed count of whole-array
+    operations. The work runs on v^T, one row per column, contiguous for
+    the solver's pixel-major abundances; the output has ``v``'s layout.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[0] < 1:
         raise ValueError("need a nonempty 2-D array of column vectors")
     n = v.shape[0]
     rows = v.T
-    u = np.array(rows, order="C")
-    u.sort(axis=1)
-    # A running sum over the sorted entries, largest first; the threshold
-    # is the candidate at the last active k, or at the last k when none is
-    # (entries of 2^53 and more, where u - 1 == u).
-    total = np.zeros(len(u))
-    theta = np.full(len(u), np.nan)
-    for k in range(n):
-        u_k = u[:, n - 1 - k]
-        total += u_k
-        candidate = (total - 1.0) / (k + 1)
-        np.copyto(theta, candidate, where=u_k > candidate)
-    np.copyto(theta, candidate, where=np.isnan(theta))
+    u = np.sort(rows, axis=1)[:, ::-1]
+    partial = np.cumsum(u, axis=1)
+    partial -= 1.0
+    partial /= np.arange(1.0, n + 1.0)
+    last = np.argmax((u > partial)[:, ::-1], axis=1)
+    theta = partial[np.arange(len(u)), n - 1 - last]
     return np.maximum(rows - theta[:, None], 0.0).T
 
 
-def _project_on_support(v, support):
+def _project_on_support(v, support, count):
     """The projection of ``project_columns_to_simplex``, checked against a
     guess of each column's support instead of sorted.
 
-    ``support`` is an n x L boolean C-order guess. On a column's guessed
-    support P, theta = (sum_P v - 1) / |P|; when v - theta > 0 holds on P
-    and nowhere else, max(v - theta, 0) meets the KKT conditions, so it is
-    the (unique) projection. Other columns go through the sort formula.
-    The work runs on an n x L C-order copy, whose rows are long. Returns the
-    projection in ``v``'s layout and its support, the next guess.
+    ``support`` is an L x n boolean C-order guess, one row per column of
+    ``v``, and ``count`` its row sizes. On a column's guessed support P,
+    theta = (sum_P v - 1) / |P|; when v - theta > 0 holds on P and nowhere
+    else, max(v - theta, 0) meets the KKT conditions, so it is the (unique)
+    projection. Other columns go through the sort formula. The work runs on
+    v^T, with no transposing copy. Returns the projection, pixel-major, and
+    its support, the next guess, whose sizes ``count`` takes in place.
     """
-    u = np.array(v, order="C")
-    count = support.sum(axis=0)
-    theta = (u * support).sum(axis=0)
+    rows = v.T
+    n = rows.shape[1]
+    # A running sum, as the sort formula's: past 2^53 the check's verdict
+    # turns on the sum's last bit, where a blocked (BLAS) sum can differ.
+    theta = functools.reduce(np.add, (rows * support).T)
     theta -= 1.0
-    theta /= np.maximum(count, 1)
-    u -= theta
-    found = u > 0.0
-    np.maximum(u, 0.0, out=u)
-    miss = np.flatnonzero((found != support).any(axis=0) | (count == 0))
-    if miss.size:
-        u[:, miss] = project_columns_to_simplex(v.T[miss].T)
-        found[:, miss] = u[:, miss] > 0.0
-    x = np.empty_like(v)
-    x[...] = u
-    return x, found
+    with np.errstate(divide="ignore"):
+        theta /= count  # an empty guess gives -inf, which every entry fails
+    x = np.repeat(theta, n).reshape(rows.shape)
+    np.subtract(rows, x, out=x)
+    found = x > 0.0
+    np.maximum(x, 0.0, out=x)
+    wrong = np.flatnonzero(found != support)
+    if wrong.size:
+        miss = np.unique(wrong // n)
+        fixed = project_columns_to_simplex(rows[miss].T).T
+        x[miss] = fixed
+        found[miss] = on = fixed > 0.0
+        count[miss] = on.sum(axis=1)
+    return x.T, found
 
 
 def _support_projection(s):
     """The S passes' projection, guessing each column's support from the
     previous output, the first time from ``s``."""
-    support = np.ascontiguousarray(s > 0.0)
+    support = np.ascontiguousarray(s.T > 0.0)
+    count = support.sum(axis=1)
 
     def project(v):
         nonlocal support
-        x, support = _project_on_support(v, support)
+        x, support = _project_on_support(v, support, count)
         return x
 
     return project
@@ -364,28 +371,31 @@ def _momentum(t):
     return t_next, (t - 1.0) / t_next
 
 
-def _pass(x, gradient, step, project, steps, accelerate):
-    """``steps`` projected steps from ``x``; ``accelerate`` extrapolates
-    each gradient point (FISTA)."""
+def _pass(x, step_map, step, project, steps, accelerate):
+    """``steps`` projected steps by ``step_map(step)`` from ``x``; ``accelerate``
+    extrapolates (FISTA) into one new array per step, never into ``x``."""
+    move = step_map(step)
     x_new = y = x
     t = 1.0
     for _ in range(steps):
-        x_next = project(y - step * gradient(y))
+        x_next = project(move(y))
         y = x_next
         if accelerate:
             t, beta = _momentum(t)
-            y = x_next + beta * (x_next - x_new)
+            y = x_next - x_new
+            y *= beta
+            y += x_next
         x_new = x_next
     return x_new
 
 
-def _descend(x, gradient, lipschitz, project, evaluate, f_start, steps):
+def _descend(x, step_map, lipschitz, project, evaluate, f_start, steps):
     """One block pass from ``x``; returns the new iterate and its objective.
     A FISTA pass may raise the objective, a 1/L pass through roundoff: such
     a pass is redone from ``x`` with plain steps, halving the step."""
     for attempt in range(61):
         step = 0.5 ** max(attempt - 1, 0) / lipschitz
-        x_new = _pass(x, gradient, step, project, steps, accelerate=attempt == 0)
+        x_new = _pass(x, step_map, step, project, steps, accelerate=attempt == 0)
         f_new = _finite(evaluate(x_new))
         if f_new <= f_start * (1.0 + 1e-12) + 1e-300:
             return x_new, f_new
@@ -463,13 +473,13 @@ def solve_coupled(y_ms, y_hs, spectral, spatial, config):
 
         # A block whose Lipschitz constant is below _TINY is flat to double
         # precision, and its step 1/L could overflow: it is left as it is.
-        gradient, lipschitz, evaluate = problem.endmember_pass(s, sg)
+        step_map, lipschitz, evaluate = problem.endmember_pass(s, sg)
         if lipschitz > _TINY:
-            a, f_cur = _descend(a, gradient, lipschitz, lambda z: np.clip(z, 0.0, 1.0),
+            a, f_cur = _descend(a, step_map, lipschitz, lambda z: np.clip(z, 0.0, 1.0),
                                 evaluate, f_cur, config.inner_steps)
-        gradient, lipschitz, evaluate = problem.abundance_pass(a)
+        step_map, lipschitz, evaluate = problem.abundance_pass(a)
         if lipschitz > _TINY:
-            s, f_cur = _descend(s, gradient, lipschitz, _support_projection(s),
+            s, f_cur = _descend(s, step_map, lipschitz, _support_projection(s),
                                 evaluate, f_cur, config.inner_steps)
 
         prev = trace[-1]

@@ -190,6 +190,24 @@ def _sort_cumsum_argmax_projection(v):
     return np.maximum(v - theta, 0.0)
 
 
+@pytest.mark.parametrize("shape, first_kind", [((6, 1), 0), ((6, 1), 1), ((6, 1), 2),
+                                               ((6, 4096), 0), ((12, 16384), 0)],
+                         ids=["6x1-ties", "6x1-huge", "6x1-plain", "6x4096", "12x16384"])
+def test_projection_is_the_sort_cumsum_argmax_formula_at_solver_sizes(shape, first_kind):
+    # The hypothesis draws stop at 40 columns; these are the sizes a solve
+    # hands over, from a single fallback column to every pixel of a scene.
+    # Columns cycle through three kinds: ties (quarter steps), entries of
+    # 2^53 and more (where u - 1 == u), and plain normal draws.
+    rng = np.random.default_rng(shape[1])
+    v = rng.normal(scale=2.0, size=shape)
+    kind = (np.arange(shape[1]) + first_kind) % 3
+    v[:, kind == 0] = np.round(4.0 * v[:, kind == 0]) / 4.0
+    v[:, kind == 1] *= 2.0 ** 60
+    for layout in (np.asfortranarray(v), np.ascontiguousarray(v)):
+        assert np.array_equal(project_columns_to_simplex(layout),
+                              _sort_cumsum_argmax_projection(layout))
+
+
 @st.composite
 def projection_inputs(draw):
     """n x m columns, n in 1..12, single columns often, in C or F order.
@@ -228,8 +246,8 @@ def test_projection_is_the_sort_cumsum_argmax_formula_and_meets_kkt(v):
 
 @st.composite
 def projections_with_guesses(draw):
-    """projection_inputs with a C-order support guess per column: the right
-    one, a drawn one (mostly wrong), none or all."""
+    """projection_inputs with a support guess per column: the right one, a
+    drawn one (mostly wrong), none or all."""
     v = draw(projection_inputs())
     right = project_columns_to_simplex(v) > 0.0
     drawn = draw(arrays(bool, v.shape))
@@ -241,11 +259,14 @@ def projections_with_guesses(draw):
 @given(projections_with_guesses())
 def test_support_verified_projection_is_the_sort_projection_within_4_ulp(case):
     v, guess = case
+    guess = np.ascontiguousarray(guess.T)  # one row per column of v
     before, guess_before = v.copy(), guess.copy()
-    x, support = solver._project_on_support(v, guess)
+    count = guess.sum(axis=1)
+    x, support = solver._project_on_support(v, guess, count)
     assert np.array_equal(v, before) and np.array_equal(guess, guess_before)
-    assert x.flags.c_contiguous == v.flags.c_contiguous
-    assert np.array_equal(support, x > 0.0) and support.flags.c_contiguous
+    assert x.T.flags.c_contiguous  # pixel-major, whatever the layout of v
+    assert np.array_equal(support, x.T > 0.0) and support.flags.c_contiguous
+    assert np.array_equal(count, support.sum(axis=1))
     ulp = np.spacing(np.maximum(1.0, np.abs(v).max(axis=0)))
     assert np.all(np.abs(x - project_columns_to_simplex(v)) <= 4.0 * ulp)
     # the KKT half of the exact formula's test
@@ -384,17 +405,22 @@ def test_an_overshooting_fista_pass_falls_back_to_plain_steps(desk_spatial, monk
     y_ms = add_noise(y_ms, 20.0, seed=1)
     y_hs = add_noise(y_hs, 20.0, seed=2)
     real_pass = solver._pass
-    accelerated = []
+    accelerated, untouched = [], []
 
-    def overshoot(x, gradient, step, project, steps, accelerate):
+    def overshoot(x, step_map, step, project, steps, accelerate):
+        # A failed pass is redone from x, so no pass may write into it.
         accelerated.append(accelerate)
-        return real_pass(x, gradient, step * (64.0 if accelerate else 1.0), project,
-                         steps, accelerate)
+        start = x.copy()
+        x_new = real_pass(x, step_map, step * (64.0 if accelerate else 1.0), project,
+                          steps, accelerate)
+        untouched.append(np.array_equal(x, start))
+        return x_new
 
     monkeypatch.setattr(solver, "_pass", overshoot)
     config = SolverConfig(materials=6, max_outer=40, inner_steps=5, rel_tol=1e-12)
     solution = solve_coupled(y_ms, y_hs, gen.spectral, desk_spatial, config)
     assert accelerated[0] and accelerated.count(False) >= 10
+    assert all(untouched)
     trace = solution.objective_trace
     assert np.all(trace[1:] <= trace[:-1] * (1.0 + 1e-12) ** 2 + 2e-300)
     assert solution.endmembers.min() >= 0.0
@@ -455,6 +481,68 @@ def test_s_passes_hand_pixel_major_arrays_to_the_projection_and_the_operator(mon
     for name in ("project", "apply", "adjoint"):
         assert len(seen[name]) > solution.iterations, name
     assert seen["sort"]
+
+
+@pytest.mark.parametrize("scene", ["desk", "gaussian-64"])
+def test_an_s_step_makes_two_sparse_products_and_an_a_step_none(scene, desk_spatial, monkeypatch):
+    # The S step map reaches G only through the operator: one apply and one
+    # adjoint per step. A third product, or a product that bypasses the
+    # operator, changes these counts.
+    if scene == "desk":
+        gen = generate_scene(desk_scene_config(seed=36), desk_spatial)
+        problem = (*observe(gen, desk_spatial), gen.spectral, desk_spatial)
+    else:
+        problem = _gaussian_64_problem(seed=2)
+    products = {"apply": 0, "adjoint": 0}
+    for name in products:
+        def counted(self, x, name=name, real=getattr(SpatialOperator, name)):
+            products[name] += 1
+            return real(self, x)
+        monkeypatch.setattr(SpatialOperator, name, counted)
+    real_pass = solver._pass
+    passes = []
+
+    def watch(x, step_map, step, project, steps, accelerate):
+        projected = []
+
+        def counted_project(v):
+            projected.append(v.shape)
+            return project(v)
+
+        before = dict(products)
+        x_new = real_pass(x, step_map, step, counted_project, steps, accelerate)
+        passes.append((x.shape, len(projected), products["apply"] - before["apply"],
+                       products["adjoint"] - before["adjoint"]))
+        return x_new
+
+    monkeypatch.setattr(solver, "_pass", watch)
+    solution = solve_coupled(*problem, SolverConfig(materials=6, max_outer=3, inner_steps=4))
+    s_passes = [p[1:] for p in passes if p[0] == solution.abundances.shape]
+    a_passes = [p[1:] for p in passes if p[0] == solution.endmembers.shape]
+    assert len(s_passes) >= solution.iterations and len(a_passes) >= solution.iterations
+    assert all(steps == 4 and apply == adjoint == steps for steps, apply, adjoint in s_passes)
+    assert all(apply == adjoint == 0 for _, apply, adjoint in a_passes)
+
+
+@pytest.mark.parametrize("scene", ["desk", "gaussian-64"])
+def test_the_s_step_map_is_s_minus_t_times_the_gradient(scene, desk_spatial):
+    if scene == "desk":
+        gen = generate_scene(desk_scene_config(seed=37), desk_spatial)
+        problem = (*observe(gen, desk_spatial), gen.spectral, desk_spatial)
+    else:
+        problem = _gaussian_64_problem(seed=0)
+    rng = np.random.default_rng(7)
+    a = rng.uniform(size=(problem[1].shape[0], 6))
+    s = random_simplex_columns(rng, 6, problem[3].sr_pixel_count)
+    step_map, lipschitz, _ = solver._Problem(*problem).abundance_pass(a)
+    for layout in (np.asfortranarray(s), np.ascontiguousarray(s)):
+        gradient = abundance_gradient(a, layout, *problem)
+        for t in (1.0 / lipschitz, 0.5 ** 7 / lipschitz):
+            moved = step_map(t)(layout)
+            expected = layout - t * gradient
+            # roundoff of a sum of n = 6 products, each at most the scale
+            scale = np.abs(s).max() + t * np.abs(gradient).max()
+            assert np.abs(moved - expected).max() <= 64 * np.finfo(float).eps * scale
 
 
 def test_support_verified_s_passes_follow_the_sort_path_to_roundoff(monkeypatch):
