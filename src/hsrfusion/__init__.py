@@ -33,7 +33,6 @@ from .experiment import ExperimentConfig, run_experiment
 from .model import (
     Scene,
     SpatialResponse,
-    decimate_abundances,
     reconstruct,
     spatial_decimate,
     spectral_decimate,

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import decimate_abundances, validate_model
+from .model import spatial_decimate, validate_model
 
 SUBSET_GUARD = 20  # subset enumeration cap for every subset reduction below
 SUBSET_BLOCK = 2048  # subsets per stacked SVD: bounds the gathered copy at any n <= guard
@@ -26,6 +26,9 @@ SINGULAR_REL = 1e-9  # rank decisions: singular value ratio to the largest
 ROUNDING_REL = 1e-12  # margin on an SVD's rounding (about 100 eps), relative to sigma_max(a)
 SUPPORT_TOL = 1e-9  # decimated abundance entries above this count as support
 PURE_TOL = 1e-6  # max deviation of a pure window from a unit vector
+OFFDIAGONAL_TOL = 1e-9  # alignment: off-diagonal mixing entries above dominance by this fail
+STOCHASTIC_TOL = 1e-6  # alignment: largest departure of the mixing from column stochastic
+BOUND_SLACK = 1e-9  # per-pixel abundance and chain inequalities hold up to this margin
 
 
 def _guarded(n):
@@ -122,9 +125,9 @@ class _SubsetTables:
         entry[1] = floor
         return floor
 
-    def kruskal(self, tol=SINGULAR_REL):
+    def kruskal(self):
         """Largest k <= min(m, n) with every k-subset's sigma_k above
-        tol * sigma_max(a).
+        SINGULAR_REL * sigma_max(a).
 
         The largest size kmax = min(m, n) is asked first: by Cauchy
         interlacing each smaller subset's sigma_min is at least that of a
@@ -135,7 +138,7 @@ class _SubsetTables:
         block holding one."""
         m, n = self.a.shape
         kmax = min(m, n)
-        threshold = tol * self.scale
+        threshold = SINGULAR_REL * self.scale
         clear = threshold + ROUNDING_REL * self.scale
         if kmax and self.floor(kmax, stop=clear) > clear:
             return kmax
@@ -203,11 +206,11 @@ class _SubsetTables:
                 self._fill(*block)
 
 
-def kruskal_rank(a, tol=SINGULAR_REL):
+def kruskal_rank(a):
     """Largest k such that every k-column subset is linearly independent.
 
     Independence is decided by the k-th singular value of the subset
-    exceeding tol times the largest singular value of the full matrix.
+    exceeding SINGULAR_REL times the largest singular value of the full matrix.
     The largest size min(m, n) is tried first and settles a full Kruskal
     rank alone; otherwise exhaustive over subsets by increasing size, with
     early exit at the first block of SUBSET_BLOCK subsets that holds a
@@ -217,7 +220,7 @@ def kruskal_rank(a, tol=SINGULAR_REL):
     _, n = a.shape
     if n < 1:
         raise ValueError("need at least one column")
-    return _SubsetTables(a).kruskal(tol)
+    return _SubsetTables(a).kruskal()
 
 
 def dominance_coefficient(endmembers):
@@ -369,7 +372,7 @@ def _assess(endmembers, abundances, spectral, spatial):
     s = np.asarray(abundances, dtype=float)
     f = np.asarray(spectral, dtype=float)
     n = a.shape[1]
-    decimated = decimate_abundances(s, spatial)
+    decimated = spatial_decimate(s, spatial)
 
     sv_a = np.linalg.svd(a, compute_uv=False)
     sv_s = np.linalg.svd(decimated, compute_uv=False)
@@ -616,8 +619,7 @@ def principal_floor(r_tilde, kruskal=None):
     return floor
 
 
-def extract_alignment(true_endmembers, endmembers, true_decimated, decimated,
-                      kruskal=None, tol=1e-9, stochastic_tol=1e-6):
+def extract_alignment(true_endmembers, endmembers, true_decimated, decimated, kruskal=None):
     """Recover the mixing matrix between an estimate and the ground truth.
 
     The inverse mixing is pinv(true endmembers) @ estimated endmembers.
@@ -642,14 +644,14 @@ def extract_alignment(true_endmembers, endmembers, true_decimated, decimated,
     permuted = mixing[perm]
     method = "partial_pivoting"
     off = permuted - np.diag(np.diag(permuted))
-    if off.max() > dominance + tol:
+    if off.max() > dominance + OFFDIAGONAL_TOL:
         alt_perm = _assignment_permutation(mixing)
         alt = mixing[alt_perm]
         alt_off = alt - np.diag(np.diag(alt))
         if alt_off.max() < off.max():
             perm, permuted, off = alt_perm, alt, alt_off
             method = "hungarian"
-    offdiagonal_pass = bool(off.max() <= dominance + tol)
+    offdiagonal_pass = bool(off.max() <= dominance + OFFDIAGONAL_TOL)
 
     colsums = mixing.sum(axis=0)
     stochastic_margin = float(max(
@@ -668,7 +670,7 @@ def extract_alignment(true_endmembers, endmembers, true_decimated, decimated,
         max_offdiagonal=rho,
         submatrix_floor=principal_floor(permuted, kruskal),
         min_singular=float(np.linalg.svd(permuted, compute_uv=False)[-1]),
-        stochastic_pass=bool(stochastic_margin <= stochastic_tol),
+        stochastic_pass=bool(stochastic_margin <= STOCHASTIC_TOL),
         stochastic_margin=stochastic_margin,
         offdiagonal_pass=offdiagonal_pass,
         dominance=float(dominance),
@@ -707,7 +709,7 @@ class PixelBoundReport:
         }
 
 
-def verify_abundance_error_bound(scene, solution, alignment, certificate, slack=1e-9):
+def verify_abundance_error_bound(scene, solution, alignment, certificate):
     """Check, pixel by pixel, the abundance error inequality
 
         |s_true_j - inv(R) s_est_j| <=
@@ -754,8 +756,8 @@ def verify_abundance_error_bound(scene, solution, alignment, certificate, slack=
         abundance_error=lhs,
         abundance_bound=rhs,
         pixel_error=pixel_err,
-        abundance_pass=bool(abundance_margin <= slack),
-        chain_pass=bool(chain_margin <= slack),
+        abundance_pass=bool(abundance_margin <= BOUND_SLACK),
+        chain_pass=bool(chain_margin <= BOUND_SLACK),
         worst_abundance_margin=abundance_margin,
         worst_chain_margin=chain_margin,
     )

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, counterexample, experiment, fileio, scenegen, solver
-from .model import decimate_abundances, spatial_decimate, spectral_decimate
+from .model import spatial_decimate, spectral_decimate
 
 
 def _print_json(payload, out=None):
@@ -103,8 +103,8 @@ def _cmd_align(args):
     kruskal = bounds.kruskal_rank(spectral @ a_true)
     report = bounds.extract_alignment(
         a_true, a_est,
-        decimate_abundances(s_true, spatial),
-        decimate_abundances(s_est, spatial),
+        spatial_decimate(s_true, spatial),
+        spatial_decimate(s_est, spatial),
         kruskal=kruskal,
     )
     _print_json(report.to_dict(), args.out)

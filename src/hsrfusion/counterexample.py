@@ -17,6 +17,8 @@ from . import bounds
 from .model import SpatialResponse, reconstruct, spatial_decimate, spectral_decimate
 from .solver import objective
 
+IDENTITY_TOL = 1e-12  # absolute tolerance of the error identities and the bound check
+
 
 @dataclass
 class CounterexampleInstance:
@@ -126,7 +128,7 @@ def first_pixel_error(instance, alpha1, alpha2=0.0):
     return float(np.linalg.norm(truth - est))
 
 
-def verify_counterexample(instance, alpha1, grid_points=21, tol=1e-12):
+def verify_counterexample(instance, alpha1, grid_points=21):
     """Check the achievable-error identity for the feasible family.
 
     Verifies that the first-pixel error equals sqrt(2) * |alpha1|, that its
@@ -164,13 +166,13 @@ def verify_counterexample(instance, alpha1, grid_points=21, tol=1e-12):
         alpha1=alpha1,
         error=error,
         expected_error=expected,
-        identity_ok=bool(abs(error - expected) <= tol),
+        identity_ok=bool(abs(error - expected) <= IDENTITY_TOL),
         grid_alphas=alphas,
         grid_errors=errors,
         grid_objectives=objectives,
         sup_error=sup_error,
         sup_expected=sup_expected,
-        sup_ok=bool(abs(sup_error - sup_expected) <= math.sqrt(2.0) * grid_step + tol),
+        sup_ok=bool(abs(sup_error - sup_expected) <= math.sqrt(2.0) * grid_step + IDENTITY_TOL),
         certificate_bound=cert_bound,
-        within_bound=bool(sup_error <= cert_bound + tol),
+        within_bound=bool(sup_error <= cert_bound + IDENTITY_TOL),
     )

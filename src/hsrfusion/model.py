@@ -10,6 +10,7 @@ applied on the left) and a spatial response G (a collection of pixel
 windows with positive weights summing to one, applied on the right).
 """
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -60,7 +61,8 @@ def _as_matrix(x, name):
 class SpatialResponse:
     """Blur-and-downsample response G in compressed-column form: window i
     (HS pixel i) holds pixels[indptr[i]:indptr[i+1]] with the matching
-    weights."""
+    weights. Its products run through a scipy CSR pair formed at the first
+    product and kept, so the arrays must not change after it."""
 
     def __init__(self, sr_pixel_count, *, indptr, pixels, weights):
         self.sr_pixel_count = int(sr_pixel_count)
@@ -88,11 +90,36 @@ class SpatialResponse:
         out[..., nonempty] = ufunc.reduceat(values, starts[nonempty], axis=-1)
         return out
 
-    def operator(self):
-        """G as a linear map on images, built from the arrays on every call."""
-        return SpatialOperator(self)
+    @functools.cached_property
+    def _csr(self):
+        """(G^T, G), G^T sharing the weights: both products walk sparse rows
+        against a dense block with one column per image row. scipy accepts an
+        out-of-range pixel and then reads out of bounds, so one is refused."""
+        count, pixels = self.sr_pixel_count, self.pixels
+        bad = np.flatnonzero((pixels < 0) | (pixels >= count))
+        if bad.size:
+            window = int(np.searchsorted(self.indptr, bad[0], "right")) - 1
+            raise ValueError(f"window {window}: pixel index {int(pixels[bad[0]])} is out "
+                             f"of range for {count} SR pixels")
+        gt = scipy.sparse.csr_matrix((self.weights, pixels, self.indptr),
+                                     shape=(self.hs_pixel_count, count))
+        return gt, gt.T.tocsr()
 
-    def validate(self, tol=TAU_SIMPLEX):
+    def apply(self, x):
+        """X G: column i combines X's columns in window i by its weights."""
+        return (self._csr[0] @ x.T).T
+
+    def adjoint(self, y):
+        """Y G^T."""
+        return (self._csr[1] @ y.T).T
+
+    def gram_norm(self):
+        """|G^T G|_2, exact: largest eigenvalue of the Lh x Lh product."""
+        gt, g = self._csr
+        gram = (gt @ g).toarray()
+        return float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
+
+    def validate(self):
         """List every violated window invariant; empty means valid."""
         out = []
         count, lh = self.sr_pixel_count, self.hs_pixel_count
@@ -115,15 +142,18 @@ class SpatialResponse:
         repeat = (windows[1:] == windows[:-1]) & (pixels[1:] == pixels[:-1])
         duplicate = np.zeros(lh, dtype=bool)
         duplicate[windows[1:][repeat]] = True
-        flagged = ~in_range | ~finite | ~(wmin > 0.0) | (np.abs(total - 1.0) > tol) | duplicate
+        flagged = ~in_range | ~finite | ~(wmin > 0.0) | (abs(total - 1) > TAU_SIMPLEX) | duplicate
         for i in np.flatnonzero(flagged).tolist():
             where = f"window {i}"
             if self.indptr[i] == self.indptr[i + 1]:
                 out.append(Violation("window_empty", where, 1.0, "empty window"))
                 continue
             if not in_range[i]:
-                out.append(Violation("window_range", where, float(high[i]),
-                                     "pixel index out of range"))
+                window = self.pixels[self.indptr[i]:self.indptr[i + 1]]
+                pixel = int(window[(window < 0) | (window >= count)][0])
+                out.append(Violation(
+                    "window_range", where, float(high[i]),
+                    f"pixel index {pixel} is out of range for {count} SR pixels"))
                 continue
             if not finite[i]:
                 weights = self.weights[self.indptr[i]:self.indptr[i + 1]]
@@ -135,7 +165,7 @@ class SpatialResponse:
                 out.append(Violation("window_weight_positive", where, float(wmin[i]),
                                      f"weight {float(wmin[i])} is not strictly positive"))
             gap = abs(float(total[i]) - 1.0)
-            if gap > tol:
+            if gap > TAU_SIMPLEX:
                 out.append(Violation("window_weight_sum", where, gap,
                                      f"weights sum to {total[i]:.12g}, expected 1"))
             if duplicate[i]:
@@ -156,44 +186,11 @@ class SpatialResponse:
         return out
 
 
-class SpatialOperator:
-    """X -> X G and its adjoint Y -> Y G^T through scipy CSR matrices.
-
-    ``gt`` is G^T over the response's arrays (its weights are shared, not
-    copied) and ``g`` is its transpose, so both products walk rows of a
-    sparse matrix against a dense block with one column per image row."""
-
-    def __init__(self, response):
-        count, pixels = response.sr_pixel_count, response.pixels
-        bad = np.flatnonzero((pixels < 0) | (pixels >= count))
-        if bad.size:
-            window = int(np.searchsorted(response.indptr, bad[0], "right")) - 1
-            raise ValueError(f"window {window}: pixel index {int(pixels[bad[0]])} is out "
-                             f"of range for {count} SR pixels")
-        self.gt = scipy.sparse.csr_matrix(
-            (response.weights, pixels, response.indptr),
-            shape=(response.hs_pixel_count, count))
-        self.g = self.gt.T.tocsr()
-
-    def apply(self, x):
-        """X G: column i combines X's columns in window i by its weights."""
-        return (self.gt @ x.T).T
-
-    def adjoint(self, y):
-        """Y G^T."""
-        return (self.g @ y.T).T
-
-    def gram_norm(self):
-        """|G^T G|_2, exact: largest eigenvalue of the Lh x Lh product."""
-        gram = (self.gt @ self.g).toarray()
-        return float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
-
-
 # ---------------------------------------------------------------------------
 # Matrix validators
 # ---------------------------------------------------------------------------
 
-def validate_endmembers(a, tol=TAU_SIMPLEX):
+def validate_endmembers(a):
     """Endmember entries must be reflectances in [0, 1]."""
     a = _as_matrix(a, "endmembers")
     out = []
@@ -201,12 +198,12 @@ def validate_endmembers(a, tol=TAU_SIMPLEX):
     high = float(a.max()) if a.size else 0.0
     if a.shape[0] < 1 or a.shape[1] < 1:
         out.append(Violation("endmember_shape", "matrix", 0.0, f"degenerate shape {a.shape}"))
-    if low < -tol:
+    if low < -TAU_SIMPLEX:
         idx = np.unravel_index(int(np.argmin(a)), a.shape)
         out.append(Violation(
             "endmember_range", f"entry {idx}", -low, f"entry {low:.6g} below 0",
         ))
-    if high > 1.0 + tol:
+    if high > 1.0 + TAU_SIMPLEX:
         idx = np.unravel_index(int(np.argmax(a)), a.shape)
         out.append(Violation(
             "endmember_range", f"entry {idx}", high - 1.0, f"entry {high:.6g} above 1",
@@ -214,19 +211,19 @@ def validate_endmembers(a, tol=TAU_SIMPLEX):
     return out
 
 
-def validate_abundances(s, tol=TAU_SIMPLEX):
+def validate_abundances(s):
     """Every abundance column must lie on the unit simplex."""
     s = _as_matrix(s, "abundances")
     out = []
     mins = s.min(axis=0)
-    bad = np.flatnonzero(mins < -tol)
+    bad = np.flatnonzero(mins < -TAU_SIMPLEX)
     for j in bad:
         out.append(Violation(
             "abundance_nonnegative", f"column {int(j)}", float(-mins[j]),
             f"entry {mins[j]:.6g} below 0",
         ))
     sums = s.sum(axis=0)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > tol)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > TAU_SIMPLEX)
     for j in bad:
         out.append(Violation(
             "abundance_sum", f"column {int(j)}", float(abs(sums[j] - 1.0)),
@@ -235,7 +232,7 @@ def validate_abundances(s, tol=TAU_SIMPLEX):
     return out
 
 
-def validate_spectral(f, tol=0.0):
+def validate_spectral(f):
     """Spectral response rows must be nonnegative with a positive entry each."""
     f = _as_matrix(f, "spectral response")
     out = []
@@ -244,14 +241,14 @@ def validate_spectral(f, tol=0.0):
             "spectral_size", "matrix", float(f.shape[0] - f.shape[1] + 1),
             f"ms_bands {f.shape[0]} must be < bands {f.shape[1]}",
         ))
-    if f.size and float(f.min()) < -tol:
+    if f.size and float(f.min()) < 0.0:
         idx = np.unravel_index(int(np.argmin(f)), f.shape)
         out.append(Violation(
             "spectral_nonnegative", f"entry {idx}", float(-f.min()),
             f"negative weight {f.min():.6g}",
         ))
     out += [Violation("spectral_row_empty", f"row {r}", 1.0, "row has no positive entry")
-            for r in np.flatnonzero(~(f > tol).any(axis=1)).tolist()]
+            for r in np.flatnonzero(~(f > 0.0).any(axis=1)).tolist()]
     return out
 
 
@@ -273,9 +270,9 @@ class Scene:
         abundances = _as_matrix(abundances, "abundances")
         return cls(endmembers, abundances, reconstruct(endmembers, abundances))
 
-    def validate(self, tol=TAU_SIMPLEX):
-        out = validate_endmembers(self.endmembers, tol)
-        out += validate_abundances(self.abundances, tol)
+    def validate(self):
+        out = validate_endmembers(self.endmembers)
+        out += validate_abundances(self.abundances)
         resid = self.image - self.endmembers @ self.abundances
         scale = max(1.0, float(np.abs(self.image).max())) if self.image.size else 1.0
         gap = float(np.abs(resid).max()) if resid.size else 0.0
@@ -324,38 +321,33 @@ def spectral_decimate(f, x):
 
 
 def spatial_decimate(x, g):
-    """Apply the spatial response on the right: column i is X[:, L_i] @ g_i."""
+    """Apply the spatial response on the right: column i is X[:, L_i] @ g_i.
+
+    Convex combinations of simplex columns stay on the simplex, so the
+    decimation of an abundance matrix is the abundance matrix of the HS
+    image, and the support of every contributing column is contained in
+    the support of the output column.
+    """
     x = _as_matrix(x, "image")
     if x.shape[1] != g.sr_pixel_count:
         raise ValueError(
             f"dimension mismatch: image has {x.shape[1]} pixels, "
             f"spatial response expects {g.sr_pixel_count}"
         )
-    return g.operator().apply(x)
+    return g.apply(x)
 
 
-def decimate_abundances(s, g):
-    """Spatially decimate an abundance matrix.
-
-    Convex combinations of simplex columns stay on the simplex, so the
-    result is the abundance matrix of the HS image. The support of every
-    contributing column is contained in the support of the output column.
-    """
-    s = _as_matrix(s, "abundances")
-    return spatial_decimate(s, g)
-
-
-def validate_model(endmembers, abundances, spectral, spatial, tol=TAU_SIMPLEX):
+def validate_model(endmembers, abundances, spectral, spatial):
     """Aggregate every model invariant into a single report.
 
     Returns a list of Violation records; an empty list means the model is
     valid. Never raises on invalid data.
     """
     out = []
-    out += validate_endmembers(endmembers, tol)
-    out += validate_abundances(abundances, tol)
+    out += validate_endmembers(endmembers)
+    out += validate_abundances(abundances)
     out += validate_spectral(spectral)
-    out += spatial.validate(tol)
+    out += spatial.validate()
     a = np.asarray(endmembers, dtype=float)
     s = np.asarray(abundances, dtype=float)
     f = np.asarray(spectral, dtype=float)

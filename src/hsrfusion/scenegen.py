@@ -59,8 +59,6 @@ class SceneConfig:
             raise ValueError("ms_bands must be smaller than sr_bands")
         if self.materials < 2:
             raise ValueError("need at least two materials")
-        if self.max_support < 1:
-            raise ValueError("max_support must be >= 1")
         if self.width % self.factor or self.height % self.factor:
             raise ValueError("factor must divide width and height")
         if self.kernel not in ("uniform", "gaussian"):
@@ -116,7 +114,8 @@ def build_spatial_response(width, height, kernel="uniform", kernel_size=None,
     Each HS pixel is centered on a factor x factor cell; its window is the
     kernel footprint clipped to the image with weights renormalized to sum
     to one. Pixels are indexed row-major (p = row * width + col) and the
-    windows come out in row-major cell order.
+    windows come out in row-major cell order. A response that fails
+    validate(), as a too narrow Gaussian's does, raises its first violation.
     """
     if width % factor or height % factor:
         raise ValueError("factor must divide width and height")
@@ -147,13 +146,14 @@ def build_spatial_response(width, height, kernel="uniform", kernel_size=None,
             else:
                 w = np.exp(-(dys[:, None] ** 2 + dxs[None, :] ** 2) / (2.0 * variance))
             pixels.append((ys[:, None] * width + xs[None, :]).ravel())
-            weights.append((w / w.sum()).ravel())
+            with np.errstate(invalid="ignore"):  # all weights 0: NaN, which validate() names
+                weights.append((w / w.sum()).ravel())
     indptr = np.cumsum([0] + [len(p) for p in pixels])
     g = SpatialResponse(width * height, indptr=indptr, pixels=np.concatenate(pixels),
                         weights=np.concatenate(weights))
-    problems = [v for v in g.validate() if v.check == "coverage"]
+    problems = g.validate()
     if problems:
-        raise ValueError(f"kernel does not cover the image: {problems[0]}")
+        raise ValueError(f"{kernel} kernel gives an invalid spatial response: {problems[0]}")
     return g
 
 

@@ -11,7 +11,7 @@ trace never increases and every iterate is feasible by projection.
 
 Each step is one affine map X -> X - t grad(X), whose small factors are
 formed once per pass, and one projection. G enters only through the
-response's sparse operator, applied to the materials x L abundances: the
+response's sparse products, applied to the materials x L abundances: the
 HS term is evaluated as A (S G), the MS term as (F A) S, the S step's
 G G^T term as (A^T A S G) G^T, two sparse products, and |G^T G|_2 comes
 from the Lh x Lh Gram matrix. The dense L x Lh matrix is never formed.
@@ -129,7 +129,7 @@ class _Problem:
     rows), never to a bands x L image."""
 
     def __init__(self, y_ms, y_hs, spectral, spatial):
-        self.g = spatial.operator()
+        self.g = spatial
         self.y_ms = _finite_array("y_ms", y_ms)
         self.y_hs = _finite_array("y_hs", y_hs)
         self.f = _finite_array("spectral", spectral)

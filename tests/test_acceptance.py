@@ -53,8 +53,8 @@ def desk_runs(desk_spatial):
                                  generated.spectral, desk_spatial)
         alignment = hf.extract_alignment(
             scene.endmembers, solution.endmembers,
-            hf.decimate_abundances(scene.abundances, desk_spatial),
-            hf.decimate_abundances(solution.abundances, desk_spatial),
+            hf.spatial_decimate(scene.abundances, desk_spatial),
+            hf.spatial_decimate(solution.abundances, desk_spatial),
             kruskal=certificate.kruskal,
         )
         runs.append(DeskRun(generated, solution, certificate, alignment))

@@ -12,7 +12,6 @@ from hsrfusion import (
     build_counterexample,
     certify,
     check_assumptions,
-    decimate_abundances,
     dominance_coefficient,
     dominance_monte_carlo,
     dominance_probability,
@@ -632,7 +631,7 @@ def _scene_and_solution(seed):
 
 def test_alignment_at_ground_truth_is_identity():
     inst = build_counterexample(0.2)
-    decimated = decimate_abundances(inst.abundances, inst.spatial)
+    decimated = spatial_decimate(inst.abundances, inst.spatial)
     report = extract_alignment(inst.endmembers, inst.endmembers, decimated, decimated)
     assert np.allclose(report.mixing, np.eye(3), atol=1e-12)
     assert report.max_offdiagonal <= 1e-12
@@ -660,7 +659,7 @@ def test_alignment_falls_back_to_hungarian_when_pivoting_fails():
     # Partial pivoting picks rows [0, 2, 1], leaving 0.9 off the diagonal;
     # the assignment [1, 0, 2] leaves at most 0.5.
     m = np.array([[0.5, 0.9, 0.0], [0.45, 0.0, 0.1], [0.05, 0.1, 0.9]])
-    s_true = decimate_abundances(inst.abundances, inst.spatial)
+    s_true = spatial_decimate(inst.abundances, inst.spatial)
     report = extract_alignment(inst.endmembers, inst.endmembers @ np.linalg.inv(m),
                                s_true, m @ s_true)
     assert report.method == "hungarian"
@@ -671,8 +670,8 @@ def test_alignment_falls_back_to_hungarian_when_pivoting_fails():
 
 def test_alignment_on_noiseless_solution():
     gen, spatial, solution = _scene_and_solution(seed=55)
-    s_true = decimate_abundances(gen.scene.abundances, spatial)
-    s_est = decimate_abundances(solution.abundances, spatial)
+    s_true = spatial_decimate(gen.scene.abundances, spatial)
+    s_est = spatial_decimate(solution.abundances, spatial)
     kruskal = kruskal_rank(gen.spectral @ gen.scene.endmembers)
     report = extract_alignment(gen.scene.endmembers, solution.endmembers,
                                s_true, s_est, kruskal=kruskal)
@@ -725,7 +724,7 @@ def test_principal_floor_full_range_and_restricted():
 
 def test_bound_chain_at_ground_truth():
     inst = build_counterexample(0.05)
-    decimated = decimate_abundances(inst.abundances, inst.spatial)
+    decimated = spatial_decimate(inst.abundances, inst.spatial)
     alignment = extract_alignment(inst.endmembers, inst.endmembers,
                                   decimated, decimated, kruskal=1)
     cert = certify(inst.endmembers, inst.abundances, inst.spectral, inst.spatial)
@@ -765,8 +764,8 @@ def test_bound_chain_on_synthetic_mixing():
     solution = Solution(endmembers=a_est, abundances=s_est,
                         objective_trace=np.zeros(1), iterations=0,
                         termination="converged")
-    s_true_dec = decimate_abundances(inst.abundances, inst.spatial)
-    s_est_dec = decimate_abundances(s_est, inst.spatial)
+    s_true_dec = spatial_decimate(inst.abundances, inst.spatial)
+    s_est_dec = spatial_decimate(s_est, inst.spatial)
     alignment = extract_alignment(inst.endmembers, a_est, s_true_dec, s_est_dec, kruskal=1)
     cert = certify(inst.endmembers, inst.abundances, inst.spectral, inst.spatial)
     report = verify_abundance_error_bound(scene, solution, alignment, cert)

@@ -325,6 +325,20 @@ def test_bad_scene_config_value_is_a_one_line_error(tmp_path, capsys, key, value
     assert f"{key} must be a" in line and repr(value) in line
 
 
+def test_a_spatial_response_failing_validation_is_a_one_line_generate_error(tmp_path, capsys):
+    # At kernel_var 0.001 the Gaussian's outer weights underflow to 0, which
+    # validate() rejects: generate exits 1 and writes no spatial.json.
+    config = {"sr_bands": 30, "ms_bands": 4, "materials": 3, "width": 16, "height": 16,
+              "factor": 4, "max_support": 2, "kernel": "gaussian", "kernel_size": 6,
+              "kernel_var": 0.001}
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    line = _one_line_error(capsys, ["generate", "--config", str(path),
+                                    "--out", str(tmp_path / "scene")])
+    assert "[window_weight_positive] window 0: " in line
+    assert not (tmp_path / "scene").exists()
+
+
 @pytest.mark.parametrize("name, edit, message", [
     ("endmembers", lambda m: 2.0 * m, "[endmember_range] "),
     ("abundances", lambda m: 3.0 * m, "[abundance_sum] "),

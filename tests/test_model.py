@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hsrfusion import (
     SpatialResponse,
     build_counterexample,
-    decimate_abundances,
     objective,
     peak_window_weights,
     reconstruct,
@@ -100,7 +99,7 @@ def test_spatial_decimate_identity_windows():
 
 def test_spatial_decimate_counterexample_abundances():
     inst = build_counterexample(0.3)
-    assert np.allclose(decimate_abundances(inst.abundances, inst.spatial), np.eye(3), atol=0)
+    assert np.allclose(spatial_decimate(inst.abundances, inst.spatial), np.eye(3), atol=0)
 
 
 def test_spatial_decimate_matches_window_summation_oracle():
@@ -131,14 +130,14 @@ def test_spatial_decimate_dimension_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# decimate_abundances
+# spatial_decimate on abundances
 # ---------------------------------------------------------------------------
 
 def test_decimate_abundances_constant_columns():
     s = np.zeros((3, 4))
     s[0] = 1.0
     g = response_from_windows(4, [([0, 1], [0.5, 0.5]), ([1, 2, 3], [0.2, 0.3, 0.5])])
-    out = decimate_abundances(s, g)
+    out = spatial_decimate(s, g)
     assert np.allclose(out, np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]), atol=0)
 
 
@@ -151,7 +150,7 @@ def test_decimate_abundances_stays_on_simplex():
         (pix[3:7], [0.4, 0.3, 0.2, 0.1]),
         (pix[6:], [0.7, 0.1, 0.1, 0.1]),
     ])
-    out = decimate_abundances(s, g)
+    out = spatial_decimate(s, g)
     assert np.all(out >= 0)
     assert np.abs(out.sum(axis=0) - 1.0).max() <= 1e-12
 
@@ -166,7 +165,7 @@ def test_support_nesting():
         s[sup, j] = w
     g = response_from_windows(8, [([0, 1, 2, 3], np.full(4, 0.25)),
                                   ([4, 5, 6, 7], np.full(4, 0.25))])
-    out = decimate_abundances(s, g)
+    out = spatial_decimate(s, g)
     for i, (pixels, _) in enumerate(windows_of(g)):
         out_support = set(np.flatnonzero(out[:, i] > 0))
         for j in pixels:
@@ -216,7 +215,7 @@ def test_arrays_dense_matrix_and_file_agree(tmp_path_factory, g, seed):
 @given(spatial_responses(), st.integers(0, 2**16))
 def test_operator_matches_the_dense_oracle(g, seed):
     dense = to_dense(g)
-    op = g.operator()
+    op = g
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=(3, g.sr_pixel_count))
     y = rng.uniform(-1.0, 1.0, size=(3, g.hs_pixel_count))
@@ -359,5 +358,5 @@ def test_spatial_decimation_commutes_with_mixing():
     inst = build_counterexample(0.1)
     g = inst.spatial
     left = spatial_decimate(reconstruct(a, s), g)
-    right = reconstruct(a, decimate_abundances(s, g))
+    right = reconstruct(a, spatial_decimate(s, g))
     assert np.allclose(left, right, rtol=1e-12, atol=1e-14)

@@ -9,12 +9,12 @@ from hsrfusion import (
     build_spatial_response,
     build_spectral_response,
     check_assumptions,
-    decimate_abundances,
     dominance_monte_carlo,
     dominance_probability,
     generate_scene,
     kruskal_rank,
     mse,
+    spatial_decimate,
 )
 from conftest import desk_scene_config, windows_of
 
@@ -95,6 +95,17 @@ def test_kernel_too_small_for_coverage():
         build_spatial_response(8, 8, kernel="uniform", kernel_size=1, factor=2)
 
 
+@pytest.mark.parametrize("variance, check", [(1e-3, "window_weight_positive"),
+                                             (1e-5, "window_weight_finite")])
+def test_a_too_narrow_gaussian_is_rejected_by_the_builder(variance, check):
+    # The window weights underflow to 0 (1e-3), or every one of a window's
+    # does and renormalising gives NaN (1e-5): the builder raises the first
+    # violation on one line, and with no warning, which the suite would fail.
+    with pytest.raises(ValueError, match=rf"\[{check}\] window 0: ") as raised:
+        build_spatial_response(16, 16, "gaussian", 6, variance=variance, factor=4)
+    assert "\n" not in str(raised.value)
+
+
 def test_builder_output_always_satisfies_window_invariants():
     rng = np.random.default_rng(14)
     for _ in range(12):
@@ -115,14 +126,14 @@ def test_builder_output_always_satisfies_window_invariants():
 
 def test_generated_scene_has_identity_submatrix(desk_spatial):
     gen = generate_scene(desk_scene_config(seed=2), desk_spatial)
-    decimated = decimate_abundances(gen.scene.abundances, desk_spatial)
+    decimated = spatial_decimate(gen.scene.abundances, desk_spatial)
     sub = decimated[:, gen.pure_windows]
     assert np.abs(sub - np.eye(6)).max() <= 1e-12
 
 
 def test_generated_scene_respects_kruskal_sparsity(desk_spatial):
     gen = generate_scene(desk_scene_config(seed=4), desk_spatial)
-    decimated = decimate_abundances(gen.scene.abundances, desk_spatial)
+    decimated = spatial_decimate(gen.scene.abundances, desk_spatial)
     k = kruskal_rank(gen.spectral @ gen.scene.endmembers)
     assert int((np.abs(decimated) > 1e-9).sum(axis=0).max()) <= k
 

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -21,7 +22,7 @@ from hsrfusion import (
     spa_initialize,
 )
 from hsrfusion import solver
-from hsrfusion.model import SpatialOperator, spatial_decimate, spectral_decimate
+from hsrfusion.model import SpatialResponse, spatial_decimate, spectral_decimate
 from hsrfusion.solver import abundance_gradient, endmember_gradient
 from conftest import (
     desk_scene_config,
@@ -473,7 +474,7 @@ def test_s_passes_hand_pixel_major_arrays_to_the_projection_and_the_operator(mon
     monkeypatch.setattr(solver, "project_columns_to_simplex",
                         watch("sort", solver.project_columns_to_simplex, 0))
     for name in ("apply", "adjoint"):
-        monkeypatch.setattr(SpatialOperator, name, watch(name, getattr(SpatialOperator, name), 1))
+        monkeypatch.setattr(SpatialResponse, name, watch(name, getattr(SpatialResponse, name), 1))
     solution = solve_coupled(*problem, SolverConfig(materials=6, max_outer=4))
     assert solution.restarts < solution.iterations - 1  # an inertial step was kept
     for name, calls in seen.items():
@@ -495,10 +496,10 @@ def test_an_s_step_makes_two_sparse_products_and_an_a_step_none(scene, desk_spat
         problem = _gaussian_64_problem(seed=2)
     products = {"apply": 0, "adjoint": 0}
     for name in products:
-        def counted(self, x, name=name, real=getattr(SpatialOperator, name)):
+        def counted(self, x, name=name, real=getattr(SpatialResponse, name)):
             products[name] += 1
             return real(self, x)
-        monkeypatch.setattr(SpatialOperator, name, counted)
+        monkeypatch.setattr(SpatialResponse, name, counted)
     real_pass = solver._pass
     passes = []
 
@@ -619,12 +620,13 @@ def test_out_of_range_pixel_is_rejected_before_any_product(pixel):
         solve_coupled(np.ones((1, 3)), np.ones((2, 2)), np.ones((1, 2)), g, config)
 
 
-# Windows over 4 SR pixels, each list breaking one check of validate();
-# a pixel index out of range is the operator's check, tested above.
+# Windows over 4 SR pixels, each list breaking one check of validate(),
+# which solve_coupled runs before any product, the pixel range included.
 _HALVES = ([0, 1], [0.5, 0.5])
 _INVALID_RESPONSES = {
     "spatial_size": [([0], [1.0]), ([1], [1.0]), ([2], [1.0]), ([3], [1.0])],
     "window_empty": [([0, 1, 2, 3], [0.25] * 4), ([], [])],
+    "window_range": [_HALVES, ([2, 4], [0.5, 0.5])],
     "window_weight_finite": [_HALVES, ([2, 3], [np.nan, 0.5])],
     "window_weight_positive": [_HALVES, ([2, 3], [-0.5, 1.5])],
     "window_weight_sum": [_HALVES, ([2, 3], [0.5, 0.6])],
@@ -641,13 +643,37 @@ def test_an_invalid_spatial_response_is_rejected_before_any_product(check, monke
         raise AssertionError("a product with G ran")
 
     for name in ("apply", "adjoint"):
-        monkeypatch.setattr(SpatialOperator, name, refuse)
+        monkeypatch.setattr(SpatialResponse, name, refuse)
     config = SolverConfig(materials=1, init="random", max_outer=2)
     with pytest.raises(ValueError, match=rf"^\[{check}\] ") as raised:
         solve_coupled(np.ones((1, 4)), np.ones((2, g.hs_pixel_count)), np.ones((1, 2)), g, config)
     assert "\n" not in str(raised.value)
     assert str(raised.value) == str(g.validate()[0])
     assert capfd.readouterr().err == ""
+
+
+def test_a_response_forms_its_csr_pair_once(desk_spatial, monkeypatch):
+    # The (G^T, G) pair is formed at the response's first product and kept:
+    # a product, two solves and the objective on one response form it once.
+    gen = generate_scene(desk_scene_config(seed=5), desk_spatial)
+    y_ms, y_hs = observe(gen, desk_spatial)
+    spatial = build_spatial_response(16, 16, kernel="uniform", kernel_size=2, factor=2)
+    real = scipy.sparse.csr_matrix
+    formed = []
+
+    def counted(*args, **kwargs):
+        formed.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse, "csr_matrix", counted)
+    assert np.array_equal(spatial_decimate(gen.scene.image, spatial), y_hs)
+    config = SolverConfig(materials=6, max_outer=3)
+    first = solve_coupled(y_ms, y_hs, gen.spectral, spatial, config)
+    second = solve_coupled(y_ms, y_hs, gen.spectral, spatial, config)
+    assert np.array_equal(first.objective_trace, second.objective_trace)
+    assert (objective(second.endmembers, second.abundances, y_ms, y_hs, gen.spectral, spatial)
+            == second.objective_trace[-1])
+    assert len(formed) == 1
 
 
 def test_solver_never_forms_the_dense_spatial_matrix():
