@@ -332,9 +332,15 @@ def read_spatial_response(path):
     if bad.size:
         raise ValueError(f"{path}: window {np.searchsorted(indptr, bad[0], 'right') - 1}: "
                          f"pixel index {float(pixels[bad[0]])} is not an integer")
-    spatial = SpatialResponse(
-        int(counts["L"]), indptr=indptr, pixels=pixels.astype(int),
-        weights=_window_values(path, windows, "weights"))
+    # Checked while still floats: an index at or past 2^63 would wrap as an int.
+    bad = np.flatnonzero((pixels < 0) | (pixels >= counts["L"]))
+    if bad.size:
+        window = int(np.searchsorted(indptr, bad[0], "right")) - 1
+        raise ValueError(f"{path}: [window_range] window {window}: pixel index "
+                         f"{windows[window]['pixels'][bad[0] - indptr[window]]} is out of "
+                         f"range for {int(counts['L'])} SR pixels")
+    spatial = SpatialResponse(int(counts["L"]), indptr=indptr, pixels=pixels,
+                              weights=_window_values(path, windows, "weights"))
     problems = spatial.validate()
     if problems:
         raise ValueError(f"{path}: {problems[0]}")

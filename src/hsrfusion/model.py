@@ -61,14 +61,16 @@ def _as_matrix(x, name):
 class SpatialResponse:
     """Blur-and-downsample response G in compressed-column form: window i
     (HS pixel i) holds pixels[indptr[i]:indptr[i+1]] with the matching
-    weights. Its products run through a scipy CSR pair formed at the first
-    product and kept, so the arrays must not change after it."""
+    weights, kept as read-only copies, so the validation report and the scipy
+    CSR pair the products run through are each formed once, at first use."""
 
     def __init__(self, sr_pixel_count, *, indptr, pixels, weights):
         self.sr_pixel_count = int(sr_pixel_count)
-        self.indptr = np.asarray(indptr, dtype=int)
-        self.pixels = np.asarray(pixels, dtype=int)
-        self.weights = np.asarray(weights, dtype=float)
+        self.indptr = np.array(indptr, dtype=int)
+        self.pixels = np.array(pixels, dtype=int)
+        self.weights = np.array(weights, dtype=float)
+        for array in (self.indptr, self.pixels, self.weights):
+            array.setflags(write=False)
         if (self.pixels.shape != self.weights.shape or self.pixels.shape != (self.indptr[-1],)
                 or self.indptr[0] != 0 or (np.diff(self.indptr) < 0).any()):
             raise ValueError("indptr, pixels and weights do not describe a list of windows")
@@ -92,17 +94,14 @@ class SpatialResponse:
 
     @functools.cached_property
     def _csr(self):
-        """(G^T, G), G^T sharing the weights: both products walk sparse rows
-        against a dense block with one column per image row. scipy accepts an
-        out-of-range pixel and then reads out of bounds, so one is refused."""
-        count, pixels = self.sr_pixel_count, self.pixels
-        bad = np.flatnonzero((pixels < 0) | (pixels >= count))
-        if bad.size:
-            window = int(np.searchsorted(self.indptr, bad[0], "right")) - 1
-            raise ValueError(f"window {window}: pixel index {int(pixels[bad[0]])} is out "
-                             f"of range for {count} SR pixels")
-        gt = scipy.sparse.csr_matrix((self.weights, pixels, self.indptr),
-                                     shape=(self.hs_pixel_count, count))
+        """(G^T, G), G^T sharing the weights; both walk sparse rows against a
+        dense block with one column per image row. scipy accepts an out-of-range
+        pixel and then reads out of bounds, so the report's first one is raised."""
+        bad = [v for v in self._report if v.check == "window_range"]
+        if bad:
+            raise ValueError(f"{bad[0].location}: {bad[0].message}")
+        gt = scipy.sparse.csr_matrix((self.weights, self.pixels, self.indptr),
+                                     shape=(self.hs_pixel_count, self.sr_pixel_count))
         return gt, gt.T.tocsr()
 
     def apply(self, x):
@@ -114,13 +113,17 @@ class SpatialResponse:
         return (self._csr[1] @ y.T).T
 
     def gram_norm(self):
-        """|G^T G|_2, exact: largest eigenvalue of the Lh x Lh product."""
-        gt, g = self._csr
-        gram = (gt @ g).toarray()
-        return float(np.linalg.eigvalsh(gram)[-1]) if gram.size else 0.0
+        """An upper bound on |G^T G|_2: the matrix is symmetric and entrywise
+        nonnegative, so its largest row sum bounds it (Collatz-Wielandt)."""
+        row_sums = self.apply(self.adjoint(np.ones((1, self.hs_pixel_count))))
+        return float(row_sums.max(initial=0.0))
 
     def validate(self):
-        """List every violated window invariant; empty means valid."""
+        """List every violated window invariant (formed once, then kept); empty means valid."""
+        return list(self._report)
+
+    @functools.cached_property
+    def _report(self):
         out = []
         count, lh = self.sr_pixel_count, self.hs_pixel_count
         if lh >= count:
@@ -343,8 +346,7 @@ def validate_model(endmembers, abundances, spectral, spatial):
     Returns a list of Violation records; an empty list means the model is
     valid. Never raises on invalid data.
     """
-    out = []
-    out += validate_endmembers(endmembers)
+    out = validate_endmembers(endmembers)
     out += validate_abundances(abundances)
     out += validate_spectral(spectral)
     out += spatial.validate()

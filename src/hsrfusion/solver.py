@@ -5,7 +5,7 @@ the unit box and abundance columns on the unit simplex. Each outer
 iteration tries an inertial step on (A, S) with the FISTA weight (Xu & Yin
 2013), kept only if the objective did not rise and else restarting the
 momentum, then a pass of projected 1/L FISTA steps (Beck & Teboulle 2009)
-on each block, L being the block's exact Lipschitz constant. A pass that
+on each block, L bounding the block's Lipschitz constant. A pass that
 raised the objective is redone with plain steps, halving the step. So the
 trace never increases and every iterate is feasible by projection.
 
@@ -13,8 +13,8 @@ Each step is one affine map X -> X - t grad(X), whose small factors are
 formed once per pass, and one projection. G enters only through the
 response's sparse products, applied to the materials x L abundances: the
 HS term is evaluated as A (S G), the MS term as (F A) S, the S step's
-G G^T term as (A^T A S G) G^T, two sparse products, and |G^T G|_2 comes
-from the Lh x Lh Gram matrix. The dense L x Lh matrix is never formed.
+G G^T term as (A^T A S G) G^T, two sparse products, and |G^T G|_2 is
+bounded by G^T G's largest row sum, two more. No dense G or Gram is formed.
 
 The abundances are pixel-major inside the solver: S is the n x L
 transpose of an L x n C-order buffer, one row per pixel, and so are the
@@ -152,7 +152,7 @@ class _Problem:
 
     @functools.cached_property
     def lip_g(self):
-        # Lh x Lh: formed on first use, which the objective value alone never needs.
+        # Two sparse products on first use: the objective value alone never needs them.
         return self.g.gram_norm()
 
     def factors(self, endmembers, abundances):

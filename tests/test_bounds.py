@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hsrfusion import (
     SolverConfig,
+    SpatialResponse,
     build_counterexample,
     certify,
     check_assumptions,
@@ -346,10 +347,13 @@ def test_certificate_on_generated_scene(desk_spatial):
 
 def test_certify_and_assumptions_reject_an_invalid_spatial_response():
     inst = build_counterexample(0.1)
-    inst.spatial.weights[:2] = [-0.5, 1.5]  # window 0: still sums to one
+    g = inst.spatial
+    weights = g.weights.copy()
+    weights[:2] = [-0.5, 1.5]  # window 0: still sums to one
+    bad = SpatialResponse(g.sr_pixel_count, indptr=g.indptr, pixels=g.pixels, weights=weights)
     for check in (certify, check_assumptions):
         with pytest.raises(ValueError, match="window_weight_positive"):
-            check(inst.endmembers, inst.abundances, inst.spectral, inst.spatial)
+            check(inst.endmembers, inst.abundances, inst.spectral, bad)
 
 
 def _spy_on_subset_sizes(monkeypatch):

@@ -194,8 +194,9 @@ def test_unknown_solver_key_is_a_one_line_error(tmp_path):
 @pytest.mark.parametrize("command", ["certify", "solve"])
 @pytest.mark.parametrize("window, check", [
     ({"pixels": [0, 6], "weights": [0.5, 0.5]}, "window_range"),
+    ({"pixels": [0, 1e300], "weights": [0.5, 0.5]}, "window_range"),
     ({"pixels": [0, 1], "weights": [-0.5, 1.5]}, "window_weight_positive"),
-], ids=["pixel-out-of-range", "negative-weight"])
+], ids=["pixel-out-of-range", "pixel-past-int64", "negative-weight"])
 def test_invalid_window_is_a_one_line_error(counterexample_files, command, window, check):
     inst = build_counterexample(0.1)
     image = inst.endmembers @ inst.abundances

@@ -277,6 +277,22 @@ def test_spatial_response_rejects_a_non_integer_pixel(tmp_path, pixel):
         read_spatial_response(path)
 
 
+@pytest.mark.parametrize("pixel, shown", [("1e300", "1e+300"), ("-1e300", "-1e+300"),
+                                          (str(2**70), str(2**70))])
+def test_spatial_response_names_a_huge_pixel_index_as_read(tmp_path, pixel, shown):
+    # Past 2^63 an int cast wraps (with a RuntimeWarning): the range is checked first.
+    path = tmp_path / "g.json"
+    path.write_text(
+        '{"L": 3, "windows": [{"pixels": [0], "weights": [1.0]}, '
+        f'{{"pixels": [2, {pixel}], "weights": [0.5, 0.5]}}]}}',
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError) as caught:
+        read_spatial_response(path)
+    assert str(caught.value).startswith(
+        f"{path}: [window_range] window 1: pixel index {shown} is out of range for 3 SR pixels")
+
+
 def test_spatial_response_names_the_path_of_a_json_syntax_error(tmp_path):
     path = tmp_path / "g.json"
     path.write_text('{"L": 4, "windows": [', encoding="utf-8")

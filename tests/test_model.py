@@ -1,20 +1,28 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hsrfusion import (
+    SolverConfig,
     SpatialResponse,
     build_counterexample,
+    build_spatial_response,
+    certify,
+    generate_scene,
     objective,
     peak_window_weights,
     reconstruct,
+    solve_coupled,
     spatial_decimate,
     spectral_decimate,
     validate_model,
 )
 from hsrfusion.fileio import read_spatial_response, write_spatial_response
 from conftest import (
+    desk_scene_config,
     identity_response,
     random_simplex_columns,
     response_from_windows,
@@ -222,8 +230,10 @@ def test_operator_matches_the_dense_oracle(g, seed):
     assert np.abs(op.apply(x) - x @ dense).max() <= 1e-12
     assert np.abs(op.adjoint(y) - y @ dense.T).max() <= 1e-12
     assert abs(np.sum(op.apply(x) * y) - np.sum(x * op.adjoint(y))) <= 1e-12
-    expected = np.linalg.eigvalsh(dense.T @ dense)[-1]
-    assert abs(op.gram_norm() - expected) <= 1e-12 * expected
+    gram = dense.T @ dense
+    row_sum = gram.sum(axis=1).max()
+    assert abs(op.gram_norm() - row_sum) <= 1e-12 * row_sum
+    assert op.gram_norm() >= np.linalg.eigvalsh(gram)[-1] * (1 - 1e-12)
 
 
 @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
@@ -263,6 +273,58 @@ def test_validate_finds_a_repeat_among_huge_pixel_indices():
     report = g.validate()
     assert [(v.check, v.location) for v in report] == [("window_duplicate_pixel", "window 2"),
                                                        ("coverage", "pixels")]
+
+
+def test_a_response_holds_read_only_copies_of_its_arrays():
+    given_arrays = {"indptr": np.array([0, 2, 3]), "pixels": np.array([0, 1, 2]),
+                    "weights": np.array([0.5, 0.5, 1.0])}
+    passed = {name: a.copy() for name, a in given_arrays.items()}
+    g = SpatialResponse(3, **passed)
+    for name, values in given_arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(g, name)[0] = values[1]
+        assert passed[name].flags.writeable and np.array_equal(passed[name], values)
+
+
+def test_build_solve_and_certify_share_one_validation_report(monkeypatch):
+    # The report scans the windows through _reduce: the builder forms it,
+    # and the solve and the certificate reuse it.
+    scans = []
+    reduce = SpatialResponse._reduce
+
+    def counted(self, *args):
+        scans.append(self)
+        return reduce(self, *args)
+
+    monkeypatch.setattr(SpatialResponse, "_reduce", counted)
+    g = build_spatial_response(16, 16, "uniform", 2, factor=2)
+    per_report = len(scans)
+    gen = generate_scene(desk_scene_config(seed=5), g)
+    y_ms = spectral_decimate(gen.spectral, gen.scene.image)
+    y_hs = spatial_decimate(gen.scene.image, g)
+    solve_coupled(y_ms, y_hs, gen.spectral, g, SolverConfig(materials=6, max_outer=2))
+    certify(gen.scene.endmembers, gen.scene.abundances, gen.spectral, g)
+    assert per_report > 0 and len(scans) == per_report
+
+
+def test_gram_norm_is_exact_for_non_overlapping_boxes_without_an_eigensolver(monkeypatch):
+    g = build_spatial_response(16, 16, "uniform", 2, factor=2)
+    dense = to_dense(g)
+    exact = np.linalg.eigvalsh(dense.T @ dense)[-1]
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    assert g.gram_norm() == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+def test_gram_norm_allocates_under_a_tenth_of_the_dense_gram():
+    g = build_spatial_response(128, 128, "gaussian", 6, factor=4)
+    g.apply(np.zeros((1, g.sr_pixel_count)))  # forms the CSR pair the products share
+    tracemalloc.start()
+    try:
+        g.gram_norm()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * g.hs_pixel_count**2 / 10
 
 
 # ---------------------------------------------------------------------------
