@@ -61,19 +61,37 @@ def _as_matrix(x, name):
 class SpatialResponse:
     """Blur-and-downsample response G in compressed-column form: window i
     (HS pixel i) holds pixels[indptr[i]:indptr[i+1]] with the matching
-    weights, kept as read-only copies, so the validation report and the scipy
-    CSR pair the products run through are each formed once, at first use."""
+    weights, kept as read-only copies behind read-only attributes, so the
+    validation report and the scipy CSR pair the products run through are
+    each formed once, at first use."""
 
     def __init__(self, sr_pixel_count, *, indptr, pixels, weights):
-        self.sr_pixel_count = int(sr_pixel_count)
-        self.indptr = np.array(indptr, dtype=int)
-        self.pixels = np.array(pixels, dtype=int)
-        self.weights = np.array(weights, dtype=float)
-        for array in (self.indptr, self.pixels, self.weights):
-            array.setflags(write=False)
-        if (self.pixels.shape != self.weights.shape or self.pixels.shape != (self.indptr[-1],)
+        if not _is_integer(sr_pixel_count):
+            raise ValueError(f"sr_pixel_count must be an integer, got {sr_pixel_count!r}")
+        self._sr_pixel_count = int(sr_pixel_count)
+        self._indptr = np.array(indptr, dtype=int)
+        pixels = np.asarray(pixels)
+        self._weights = np.array(weights, dtype=float)
+        if (pixels.shape != self.weights.shape or pixels.shape != (self.indptr[-1],)
                 or self.indptr[0] != 0 or (np.diff(self.indptr) < 0).any()):
             raise ValueError("indptr, pixels and weights do not describe a list of windows")
+        if pixels.dtype.kind != "i":
+            # The cast would truncate 1.5 and wrap 1e300; an out-of-range
+            # integer is left for validate() to report.
+            real = pixels.astype(float)
+            bad = np.flatnonzero(~((real == np.round(real)) & (abs(real) < 2.0**63)))
+            if bad.size:
+                window = int(np.searchsorted(self.indptr, bad[0], "right")) - 1
+                raise ValueError(f"window {window}: pixel index {real[bad[0]]} is not "
+                                 "an integer within the int64 range")
+        self._pixels = np.array(pixels, dtype=int)
+        for array in (self._indptr, self._pixels, self._weights):
+            array.setflags(write=False)
+
+    sr_pixel_count = property(lambda self: self._sr_pixel_count)
+    indptr = property(lambda self: self._indptr)
+    pixels = property(lambda self: self._pixels)
+    weights = property(lambda self: self._weights)
 
     @property
     def hs_pixel_count(self):

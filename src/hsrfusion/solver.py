@@ -5,9 +5,10 @@ the unit box and abundance columns on the unit simplex. Each outer
 iteration tries an inertial step on (A, S) with the FISTA weight (Xu & Yin
 2013), kept only if the objective did not rise and else restarting the
 momentum, then a pass of projected 1/L FISTA steps (Beck & Teboulle 2009)
-on each block, L bounding the block's Lipschitz constant. A pass that
-raised the objective is redone with plain steps, halving the step. So the
-trace never increases and every iterate is feasible by projection.
+on each block, L bounding the block's Lipschitz constant. A FISTA pass
+that raised the objective is redone once with plain 1/L steps, which by the
+descent lemma raise it at most by roundoff; if they do, the block is kept
+as it was. So the trace never increases and every iterate is feasible.
 
 Each step is one affine map X -> X - t grad(X), whose small factors are
 formed once per pass, and one projection. G enters only through the
@@ -391,11 +392,10 @@ def _pass(x, step_map, step, project, steps, accelerate):
 
 def _descend(x, step_map, lipschitz, project, evaluate, f_start, steps):
     """One block pass from ``x``; returns the new iterate and its objective.
-    A FISTA pass may raise the objective, a 1/L pass through roundoff: such
-    a pass is redone from ``x`` with plain steps, halving the step."""
-    for attempt in range(61):
-        step = 0.5 ** max(attempt - 1, 0) / lipschitz
-        x_new = _pass(x, step_map, step, project, steps, accelerate=attempt == 0)
+    A FISTA pass that raised the objective is redone from ``x`` with plain 1/L
+    steps, which raise it at most by roundoff; if they do, ``x`` is kept."""
+    for accelerate in (True, False):
+        x_new = _pass(x, step_map, 1.0 / lipschitz, project, steps, accelerate)
         f_new = _finite(evaluate(x_new))
         if f_new <= f_start * (1.0 + 1e-12) + 1e-300:
             return x_new, f_new

@@ -286,6 +286,32 @@ def test_a_response_holds_read_only_copies_of_its_arrays():
         assert passed[name].flags.writeable and np.array_equal(passed[name], values)
 
 
+def test_a_response_attribute_cannot_be_rebound():
+    # A rebound array would reach the CSR pair but not the kept report.
+    g = build_spatial_response(16, 16, "uniform", 2, factor=2)
+    assert g.validate() == []
+    for name in ("sr_pixel_count", "indptr", "pixels", "weights"):
+        before = getattr(g, name)
+        with pytest.raises(AttributeError):
+            setattr(g, name, -1 * before)
+        assert getattr(g, name) is before
+    assert np.allclose(g.apply(np.ones((1, g.sr_pixel_count))), 1.0)
+
+
+@pytest.mark.parametrize("pixel", [1.5, np.nan, np.inf, 1e300, -1e300, 2.0**63])
+def test_a_pixel_that_is_no_int64_integer_is_refused_naming_its_window(pixel):
+    # The int cast would truncate 1.5 to 1 and wrap 1e300 (with a warning).
+    with pytest.raises(ValueError, match=r"^window 1: pixel index .* is not an integer "
+                                         r"within the int64 range$"):
+        SpatialResponse(4, indptr=[0, 2, 4], pixels=[0, 1, 2, pixel], weights=[0.5] * 4)
+
+
+@pytest.mark.parametrize("count", [4.7, 4.0, True, "4"])
+def test_a_pixel_count_that_is_no_integer_is_refused(count):
+    with pytest.raises(ValueError, match="sr_pixel_count must be an integer"):
+        SpatialResponse(count, indptr=[0, 2, 4], pixels=[0, 1, 2, 3], weights=[0.5] * 4)
+
+
 def test_build_solve_and_certify_share_one_validation_report(monkeypatch):
     # The report scans the windows through _reduce: the builder forms it,
     # and the solve and the certificate reuse it.

@@ -455,6 +455,88 @@ def _gaussian_64_problem(seed):
     return add_noise(y_ms, 30.0, seed=1), add_noise(y_hs, 30.0, seed=2), gen.spectral, spatial
 
 
+def _power_norm(hessian, shape, rng, iterations=300):
+    """Power-iteration estimate of |H|_2 for a symmetric PSD map H: a
+    Rayleigh quotient, so it never exceeds the norm."""
+    x = rng.standard_normal(shape)
+    for _ in range(iterations):
+        y = hessian(x)
+        estimate = np.sum(x * y) / np.sum(x * x)
+        x = y / np.linalg.norm(y)
+    return estimate
+
+
+@pytest.mark.parametrize("scene, seed", [("desk", 40), ("desk", 41), ("desk", 42),
+                                         ("gaussian-64", 0), ("gaussian-64", 1)])
+def test_each_block_lipschitz_constant_bounds_its_hessian_norm(scene, seed, desk_spatial,
+                                                               monkeypatch):
+    # The descent lemma then lets a plain 1/L pass raise the objective only
+    # by roundoff, which is why a block pass needs no smaller step.
+    if scene == "desk":
+        gen = generate_scene(desk_scene_config(seed=seed), desk_spatial)
+        y_ms, y_hs = observe(gen, desk_spatial)
+        problem = (add_noise(y_ms, 25.0, seed=1), add_noise(y_hs, 25.0, seed=2),
+                   gen.spectral, desk_spatial)
+    else:
+        problem = _gaussian_64_problem(seed)
+    f, g = problem[2], to_dense(problem[3])
+    blocks = []
+    real_a, real_s = solver._Problem.endmember_pass, solver._Problem.abundance_pass
+
+    def endmember_pass(self, s, sg=None):
+        out = real_a(self, s, sg)
+        sst, sg_sgt = s @ s.T, (s @ g) @ (s @ g).T
+        blocks.append((lambda d: 2.0 * (f.T @ f @ d @ sst + d @ sg_sgt), (f.shape[1], len(s)),
+                       out[1]))
+        return out
+
+    def abundance_pass(self, a):
+        out = real_s(self, a)
+        fatfa, ata = (f @ a).T @ (f @ a), a.T @ a
+        blocks.append((lambda e: 2.0 * (fatfa @ e + ata @ e @ g @ g.T), (a.shape[1], len(g)),
+                       out[1]))
+        return out
+
+    monkeypatch.setattr(solver._Problem, "endmember_pass", endmember_pass)
+    monkeypatch.setattr(solver._Problem, "abundance_pass", abundance_pass)
+    solve_coupled(*problem, SolverConfig(materials=6, max_outer=3))
+    assert len(blocks) == 6
+    rng = np.random.default_rng(seed)
+    for hessian, shape, lipschitz in blocks:
+        estimate = _power_norm(hessian, shape, rng)
+        assert lipschitz >= estimate * (1.0 - 1e-9)
+        assert estimate >= lipschitz / 8.0  # the estimate is no vacuous pass
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_noiseless_default_solve_makes_at_most_two_passes_per_block_at_one_over_l(
+        seed, desk_spatial, monkeypatch):
+    # Once the objective is at roundoff a 1/L pass can raise it; the block is
+    # then kept as it was, with no further, shorter steps.
+    gen = generate_scene(desk_scene_config(seed=seed), desk_spatial)
+    real_descend, real_pass = solver._descend, solver._pass
+    passes = []
+
+    def descend(x, step_map, lipschitz, *args):
+        passes.append([])
+        x_new, f_new = real_descend(x, step_map, lipschitz, *args)
+        assert all(step == 1.0 / lipschitz for step in passes[-1])
+        return x_new, f_new
+
+    def counted(x, step_map, step, *args):
+        passes[-1].append(step)
+        return real_pass(x, step_map, step, *args)
+
+    monkeypatch.setattr(solver, "_descend", descend)
+    monkeypatch.setattr(solver, "_pass", counted)
+    solution = solve_coupled(*observe(gen, desk_spatial), gen.spectral, desk_spatial,
+                             SolverConfig(materials=6))
+    assert solution.termination == "converged"
+    assert solution.objective_trace[-1] <= 1e-20
+    assert len(passes) >= 2 * solution.iterations
+    assert max(map(len, passes)) <= 2
+
+
 def test_s_passes_hand_pixel_major_arrays_to_the_projection_and_the_operator(monkeypatch):
     # Pixel-major (transposed-C) S: the S passes' projection copies it into
     # long rows, the sort formula (fallback, initial and inertial projections)
