@@ -58,6 +58,19 @@ def _as_matrix(x, name):
 # Spatial response
 # ---------------------------------------------------------------------------
 
+def _int64_copy(values, label):
+    """``values`` as a new int array. An entry the cast would truncate or wrap
+    (1.5, NaN, 1e300) is refused, ``label(i)`` naming flat entry i."""
+    values = np.asarray(values)
+    if values.dtype.kind != "i":
+        real = values.astype(float).ravel()
+        bad = np.flatnonzero(~((real == np.round(real)) & (abs(real) < 2.0**63)))
+        if bad.size:
+            raise ValueError(f"{label(bad[0])} {real[bad[0]]} is not an integer "
+                             "within the int64 range")
+    return np.array(values, dtype=int)
+
+
 class SpatialResponse:
     """Blur-and-downsample response G in compressed-column form: window i
     (HS pixel i) holds pixels[indptr[i]:indptr[i+1]] with the matching
@@ -69,22 +82,16 @@ class SpatialResponse:
         if not _is_integer(sr_pixel_count):
             raise ValueError(f"sr_pixel_count must be an integer, got {sr_pixel_count!r}")
         self._sr_pixel_count = int(sr_pixel_count)
-        self._indptr = np.array(indptr, dtype=int)
+        self._indptr = _int64_copy(indptr, lambda i: f"indptr entry {i}:")
         pixels = np.asarray(pixels)
         self._weights = np.array(weights, dtype=float)
-        if (pixels.shape != self.weights.shape or pixels.shape != (self.indptr[-1],)
-                or self.indptr[0] != 0 or (np.diff(self.indptr) < 0).any()):
+        if (self.indptr.ndim != 1 or self.indptr.size == 0 or pixels.shape != self.weights.shape
+                or pixels.shape != (self.indptr[-1],) or self.indptr[0] != 0
+                or (np.diff(self.indptr) < 0).any()):
             raise ValueError("indptr, pixels and weights do not describe a list of windows")
-        if pixels.dtype.kind != "i":
-            # The cast would truncate 1.5 and wrap 1e300; an out-of-range
-            # integer is left for validate() to report.
-            real = pixels.astype(float)
-            bad = np.flatnonzero(~((real == np.round(real)) & (abs(real) < 2.0**63)))
-            if bad.size:
-                window = int(np.searchsorted(self.indptr, bad[0], "right")) - 1
-                raise ValueError(f"window {window}: pixel index {real[bad[0]]} is not "
-                                 "an integer within the int64 range")
-        self._pixels = np.array(pixels, dtype=int)
+        # An out-of-range integer pixel is left for validate() to report.
+        self._pixels = _int64_copy(pixels, lambda i: "window "
+                                   f"{int(np.searchsorted(self.indptr, i, 'right')) - 1}: pixel index")
         for array in (self._indptr, self._pixels, self._weights):
             array.setflags(write=False)
 

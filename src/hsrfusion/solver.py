@@ -5,10 +5,11 @@ the unit box and abundance columns on the unit simplex. Each outer
 iteration tries an inertial step on (A, S) with the FISTA weight (Xu & Yin
 2013), kept only if the objective did not rise and else restarting the
 momentum, then a pass of projected 1/L FISTA steps (Beck & Teboulle 2009)
-on each block, L bounding the block's Lipschitz constant. A FISTA pass
-that raised the objective is redone once with plain 1/L steps, which by the
-descent lemma raise it at most by roundoff; if they do, the block is kept
-as it was. So the trace never increases and every iterate is feasible.
+on each block, L bounding its curvature where it moves: for S, on the
+simplex's tangent space, columns summing to zero. A FISTA pass that raised
+the objective is redone once with plain 1/L steps, which by the descent
+lemma raise it at most by roundoff; if they do, the block is kept as it
+was. So the trace never increases and every iterate is feasible.
 
 Each step is one affine map X -> X - t grad(X), whose small factors are
 formed once per pass, and one projection. G enters only through the
@@ -192,13 +193,17 @@ class _Problem:
 
     def abundance_pass(self, a):
         """(step map in S, Lipschitz constant, objective in S) at fixed A.
+        S moves only along 1^T D = 0, where the Hessian 2 (FA^T FA x I + A^T A
+        x G G^T) is at most 2 (|P FA^T FA P| + |P A^T A P| |G^T G|), P = I -
+        1 1^T / n (Weyl); one material leaves no such direction, and L = 0.
         With S pixel-major, the map's L x n transpose is S^T (keep I - 2t
         FA^T FA) - G (G^T S^T 2t A^T A) + t C^T: the n x n factors and t C^T
         are formed once per map, and a call makes two sparse products."""
         fa = self.f @ a
         fatfa = fa.T @ fa
         ata = a.T @ a
-        lipschitz = 2.0 * (_sym_norm(fatfa) + _sym_norm(ata) * self.lip_g)
+        p = np.eye(len(ata)) - 1.0 / len(ata)
+        lipschitz = 2.0 * (_sym_norm(p @ fatfa @ p) + _sym_norm(p @ ata @ p) * self.lip_g)
         # C^T = 2 (Y_ms^T FA + G Y_hs^T A), Y_hs^T A C-order for the adjoint.
         const_t = 2.0 * (self.y_ms.T @ fa + self.g.adjoint((self.y_hs.T @ a).T).T)
 

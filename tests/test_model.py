@@ -306,6 +306,26 @@ def test_a_pixel_that_is_no_int64_integer_is_refused_naming_its_window(pixel):
         SpatialResponse(4, indptr=[0, 2, 4], pixels=[0, 1, 2, pixel], weights=[0.5] * 4)
 
 
+@pytest.mark.parametrize("indptr, message", [
+    ([0, 2.5, 4], r"^indptr entry 1: 2.5 is not an integer within the int64 range$"),
+    ([0, 1e300], r"^indptr entry 1: 1e\+300 is not an integer within the int64 range$"),
+    ([0, np.nan, 4], r"^indptr entry 1: nan is not an integer within the int64 range$"),
+    ([], r"^indptr, pixels and weights do not describe a list of windows$"),
+    ([[0, 2, 4]], r"^indptr, pixels and weights do not describe a list of windows$"),
+])
+def test_an_indptr_the_int_cast_would_change_is_refused(indptr, message):
+    # The cast would truncate 2.5 to 2 (a clean report), and the empty and
+    # huge cases raised IndexError and OverflowError instead of ValueError.
+    with pytest.raises(ValueError, match=message):
+        SpatialResponse(4, indptr=indptr, pixels=[0, 1, 2, 3], weights=[0.5] * 4)
+
+
+def test_a_whole_float_indptr_builds_the_same_response():
+    g = SpatialResponse(4, indptr=[0.0, 2.0, 4.0], pixels=[0, 1, 2, 3], weights=[0.5] * 4)
+    assert g.indptr.dtype.kind == "i" and g.indptr.tolist() == [0, 2, 4]
+    assert g.validate() == []
+
+
 @pytest.mark.parametrize("count", [4.7, 4.0, True, "4"])
 def test_a_pixel_count_that_is_no_integer_is_refused(count):
     with pytest.raises(ValueError, match="sr_pixel_count must be an integer"):

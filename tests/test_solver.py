@@ -471,7 +471,9 @@ def _power_norm(hessian, shape, rng, iterations=300):
 def test_each_block_lipschitz_constant_bounds_its_hessian_norm(scene, seed, desk_spatial,
                                                                monkeypatch):
     # The descent lemma then lets a plain 1/L pass raise the objective only
-    # by roundoff, which is why a block pass needs no smaller step.
+    # by roundoff, which is why a block pass needs no smaller step. S moves
+    # only along the simplex's tangent space (columns summing to zero), so its
+    # Hessian is measured there, restricted by centring every column.
     if scene == "desk":
         gen = generate_scene(desk_scene_config(seed=seed), desk_spatial)
         y_ms, y_hs = observe(gen, desk_spatial)
@@ -493,8 +495,13 @@ def test_each_block_lipschitz_constant_bounds_its_hessian_norm(scene, seed, desk
     def abundance_pass(self, a):
         out = real_s(self, a)
         fatfa, ata = (f @ a).T @ (f @ a), a.T @ a
-        blocks.append((lambda e: 2.0 * (fatfa @ e + ata @ e @ g @ g.T), (a.shape[1], len(g)),
-                       out[1]))
+
+        def hessian(e):
+            e = e - e.mean(axis=0)
+            e = 2.0 * (fatfa @ e + ata @ e @ g @ g.T)
+            return e - e.mean(axis=0)
+
+        blocks.append((hessian, (a.shape[1], len(g)), out[1]))
         return out
 
     monkeypatch.setattr(solver._Problem, "endmember_pass", endmember_pass)
@@ -506,6 +513,45 @@ def test_each_block_lipschitz_constant_bounds_its_hessian_norm(scene, seed, desk
         estimate = _power_norm(hessian, shape, rng)
         assert lipschitz >= estimate * (1.0 - 1e-9)
         assert estimate >= lipschitz / 8.0  # the estimate is no vacuous pass
+
+
+@pytest.mark.parametrize("scene, seed", [("desk", 43), ("desk", 44), ("desk", 45),
+                                         ("gaussian-64", 2), ("gaussian-64", 3),
+                                         ("gaussian-64", 4)])
+def test_a_plain_s_step_at_one_over_l_meets_the_descent_lemma(scene, seed, desk_spatial):
+    # On the affine hull the objective is a quadratic whose curvature along
+    # S+ - S is at most L, whatever the component of the gradient the
+    # projection discards; a random A in the box makes A^T A's top
+    # eigenvector nearly the all-ones direction that the constraint removes.
+    if scene == "desk":
+        gen = generate_scene(desk_scene_config(seed=seed), desk_spatial)
+        problem = (*observe(gen, desk_spatial), gen.spectral, desk_spatial)
+    else:
+        problem = _gaussian_64_problem(seed)
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(size=(problem[1].shape[0], 6))
+    s = random_simplex_columns(rng, 6, problem[3].sr_pixel_count)
+    step_map, lipschitz, evaluate = solver._Problem(*problem).abundance_pass(a)
+    s_plus = project_columns_to_simplex(step_map(1.0 / lipschitz)(s))
+    d = s_plus - s
+    gradient = step_map(-1.0, 0.0)(s)
+    bound = evaluate(s) + np.sum(gradient * d) + 0.5 * lipschitz * np.sum(d * d)
+    assert np.sum(d * d) > 0.0
+    assert evaluate(s_plus) <= bound + 1e-12 * evaluate(s)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_one_material_solve_keeps_s_at_ones(desk_spatial):
+    # With one material the simplex is a single point and the tangent
+    # space's constant is 0, so the S block is left as it is.
+    gen = generate_scene(desk_scene_config(seed=46), desk_spatial)
+    y_ms, y_hs = observe(gen, desk_spatial)
+    problem = (add_noise(y_ms, 25.0, seed=1), add_noise(y_hs, 25.0, seed=2), gen.spectral,
+               desk_spatial)
+    solution = solve_coupled(*problem, SolverConfig(materials=1, max_outer=50))
+    assert np.array_equal(solution.abundances, np.ones((1, desk_spatial.sr_pixel_count)))
+    assert solution.iterations > 1
+    assert np.all(np.diff(solution.objective_trace) <= 0.0)
 
 
 @pytest.mark.parametrize("seed", range(4))
