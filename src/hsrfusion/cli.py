@@ -9,7 +9,6 @@ success, 1 on a validation failure, 2 on a usage error.
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
@@ -21,13 +20,9 @@ from .model import spatial_decimate, spectral_decimate
 
 
 def _print_json(payload, out=None):
-    # Without indent CPython serialises with its C encoder; a certificate
-    # holds two numbers per SR pixel.
-    text = json.dumps(payload, separators=(",", ":"), default=fileio.json_default)
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    print(text)
+    print(fileio.write_json(out, payload) if out else fileio.json_text(payload))
 
 
 def _cmd_generate(args):

@@ -7,7 +7,6 @@ RuntimeError) are recorded and skipped; a scene-generator bug propagates.
 """
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -165,6 +164,5 @@ def _write_outputs(out_dir, config, records, failures):
         "mean_mse": {format_snr(snr): means.get(snr, None) for snr in config.snr_db},
         "failures": failures,
     }
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-    )
+    from . import fileio  # fileio imports this module for ExperimentConfig
+    fileio.write_json(out_dir / "summary.json", summary)

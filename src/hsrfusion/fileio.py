@@ -28,6 +28,11 @@ The reader parses with numpy's C reader. A file it refuses, or one with
 a non-finite cell, is read again line by line with ``float``, which
 names the offending line and column, and accepts what ``float`` does
 (such as "1_0").
+
+Every JSON file, and the text of every report, has one encoding,
+``json_text``: compact, on one line. ``write_json`` writes it and
+``read_json`` reads any JSON input, naming the path of one that does not
+decode.
 """
 
 import dataclasses
@@ -210,7 +215,7 @@ def read_matrix(path):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # an empty file only warns
                 matrix = np.loadtxt(handle, delimiter=",", ndmin=2, comments=None)
-        except (ValueError, UserWarning):
+        except (ValueError, UserWarning):  # UnicodeDecodeError is a ValueError
             matrix = None
     if matrix is not None and matrix.size and np.isfinite(matrix).all():
         return matrix
@@ -220,8 +225,16 @@ def read_matrix(path):
 def _read_matrix_lines(path):
     rows, linenos = [], []
     width = None
-    with open(path, "r", encoding="utf-8") as handle:
+    # A byte that is not UTF-8 reads as a lone surrogate, so it is named by
+    # its line and column.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ValueError(
+                    f"{path}: line {lineno}, column {line.count(',', 0, exc.start) + 1}: "
+                    f"byte 0x{ord(line[exc.start]) - 0xDC00:02x} is not UTF-8") from None
             line = line.strip()
             if not line:
                 continue
@@ -257,13 +270,11 @@ def _read_matrix_lines(path):
 def write_spatial_response(path, spatial):
     pixels, weights = spatial.pixels.tolist(), spatial.weights.tolist()
     bounds = zip(spatial.indptr[:-1].tolist(), spatial.indptr[1:].tolist())
-    payload = {
+    write_json(path, {
         "L": spatial.sr_pixel_count,
         "Lh": spatial.hs_pixel_count,
         "windows": [{"pixels": pixels[a:b], "weights": weights[a:b]} for a, b in bounds],
-    }
-    # One-shot json.dumps without indent is the only call that runs CPython's C encoder.
-    Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
+    })
 
 
 _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number", float: "number",
@@ -288,11 +299,7 @@ def _window_values(path, windows, key):
 def read_spatial_response(path):
     """Read a spatial response; raise ValueError, naming the path, on the
     first badly shaped part or invalid window."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    payload = read_json(path)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object, got {_JSON_TYPES[type(payload)]}")
     windows = payload.get("windows", [])
@@ -347,15 +354,29 @@ def read_spatial_response(path):
     return spatial
 
 
+def json_text(payload):
+    """The package's one JSON encoding: compact, on one line. Without
+    indent, json.dumps runs CPython's C encoder."""
+    return json.dumps(payload, separators=(",", ":"), default=json_default)
+
+
 def write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, default=json_default)
-        handle.write("\n")
+    """Write json_text(payload) and a newline to path; return the text."""
+    text = json_text(payload)
+    Path(path).write_text(text + "\n", encoding="utf-8")
+    return text
 
 
 def read_json(path):
+    """Decode the JSON file at path. Text that is not UTF-8 or not JSON
+    raises ValueError naming the path."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        # UnicodeDecodeError is a ValueError; the C decoder raises
+        # RecursionError on deep nesting.
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def json_default(obj):

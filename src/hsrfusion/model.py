@@ -75,7 +75,7 @@ class SpatialResponse:
     """Blur-and-downsample response G in compressed-column form: window i
     (HS pixel i) holds pixels[indptr[i]:indptr[i+1]] with the matching
     weights, kept as read-only copies behind read-only attributes, so the
-    validation report and the scipy CSR pair the products run through are
+    validation report and the scipy CSR matrix the products run through are
     each formed once, at first use."""
 
     def __init__(self, sr_pixel_count, *, indptr, pixels, weights):
@@ -119,15 +119,17 @@ class SpatialResponse:
 
     @functools.cached_property
     def _csr(self):
-        """(G^T, G), G^T sharing the weights; both walk sparse rows against a
-        dense block with one column per image row. scipy accepts an out-of-range
-        pixel and then reads out of bounds, so the report's first one is raised."""
+        """(G^T, G): G^T as CSR over the three arrays, and G as its transpose,
+        a CSC view of the same arrays that adds each SR pixel's windows in
+        ascending order, as a CSR copy of G would. scipy accepts an
+        out-of-range pixel and then reads out of bounds, so the report's first
+        one is raised."""
         bad = [v for v in self._report if v.check == "window_range"]
         if bad:
             raise ValueError(f"{bad[0].location}: {bad[0].message}")
         gt = scipy.sparse.csr_matrix((self.weights, self.pixels, self.indptr),
                                      shape=(self.hs_pixel_count, self.sr_pixel_count))
-        return gt, gt.T.tocsr()
+        return gt, gt.T
 
     def apply(self, x):
         """X G: column i combines X's columns in window i by its weights."""

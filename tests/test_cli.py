@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -412,3 +413,87 @@ def test_observe_rejects_an_snr_that_is_not_finite_or_plus_inf(counterexample_fi
 def test_an_empty_counterexample_grid_is_a_one_line_error(capsys):
     line = _one_line_error(capsys, ["counterexample", "--rho", "0.2", "--grid", "0"])
     assert line == "error: the alpha grid needs at least 1 point, got 0"
+
+
+def _certify_argv(directory, **paths):
+    """certify over the files in `directory`, with any of them replaced."""
+    files = {name: str(directory / f"{name}.csv") for name in ("endmembers", "abundances",
+                                                               "spectral")}
+    files["spatial"] = str(directory / "spatial.json")
+    files.update({name: str(path) for name, path in paths.items()})
+    return ["certify", *[arg for name, path in files.items() for arg in (f"--{name}", path)]]
+
+
+_UNDECODABLE = {
+    "truncated": b'{"L": 4, "windows": [',
+    "not-utf8": b'{"seed": "\xff"}',
+    "nested-too-deep": b"[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("command", ["generate", "solve", "experiment", "certify",
+                                     "certify-csv"])
+@pytest.mark.parametrize("data", list(_UNDECODABLE.values()), ids=list(_UNDECODABLE))
+def test_undecodable_input_is_a_one_line_error_naming_its_path(counterexample_files, capsys,
+                                                               command, data):
+    directory = counterexample_files
+    path = directory / "input.json"
+    path.write_bytes(data)
+    inst = build_counterexample(0.1)
+    image = inst.endmembers @ inst.abundances
+    write_matrix(directory / "ms.csv", inst.spectral @ image)
+    write_matrix(directory / "hs.csv", spatial_decimate(image, inst.spatial))
+    argv = {
+        "generate": ["generate", "--config", str(path), "--out", str(directory / "scene")],
+        "solve": ["solve", *[arg for name in ("ms", "hs", "spectral")
+                             for arg in (f"--{name}", str(directory / f"{name}.csv"))],
+                  "--spatial", str(directory / "spatial.json"), "--config", str(path),
+                  "--out", str(directory / "sol")],
+        "experiment": ["experiment", "--config", str(path)],
+        "certify": _certify_argv(directory, spatial=path),
+        "certify-csv": _certify_argv(directory, endmembers=path),
+    }[command]
+    assert _one_line_error(capsys, argv).startswith(f"error: {path}: ")
+
+
+# sha256 of each JSON file's objects as commit 6be49b8 wrote them (then
+# indented, but for spatial.json), encoded as write_json encodes them, and of
+# the certificate's bytes.
+_DESK_PIPELINE_DIGESTS = {
+    "scene/scene.json": "26ca467bfa0a0eaf8bfe95865a805d306a2330c5d0b49e70eee8952c345c6cda",
+    "scene/spatial.json": "9bc5a51020f966b1f9fba473a13bb9b9cc5c2fbadf69819be0d3330cc3e17c5d",
+    "sol/solution.json": "44fe8b7dee4eb35d71a0c07e2e9442b37633a64da3986d27855fef390a2aca1e",
+    "sweep/summary.json": "7a5f5977c37d668f70b8aaad6db41a04b0cde0123148531c6bfa28bc63428aa2",
+    "cert.json": "21d8582661b391e2bf402a34f145c7abdcd0c9b5d7e0eeb166d4884afff318c4",
+}
+
+
+def test_desk_pipeline_writes_each_json_file_as_one_compact_line(tmp_path, capsys):
+    scene = {"sr_bands": 50, "ms_bands": 6, "materials": 6, "width": 16, "height": 16,
+             "factor": 2, "max_support": 3, "kernel": "uniform", "kernel_size": 2,
+             "require_dominance": False}
+    configs = {"scene-config.json": {**scene, "seed": 7},
+               "solver-config.json": {"materials": 6, "max_outer": 20},
+               "sweep-config.json": {"scene": scene, "snr_db": [25], "trials": 1,
+                                     "solver": {"materials": 6, "max_outer": 10},
+                                     "master_seed": 5}}
+    for name, payload in configs.items():
+        (tmp_path / name).write_text(json.dumps(payload), encoding="utf-8")
+    s, o = tmp_path / "scene", tmp_path / "obs"
+    assert main(["generate", "--config", str(tmp_path / "scene-config.json"),
+                 "--out", str(s)]) == 0
+    assert main(["observe", "--image", str(s / "image.csv"), "--spectral", str(s / "spectral.csv"),
+                 "--spatial", str(s / "spatial.json"), "--snr-db", "25", "--out", str(o)]) == 0
+    assert main(["solve", "--ms", str(o / "ms.csv"), "--hs", str(o / "hs.csv"),
+                 "--spectral", str(s / "spectral.csv"), "--spatial", str(s / "spatial.json"),
+                 "--config", str(tmp_path / "solver-config.json"),
+                 "--out", str(tmp_path / "sol")]) == 0
+    capsys.readouterr()
+    assert main([*_certify_argv(s), "--out", str(tmp_path / "cert.json")]) == 0
+    assert capsys.readouterr().out == (tmp_path / "cert.json").read_text()
+    assert main(["experiment", "--config", str(tmp_path / "sweep-config.json"),
+                 "--out", str(tmp_path / "sweep")]) == 0
+    for name, digest in _DESK_PIPELINE_DIGESTS.items():
+        text = (tmp_path / name).read_bytes()
+        assert text.count(b"\n") == 1 and text.endswith(b"\n"), name
+        assert hashlib.sha256(text).hexdigest() == digest, name

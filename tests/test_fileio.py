@@ -340,3 +340,16 @@ def test_solution_json_records_the_momentum_restarts(tmp_path):
     payload = json.loads((tmp_path / "solution.json").read_text())
     assert payload["restarts"] == 3
     assert payload["iterations"] == 1
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"\xff1,2\n", "line 1, column 1: byte 0xff is not UTF-8"),
+    (b"1,2\n3,4\xe9\n", "line 2, column 2: byte 0xe9 is not UTF-8"),
+    (b"1,2\n\n3,\xc3\n", "line 3, column 2: byte 0xc3 is not UTF-8"),
+], ids=["first-byte", "after-a-digit", "truncated-sequence"])
+def test_reader_names_the_line_and_column_of_a_byte_that_is_not_utf8(tmp_path, data, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as caught:
+        read_matrix(path)
+    assert str(caught.value) == f"{path}: {message}"
