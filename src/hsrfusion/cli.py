@@ -9,6 +9,7 @@ success, 1 on a validation failure, 2 on a usage error.
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from pathlib import Path
@@ -160,7 +161,10 @@ def _cmd_experiment(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process. Parsing leaves it
+    unchanged, so every call of main shares it."""
     parser = argparse.ArgumentParser(
         prog="hsrfusion",
         description="Hyperspectral super-resolution: coupled factorization and recovery certificates",
@@ -171,7 +175,6 @@ def build_parser():
     p.add_argument("--config", required=True, help="scene config JSON")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("observe", help="apply the observation operators to an image")
     p.add_argument("--image", required=True)
@@ -180,7 +183,6 @@ def build_parser():
     p.add_argument("--snr-db", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_observe)
 
     p = sub.add_parser("solve", help="solve the coupled factorization")
     p.add_argument("--ms", required=True)
@@ -192,7 +194,6 @@ def build_parser():
                    help="number of endmembers (when no config file)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("certify", help="compute the recovery certificate of a scene")
     p.add_argument("--endmembers", required=True)
@@ -200,7 +201,6 @@ def build_parser():
     p.add_argument("--spectral", required=True)
     p.add_argument("--spatial", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("align", help="align an estimate against the ground truth")
     p.add_argument("--true-endmembers", required=True)
@@ -210,7 +210,6 @@ def build_parser():
     p.add_argument("--spectral", required=True)
     p.add_argument("--spatial", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_align)
 
     p = sub.add_parser("counterexample", help="verify the exact-recovery counterexample")
     p.add_argument("--rho", type=float, required=True)
@@ -218,7 +217,6 @@ def build_parser():
     p.add_argument("--grid", type=int, default=21)
     p.add_argument("--out", default=None)
     p.add_argument("--surface", default=None, help="CSV path for the error surface")
-    p.set_defaults(func=_cmd_counterexample)
 
     p = sub.add_parser("dominance", help="dominance probability: analytic bound and Monte Carlo")
     p.add_argument("--materials", "--n", dest="materials", type=int, required=True)
@@ -226,13 +224,11 @@ def build_parser():
     p.add_argument("--trials", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_dominance)
 
     p = sub.add_parser("experiment", help="run an SNR sweep")
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", default=None, help="override the output directory")
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p.set_defaults(func=_cmd_experiment)
 
     return parser
 
@@ -240,10 +236,13 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "solve" and not args.config and args.materials is None:
+    if args.command == "solve" and not args.config and args.materials is None:
         parser.error("solve needs --config or --materials")
+    # Looked up by name on each call, so a handler rebound after the parser
+    # was built is the one that runs.
+    handler = globals()[f"_cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

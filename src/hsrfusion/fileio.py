@@ -18,7 +18,8 @@ values:
 - Each cell then fills one row of a fixed byte template (sign, "0.000",
   the 17 digits with a '.' after each of the first 16, separator), and
   a mask per exponent and count of significant digits keeps the bytes
-  of its fixed form; one compress of the chunk gives the text.
+  of its fixed form. The bytes it does not keep are set to NUL, and one
+  ``bytes.translate`` of the chunk deletes them, giving the text.
 - Zeros, three quarters of an abundance file, skip all of this: the
   kernel formats only the nonzero cells, and "0" or "-0" is written
   around its text. Exponent forms, nan and inf go through ``b"%.17g"``
@@ -164,14 +165,17 @@ def _nonzero_text(v, row_ends):
         block[other, lengths] = separators
         mask[other] = np.arange(_TEMPLATE.size) <= lengths[:, None]
         widths[other] = lengths + 1
-    return np.compress(mask.ravel(), block.ravel()), widths
+    # No text byte is NUL, so the bytes a cell does not keep become NUL and
+    # one C pass deletes them.
+    block *= mask
+    return block.tobytes().translate(None, b"\0"), widths
 
 
 def _format_cells(v, columns):
     """Bytes of the %.17g CSV lines of the flat cells v, `columns` a row."""
     zero = v == 0.0
     if not zero.any():
-        return _nonzero_text(v, slice(columns - 1, None, columns))[0].tobytes()
+        return _nonzero_text(v, slice(columns - 1, None, columns))[0]
     # Zeros print as "0" or "-0" and skip the digit kernel: their bytes
     # are set in place around the kernel's text.
     nonzero = np.flatnonzero(~zero)
@@ -185,7 +189,7 @@ def _format_cells(v, columns):
     first = last + 1 - lengths[zero]
     in_zero = np.zeros(out.size, bool)
     in_zero[first] = in_zero[first + 1] = in_zero[last] = True
-    out[~in_zero] = text
+    out[~in_zero] = np.frombuffer(text, np.uint8)
     out[first] = np.where(negative[zero], ord("-"), ord("0"))
     out[first + 1] = ord("0")
     # after "0", or over the "0" of a "0,"

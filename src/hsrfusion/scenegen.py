@@ -129,28 +129,54 @@ def build_spatial_response(width, height, kernel="uniform", kernel_size=None,
     if kernel not in ("uniform", "gaussian"):
         raise ValueError(f"unknown kernel {kernel!r}")
 
-    def axis_footprint(cell, dim):
-        center = cell * factor + (factor - 1) / 2.0
-        start = math.ceil(center - kernel_size / 2.0)
-        idx = np.arange(start, start + kernel_size)
-        keep = (idx >= 0) & (idx < dim)
-        return idx[keep], idx[keep] - center
+    # A cell's unclipped footprint along an axis starts `shift` pixels from
+    # the cell's first pixel; its pixels' offsets from the cell's center are
+    # the same for every cell, and clipping keeps a kernel slice [lo, hi).
+    center = (factor - 1) / 2.0
+    shift = math.ceil(center - kernel_size / 2.0)
+    offsets = np.arange(shift, shift + kernel_size) - center
 
-    columns = [axis_footprint(cx, width) for cx in range(width // factor)]
-    pixels, weights = [], []
-    for cy in range(height // factor):
-        ys, dys = axis_footprint(cy, height)
-        for xs, dxs in columns:
+    def axis_footprints(dim):
+        """Per cell along one axis: its first kept pixel and the index of its
+        kernel slice among the distinct ones, and those slices' lo and hi."""
+        starts = np.arange(0, dim, factor) + shift
+        lo = np.clip(-starts, 0, kernel_size)
+        keys = lo * (kernel_size + 1) + np.clip(dim - starts, 0, kernel_size)
+        keys_sorted = np.sort(keys)
+        slices = keys_sorted[np.diff(keys_sorted, prepend=-1) != 0]
+        return starts + lo, np.searchsorted(slices, keys), np.divmod(slices, kernel_size + 1)
+
+    y_first, y_kind, (y_lo, y_hi) = axis_footprints(height)
+    x_first, x_kind, (x_lo, x_hi) = axis_footprints(width)
+    # One weight block per distinct pair of clipped footprints, row-major
+    # over its (y, x) pixels.
+    blocks = []
+    for ya, yb in zip(y_lo.tolist(), y_hi.tolist()):
+        dys = offsets[ya:yb]
+        for xa, xb in zip(x_lo.tolist(), x_hi.tolist()):
+            dxs = offsets[xa:xb]
             if kernel == "uniform":
-                w = np.ones((len(ys), len(xs)))
+                w = np.ones((len(dys), len(dxs)))
             else:
                 w = np.exp(-(dys[:, None] ** 2 + dxs[None, :] ** 2) / (2.0 * variance))
-            pixels.append((ys[:, None] * width + xs[None, :]).ravel())
             with np.errstate(invalid="ignore"):  # all weights 0: NaN, which validate() names
-                weights.append((w / w.sum()).ravel())
-    indptr = np.cumsum([0] + [len(p) for p in pixels])
-    g = SpatialResponse(width * height, indptr=indptr, pixels=np.concatenate(pixels),
-                        weights=np.concatenate(weights))
+                blocks.append((w / w.sum()).ravel())
+    block_starts = np.cumsum([0] + [b.size for b in blocks])
+    # Per window, in row-major cell order: its block, its first pixel's row
+    # and column, and its footprint's width and size.
+    block = np.add.outer(y_kind * x_lo.size, x_kind).ravel()
+    first_row = np.repeat(y_first, x_first.size)
+    first_column = np.tile(x_first, y_first.size)
+    widths = np.tile((x_hi - x_lo)[x_kind], y_kind.size)
+    sizes = np.repeat((y_hi - y_lo)[y_kind], x_kind.size) * widths
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    # Per entry, row-major within its window.
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    entry = np.arange(indptr[-1]) - indptr[owner]
+    row, column = np.divmod(entry, widths[owner])
+    pixels = (first_row[owner] + row) * width + first_column[owner] + column
+    weights = np.concatenate(blocks)[block_starts[block][owner] + entry]
+    g = SpatialResponse(width * height, indptr=indptr, pixels=pixels, weights=weights)
     problems = g.validate()
     if problems:
         raise ValueError(f"{kernel} kernel gives an invalid spatial response: {problems[0]}")
@@ -283,23 +309,30 @@ def generate_scene(config, spatial):
             "zones; use a non-overlapping kernel or more MS bands"
         )
 
+    # Supports and Dirichlet draws are drawn cell by cell, in cell order,
+    # and written into the abundances once per support size.
+    cell_supports, draws_of = {}, {}
+    pixels_per_cell = config.factor ** 2
+    sources = [np.array(pool), np.array(ring_pool)]
+    for cell, (zone, on_ring) in enumerate(zip(zone_of.tolist(), ring.tolist())):
+        if zone >= 0:
+            cell_supports[cell] = (zone,)
+            continue
+        src = sources[on_ring]
+        size = min(config.max_support, len(src))
+        support = tuple(sorted(rng.choice(src, size=size, replace=False).tolist()))
+        cell_supports[cell] = support
+        if size > 1:
+            draws_of[cell] = rng.dirichlet(np.ones(size), size=pixels_per_cell)
     abundances = np.zeros((n, config.pixel_count))
-    cell_supports = {}
     # Row c: the pixels of cell c in row-major order.
     cell_pixels = np.argsort(cell_of, kind="stable").reshape(config.hs_pixel_count, -1)
-    for cell, pix in enumerate(cell_pixels):
-        if zone_of[cell] >= 0:
-            support = (int(zone_of[cell]),)
-        else:
-            src = ring_pool if ring[cell] else pool
-            size = min(config.max_support, len(src))
-            support = tuple(sorted(rng.choice(src, size=size, replace=False).tolist()))
-        cell_supports[cell] = support
-        if len(support) == 1:
-            abundances[support[0], pix] = 1.0
-        else:
-            draws_d = rng.dirichlet(np.ones(len(support)), size=len(pix))
-            abundances[np.array(support)[:, None], pix[None, :]] = draws_d.T
+    sizes = np.array([len(s) for s in cell_supports.values()])
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
+        cells = np.flatnonzero(sizes == size).tolist()
+        rows = np.array([cell_supports[c] for c in cells])
+        values = np.array([draws_of[c] for c in cells]) if size > 1 else 1.0
+        abundances[rows[:, None, :], cell_pixels[cells][:, :, None]] = values
 
     scene = Scene.from_factors(endmembers, abundances)
     generated = GeneratedScene(

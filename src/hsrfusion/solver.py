@@ -296,7 +296,8 @@ def _project_on_support(v, support, count):
     np.maximum(x, 0.0, out=x)
     wrong = np.flatnonzero(found != support)
     if wrong.size:
-        miss = np.unique(wrong // n)
+        miss = wrong // n  # ascending, as flatnonzero's output is
+        miss = miss[np.diff(miss, prepend=-1) != 0]
         fixed = project_columns_to_simplex(rows[miss].T).T
         x[miss] = fixed
         found[miss] = on = fixed > 0.0

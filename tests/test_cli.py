@@ -172,6 +172,39 @@ def test_usage_error_exits_two():
     assert proc.returncode == 2
 
 
+def test_calls_in_one_process_share_the_parser_and_no_state(tmp_path, capsys, monkeypatch):
+    from hsrfusion import cli
+
+    scene_config = {
+        "sr_bands": 30, "ms_bands": 4, "materials": 3, "width": 8,
+        "height": 8, "factor": 2, "max_support": 2, "kernel": "uniform",
+        "kernel_size": 2, "seed": 3, "require_dominance": False,
+    }
+    config_path = tmp_path / "scene.json"
+    config_path.write_text(json.dumps(scene_config), encoding="utf-8")
+    assert main(["generate", "--config", str(config_path), "--seed", "1",
+                 "--out", str(tmp_path / "a")]) == 0
+    assert main(["dominance", "--materials", "3", "--bands", "5", "--seed", "7"]) == 0
+    assert main(["generate", "--config", str(config_path), "--out", str(tmp_path / "b")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert "trials" not in json.loads(printed[1])
+    seeds = [json.loads((tmp_path / d / "scene.json").read_text())["seed"] for d in "ab"]
+    assert seeds == [1, 3]  # the second generate takes the config's seed, not the first's flag
+    assert cli.build_parser() is cli.build_parser()
+
+    calls = []
+    monkeypatch.setattr(cli, "_cmd_certify", lambda args: calls.append(args.spatial) or 0)
+    spatial = str(tmp_path / "a" / "spatial.json")
+    assert main(["certify", "--endmembers", "e", "--abundances", "a", "--spectral", "s",
+                 "--spatial", spatial]) == 0
+    assert calls == [spatial]
+
+    with pytest.raises(SystemExit) as raised:
+        main(["certify", "--bogus-flag"])
+    assert raised.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: hsrfusion certify ")
+
+
 def test_unknown_solver_key_is_a_one_line_error(tmp_path):
     config = {
         "scene": {"sr_bands": 30, "ms_bands": 4, "materials": 3, "width": 8,

@@ -275,6 +275,34 @@ def test_validate_finds_a_repeat_among_huge_pixel_indices():
                                                        ("coverage", "pixels")]
 
 
+def test_coverage_counts_each_pixel_once_and_allocates_nothing_by_the_pixel_count():
+    # Pixels 1 and 2 each sit in two windows; the count of covered pixels is
+    # taken from the entries, never from a mask of 10**12 pixels.
+    count = 10**12
+    g = SpatialResponse(count, indptr=[0, 2, 4, 5], pixels=[0, 1, 1, 2, 2],
+                        weights=[0.5, 0.5, 0.5, 0.5, 1.0])
+    tracemalloc.start()
+    try:
+        report = g.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(v.check, v.location, v.magnitude) for v in report] == [
+        ("coverage", "pixels", float(count - 3))]
+    assert report[0].message == f"{count - 3} of {count} SR pixels are not covered by any window"
+    assert peak < 100_000
+
+
+def test_validate_names_a_duplicate_and_each_uncovered_pixel():
+    g = SpatialResponse(6, indptr=[0, 3, 5], pixels=[0, 1, 0, 1, 2],
+                        weights=[0.25, 0.5, 0.25, 0.5, 0.5])
+    report = g.validate()
+    assert [(v.check, v.location) for v in report] == [
+        ("window_duplicate_pixel", "window 0"),
+        ("coverage", "pixel 3"), ("coverage", "pixel 4"), ("coverage", "pixel 5")]
+    assert report[1].message == "SR pixel 3 is not covered by any window"
+
+
 def test_a_response_holds_read_only_copies_of_its_arrays():
     given_arrays = {"indptr": np.array([0, 2, 3]), "pixels": np.array([0, 1, 2]),
                     "weights": np.array([0.5, 0.5, 1.0])}

@@ -5,6 +5,7 @@ import pytest
 
 from hsrfusion import (
     SceneConfig,
+    SpatialResponse,
     add_noise,
     build_spatial_response,
     build_spectral_response,
@@ -118,6 +119,62 @@ def test_builder_output_always_satisfies_window_invariants():
                                    variance=float(rng.uniform(0.5, 3.0)), factor=factor)
         assert g.validate() == []
         assert g.hs_pixel_count == (width // factor) * (height // factor)
+
+
+def _per_window_response(width, height, kernel, kernel_size, variance, factor):
+    """The builder's reference: one window at a time, row-major over the
+    cells, each the kernel footprint clipped to the image and renormalized
+    as a 2-D block."""
+    def axis_footprint(cell, dim):
+        center = cell * factor + (factor - 1) / 2.0
+        start = math.ceil(center - kernel_size / 2.0)
+        idx = np.arange(start, start + kernel_size)
+        keep = (idx >= 0) & (idx < dim)
+        return idx[keep], idx[keep] - center
+
+    pixels, weights = [], []
+    for cy in range(height // factor):
+        ys, dys = axis_footprint(cy, height)
+        for cx in range(width // factor):
+            xs, dxs = axis_footprint(cx, width)
+            if kernel == "uniform":
+                w = np.ones((len(ys), len(xs)))
+            else:
+                w = np.exp(-(dys[:, None] ** 2 + dxs[None, :] ** 2) / (2.0 * variance))
+            pixels.append((ys[:, None] * width + xs[None, :]).ravel())
+            with np.errstate(invalid="ignore"):
+                weights.append((w / w.sum()).ravel())
+    return SpatialResponse(width * height, indptr=np.cumsum([0] + [len(p) for p in pixels]),
+                           pixels=np.concatenate(pixels), weights=np.concatenate(weights))
+
+
+@pytest.mark.parametrize("width, height, kernel, kernel_size, variance, factor", [
+    (2, 2, "uniform", 2, 1.0, 2),
+    (16, 16, "uniform", 2, 1.0, 2),
+    (64, 64, "uniform", 4, 1.0, 4),
+    (64, 64, "gaussian", 6, 1.0, 4),
+    (24, 40, "gaussian", 7, 2.5, 4),  # non-square, odd kernel, clipped borders
+    (12, 8, "uniform", 5, 1.0, 4),
+    (9, 6, "gaussian", 9, 0.7, 3),  # a kernel wider than the image clips both sides
+    (10, 6, "uniform", 3, 1.0, 2),
+    (128, 128, "gaussian", 11, 1.7 ** 2, 4),
+])
+def test_builder_is_bit_identical_to_the_per_window_reference(width, height, kernel,
+                                                               kernel_size, variance, factor):
+    g = build_spatial_response(width, height, kernel, kernel_size, variance, factor)
+    ref = _per_window_response(width, height, kernel, kernel_size, variance, factor)
+    assert g.indptr.tolist() == ref.indptr.tolist()
+    assert g.pixels.tolist() == ref.pixels.tolist()
+    assert g.weights.tobytes() == ref.weights.tobytes()
+
+
+@pytest.mark.parametrize("variance", [1e-3, 1e-5])
+def test_a_too_narrow_gaussian_raises_the_per_window_reference_first_violation(variance):
+    ref = _per_window_response(16, 16, "gaussian", 6, variance, 4)
+    expected = f"gaussian kernel gives an invalid spatial response: {ref.validate()[0]}"
+    with pytest.raises(ValueError) as raised:
+        build_spatial_response(16, 16, "gaussian", 6, variance=variance, factor=4)
+    assert str(raised.value) == expected
 
 
 # ---------------------------------------------------------------------------
