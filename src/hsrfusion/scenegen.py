@@ -142,9 +142,8 @@ def build_spatial_response(width, height, kernel="uniform", kernel_size=None,
         starts = np.arange(0, dim, factor) + shift
         lo = np.clip(-starts, 0, kernel_size)
         keys = lo * (kernel_size + 1) + np.clip(dim - starts, 0, kernel_size)
-        keys_sorted = np.sort(keys)
-        slices = keys_sorted[np.diff(keys_sorted, prepend=-1) != 0]
-        return starts + lo, np.searchsorted(slices, keys), np.divmod(slices, kernel_size + 1)
+        slices, kind = np.unique(keys, return_inverse=True)
+        return starts + lo, kind, np.divmod(slices, kernel_size + 1)
 
     y_first, y_kind, (y_lo, y_hi) = axis_footprints(height)
     x_first, x_kind, (x_lo, x_hi) = axis_footprints(width)
@@ -313,12 +312,12 @@ def generate_scene(config, spatial):
     # and written into the abundances once per support size.
     cell_supports, draws_of = {}, {}
     pixels_per_cell = config.factor ** 2
-    sources = [np.array(pool), np.array(ring_pool)]
+    pool, ring_pool = np.array(pool), np.array(ring_pool)
     for cell, (zone, on_ring) in enumerate(zip(zone_of.tolist(), ring.tolist())):
         if zone >= 0:
             cell_supports[cell] = (zone,)
             continue
-        src = sources[on_ring]
+        src = ring_pool if on_ring else pool
         size = min(config.max_support, len(src))
         support = tuple(sorted(rng.choice(src, size=size, replace=False).tolist()))
         cell_supports[cell] = support
