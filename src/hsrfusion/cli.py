@@ -96,7 +96,7 @@ def _cmd_align(args):
     s_est = fileio.read_matrix(args.abundances)
     spatial = fileio.read_spatial_response(args.spatial)
     spectral = fileio.read_matrix(args.spectral)
-    kruskal = bounds.kruskal_rank(spectral @ a_true)
+    kruskal = bounds.kruskal_rank(spectral_decimate(spectral, a_true))
     report = bounds.extract_alignment(
         a_true, a_est,
         spatial_decimate(s_true, spatial),

@@ -369,7 +369,8 @@ def add_noise(y, snr_db, seed=0):
 
     The drawn noise is deterministically rescaled so that
     10*log10(|Y|_F^2 / |E|_F^2) equals snr_db. An SNR of +inf returns a
-    copy of the input; NaN and -inf raise ValueError.
+    copy of the input; NaN and -inf raise ValueError, and so does an SNR
+    whose noise scale or noisy result is not finite.
     """
     y = np.asarray(y, dtype=float)
     if not -math.inf < snr_db <= math.inf:
@@ -381,8 +382,17 @@ def add_noise(y, snr_db, seed=0):
         raise ValueError("cannot set a finite SNR on an all-zero signal")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(y.shape)
-    scale = signal / (float(np.linalg.norm(noise)) * 10.0 ** (snr_db / 20.0))
-    return y + scale * noise
+    try:
+        scale = signal / (float(np.linalg.norm(noise)) * 10.0 ** (snr_db / 20.0))
+    except (OverflowError, ZeroDivisionError):  # 10^(snr/20) leaves the float range
+        scale = math.inf
+    if math.isfinite(scale):
+        with np.errstate(over="ignore", invalid="ignore"):
+            noisy = y + scale * noise
+        if np.isfinite(noisy).all():
+            return noisy
+    raise ValueError(f"SNR {snr_db} dB is out of range: the noise scale or the noisy data "
+                     "is not finite")
 
 
 def mse(x_true, x_est):

@@ -5,8 +5,9 @@ the unit box and abundance columns on the unit simplex. Each outer
 iteration tries an inertial step on (A, S) with the FISTA weight (Xu & Yin
 2013), kept only if the objective did not rise and else restarting the
 momentum, then a pass of projected 1/L FISTA steps (Beck & Teboulle 2009)
-on each block, L bounding its curvature where it moves: for S, on the
-simplex's tangent space, columns summing to zero. A FISTA pass that raised
+on each block. L bounds the block's curvature where it moves (for S, on
+the simplex's tangent space, columns summing to zero) by the top
+eigenvalue of one materials x materials matrix. A FISTA pass that raised
 the objective is redone once with plain 1/L steps, which by the descent
 lemma raise it at most by roundoff; if they do, the block is kept as it
 was. So the trace never increases and every iterate is feasible.
@@ -168,42 +169,54 @@ class _Problem:
         return a, s
 
     def value(self, a, s, sg=None):
-        """The objective at (A, S); ``sg`` is S G when the caller has it."""
+        """The objective at (A, S); ``sg`` is S G when the caller has it.
+        Each residual's square sum is one BLAS dot product of it raveled."""
         if sg is None:
             sg = self.g.apply(s)
-        r_ms = self.y_ms - (self.f @ a) @ s
-        r_hs = self.y_hs - a @ sg
-        return float(np.sum(r_ms * r_ms) + np.sum(r_hs * r_hs))
+        r_ms = ((self.f @ a) @ s - self.y_ms).ravel()
+        r_hs = (a @ sg - self.y_hs).ravel()
+        return float(r_ms @ r_ms + r_hs @ r_hs)
 
     def endmember_pass(self, s, sg=None):
-        """(step map in A, Lipschitz constant, objective in A) at fixed S."""
+        """(step map in A, Lipschitz constant, objective in A) at fixed S. The
+        Hessian 2 (F^T F x S S^T + I x SG (SG)^T) is at most L = 2 lambda_max(
+        |F^T F| S S^T + SG (SG)^T): diagonalise F^T F; S S^T is PSD. The map is
+        A (keep I - 2t SG (SG)^T) - (2t F^T F A) S S^T + 2t (F^T Y_ms S^T + Y_hs
+        (SG)^T), its three factors formed once per map."""
         if sg is None:
             sg = self.g.apply(s)
         sst = s @ s.T
         sg_sgt = sg @ sg.T
-        lipschitz = 2.0 * (self.lip_ftf * _sym_norm(sst) + _sym_norm(sg_sgt))
-        ft_yms_st = self.f.T @ (self.y_ms @ s.T)
-        yhs_sgt = self.y_hs @ sg.T
+        lipschitz = 2.0 * _sym_norm(self.lip_ftf * sst + sg_sgt)
+        const = self.f.T @ (self.y_ms @ s.T) + self.y_hs @ sg.T
 
         def step_map(t, keep=1.0):
-            return lambda a: keep * a - 2.0 * t * (
-                self.ftf @ a @ sst - ft_yms_st + a @ sg_sgt - yhs_sgt)
+            m = keep * np.eye(len(sst)) - 2.0 * t * sg_sgt
+            k = 2.0 * t * self.ftf
+            c = 2.0 * t * const
+            def move(a):
+                out = a @ m
+                out -= (k @ a) @ sst
+                out += c
+                return out
+            return move
 
         return step_map, lipschitz, lambda a: self.value(a, s, sg)
 
     def abundance_pass(self, a):
         """(step map in S, Lipschitz constant, objective in S) at fixed A.
         S moves only along 1^T D = 0, where the Hessian 2 (FA^T FA x I + A^T A
-        x G G^T) is at most 2 (|P FA^T FA P| + |P A^T A P| |G^T G|), P = I -
-        1 1^T / n (Weyl); one material leaves no such direction, and L = 0.
-        With S pixel-major, the map's L x n transpose is S^T (keep I - 2t
-        FA^T FA) - G (G^T S^T 2t A^T A) + t C^T: the n x n factors and t C^T
-        are formed once per map, and a call makes two sparse products."""
+        x G G^T) is at most L = 2 lambda_max(P (FA^T FA + |G^T G| A^T A) P),
+        P = I - 1 1^T / n: diagonalise G G^T, and A^T A is PSD. One material
+        leaves no such direction, and L = 0. With S pixel-major, the map's
+        L x n transpose is S^T (keep I - 2t FA^T FA) - G (G^T S^T 2t A^T A) +
+        t C^T: the n x n factors and t C^T are formed once per map, and a
+        call makes two sparse products."""
         fa = self.f @ a
         fatfa = fa.T @ fa
         ata = a.T @ a
         p = np.eye(len(ata)) - 1.0 / len(ata)
-        lipschitz = 2.0 * (_sym_norm(p @ fatfa @ p) + _sym_norm(p @ ata @ p) * self.lip_g)
+        lipschitz = 2.0 * _sym_norm(p @ (fatfa + self.lip_g * ata) @ p)
         # C^T = 2 (Y_ms^T FA + G Y_hs^T A), Y_hs^T A C-order for the adjoint.
         const_t = 2.0 * (self.y_ms.T @ fa + self.g.adjoint((self.y_hs.T @ a).T).T)
 
@@ -290,14 +303,15 @@ def _project_on_support(v, support, count):
     theta -= 1.0
     with np.errstate(divide="ignore"):
         theta /= count  # an empty guess gives -inf, which every entry fails
-    x = np.repeat(theta, n).reshape(rows.shape)
+    x = theta.repeat(n).reshape(rows.shape)
     np.subtract(rows, x, out=x)
     found = x > 0.0
     np.maximum(x, 0.0, out=x)
-    wrong = np.flatnonzero(found != support)
+    wrong = (found != support).ravel().nonzero()[0]
     if wrong.size:
-        miss = wrong // n  # ascending, as flatnonzero's output is
-        miss = miss[np.diff(miss, prepend=-1) != 0]
+        missed = np.zeros(len(rows), dtype=bool)
+        missed[wrong // n] = True
+        miss = missed.nonzero()[0]
         fixed = project_columns_to_simplex(rows[miss].T).T
         x[miss] = fixed
         found[miss] = on = fixed > 0.0
@@ -309,7 +323,7 @@ def _support_projection(s):
     """The S passes' projection, guessing each column's support from the
     previous output, the first time from ``s``."""
     support = np.ascontiguousarray(s.T > 0.0)
-    count = support.sum(axis=1)
+    count = support.astype(float) @ np.ones(support.shape[1])  # sum(axis=1) is slow
 
     def project(v):
         nonlocal support
@@ -378,17 +392,26 @@ def _momentum(t):
     return t_next, (t - 1.0) / t_next
 
 
+@functools.cache
+def _extrapolation(steps):
+    """A FISTA pass's factor after each step; 0 after the first, where t = 1,
+    and after the last, whose extrapolated point is never moved from."""
+    t, betas = 1.0, [0.0] * steps
+    for i in range(steps - 1):
+        t, betas[i] = _momentum(t)
+    return tuple(betas)
+
+
 def _pass(x, step_map, step, project, steps, accelerate):
     """``steps`` projected steps by ``step_map(step)`` from ``x``; ``accelerate``
-    extrapolates (FISTA) into one new array per step, never into ``x``."""
+    extrapolates (FISTA) into a new array after each step where its factor
+    is not 0, never into ``x``."""
     move = step_map(step)
     x_new = y = x
-    t = 1.0
-    for _ in range(steps):
+    for beta in _extrapolation(steps) if accelerate else (0.0,) * steps:
         x_next = project(move(y))
         y = x_next
-        if accelerate:
-            t, beta = _momentum(t)
+        if beta:
             y = x_next - x_new
             y *= beta
             y += x_next
@@ -466,7 +489,7 @@ def solve_coupled(y_ms, y_hs, spectral, spatial, config):
             # with a negative entry leave the simplex.
             s_try = s + beta * (s - s_prev)
             rows = s_try.T
-            cols = np.flatnonzero((rows < 0.0).any(axis=1))
+            cols = (functools.reduce(np.minimum, s_try) < 0.0).nonzero()[0]
             rows[cols] = project_columns_to_simplex(rows[cols].T).T
             sg_try = problem.g.apply(s_try)
             f_try = _finite(problem.value(a_try, s_try, sg_try))
@@ -481,7 +504,8 @@ def solve_coupled(y_ms, y_hs, spectral, spatial, config):
         # precision, and its step 1/L could overflow: it is left as it is.
         step_map, lipschitz, evaluate = problem.endmember_pass(s, sg)
         if lipschitz > _TINY:
-            a, f_cur = _descend(a, step_map, lipschitz, lambda z: np.clip(z, 0.0, 1.0),
+            a, f_cur = _descend(a, step_map, lipschitz,  # clipping the map's new array
+                                lambda z: np.minimum(np.maximum(z, 0.0, out=z), 1.0, out=z),
                                 evaluate, f_cur, config.inner_steps)
         step_map, lipschitz, evaluate = problem.abundance_pass(a)
         if lipschitz > _TINY:

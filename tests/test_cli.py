@@ -443,6 +443,35 @@ def test_observe_rejects_an_snr_that_is_not_finite_or_plus_inf(counterexample_fi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("snr", ["1e308", "-1e308", "-6300"])
+def test_observe_rejects_an_snr_whose_noise_is_not_finite(counterexample_files, capsys, snr):
+    # 10^(snr/20) overflows at 1e308 and is 0 at -1e308; at -6300 the noise
+    # scale leaves the float range. None may write observations.
+    inst = build_counterexample(0.1)
+    write_matrix(counterexample_files / "image.csv", inst.endmembers @ inst.abundances)
+    out = counterexample_files / "obs"
+    line = _one_line_error(capsys, [
+        "observe", "--image", str(counterexample_files / "image.csv"),
+        "--spectral", str(counterexample_files / "spectral.csv"),
+        "--spatial", str(counterexample_files / "spatial.json"),
+        f"--snr-db={snr}", "--out", str(out)])
+    assert line == (f"error: SNR {float(snr)} dB is out of range: the noise scale or the "
+                    "noisy data is not finite")
+    assert not (out / "ms.csv").exists()
+
+
+def test_align_names_a_spectral_response_of_the_wrong_width(counterexample_files, capsys):
+    wide = counterexample_files / "wide.csv"
+    write_matrix(wide, np.ones((1, 4)))
+    paths = {name: str(counterexample_files / f"{name}.csv") for name in ("endmembers",
+                                                                          "abundances")}
+    line = _one_line_error(capsys, [
+        "align", "--true-endmembers", paths["endmembers"], "--endmembers", paths["endmembers"],
+        "--true-abundances", paths["abundances"], "--abundances", paths["abundances"],
+        "--spectral", str(wide), "--spatial", str(counterexample_files / "spatial.json")])
+    assert line == "error: dimension mismatch: spectral response expects 4 bands, image has 3"
+
+
 def test_an_empty_counterexample_grid_is_a_one_line_error(capsys):
     line = _one_line_error(capsys, ["counterexample", "--rho", "0.2", "--grid", "0"])
     assert line == "error: the alpha grid needs at least 1 point, got 0"
@@ -495,8 +524,8 @@ def test_undecodable_input_is_a_one_line_error_naming_its_path(counterexample_fi
 _DESK_PIPELINE_DIGESTS = {
     "scene/scene.json": "26ca467bfa0a0eaf8bfe95865a805d306a2330c5d0b49e70eee8952c345c6cda",
     "scene/spatial.json": "9bc5a51020f966b1f9fba473a13bb9b9cc5c2fbadf69819be0d3330cc3e17c5d",
-    "sol/solution.json": "44fe8b7dee4eb35d71a0c07e2e9442b37633a64da3986d27855fef390a2aca1e",
-    "sweep/summary.json": "7a5f5977c37d668f70b8aaad6db41a04b0cde0123148531c6bfa28bc63428aa2",
+    "sol/solution.json": "b8f38cb713b7837a69e3a9c85ab8b65fabb493b2e5fdcbe016ff41596aceec16",
+    "sweep/summary.json": "7c4d3820aec9c6232d809f627913b39c1a321de9d976d1083541533c1d912956",
     "cert.json": "21d8582661b391e2bf402a34f145c7abdcd0c9b5d7e0eeb166d4884afff318c4",
 }
 

@@ -71,6 +71,19 @@ def test_failed_trials_are_recorded_not_fatal(tmp_path):
     assert len(summary["failures"]) == 2
 
 
+@pytest.mark.parametrize("snr", [1e308, -1e308, -6300.0])
+def test_an_snr_whose_noise_is_not_finite_fails_only_its_trials(tmp_path, snr):
+    out = tmp_path / "run"
+    records = run_experiment(tiny_config(out, snr_db=(snr, math.inf), trials=1))
+    assert records[0].error == (f"SNR {snr} dB is out of range: the noise scale or the "
+                                "noisy data is not finite")
+    assert records[1].error is None
+    lines = (out / "results.csv").read_text().splitlines()
+    assert len(lines) == 3 and lines[1].startswith(f"{snr:g},0,nan,")
+    summary = json.loads((out / "summary.json").read_text())
+    assert [f["snr_db"] for f in summary["failures"]] == [f"{snr:g}"]
+
+
 def test_generator_self_check_failure_propagates(tmp_path, monkeypatch):
     def broken(*args):
         raise AssertionError("pure window 0 is not pure for 0")

@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -386,6 +391,42 @@ def _criterion_8_solve(spatial, snr_db):
     return solve_coupled(y_ms, y_hs, gen.spectral, spatial, config)
 
 
+def _desk_work_ledger():
+    """[iterations, restarts, termination, columns sent to the sort projection]
+    of the bench's desk solve of scene seed 0 at 35 dB."""
+    real = solver.project_columns_to_simplex
+    columns = 0
+
+    def counted(v):
+        nonlocal columns
+        columns += v.shape[1]
+        return real(v)
+
+    solver.project_columns_to_simplex = counted
+    try:
+        solution = _criterion_8_solve(
+            build_spatial_response(16, 16, kernel="uniform", kernel_size=2, factor=2), 35.0)
+    finally:
+        solver.project_columns_to_simplex = real
+    return [solution.iterations, solution.restarts, solution.termination, columns]
+
+
+# The solver's exact work on one fixed problem. A change that moves these
+# numbers changes the solver's work, and says by how much and why.
+_DESK_WORK_LEDGER = [175, 5, "converged", 5496]
+
+
+def test_the_desk_work_ledger_is_pinned_and_independent_of_blas_threads():
+    assert _desk_work_ledger() == _DESK_WORK_LEDGER
+    script = ("import json, sys; sys.path.insert(0, sys.argv[1]); import test_solver; "
+              "print(json.dumps(test_solver._desk_work_ledger()))")
+    unset = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    for env in (unset, {**unset, "OPENBLAS_NUM_THREADS": "1"}):
+        proc = subprocess.run([sys.executable, "-c", script, str(Path(__file__).parent)],
+                              capture_output=True, text=True, env=env, check=True)
+        assert json.loads(proc.stdout) == _DESK_WORK_LEDGER
+
+
 def test_noisy_desk_solve_converges_with_momentum_restarts(desk_spatial):
     solution = _criterion_8_solve(desk_spatial, 25.0)
     assert solution.termination == "converged"
@@ -513,6 +554,49 @@ def test_each_block_lipschitz_constant_bounds_its_hessian_norm(scene, seed, desk
         estimate = _power_norm(hessian, shape, rng)
         assert lipschitz >= estimate * (1.0 - 1e-9)
         assert estimate >= lipschitz / 8.0  # the estimate is no vacuous pass
+
+
+_RESPONSES_8X8 = {spec: build_spatial_response(8, 8, kernel=spec[0], kernel_size=spec[1],
+                                               factor=spec[2])
+                  for spec in [("uniform", 2, 2), ("uniform", 4, 2), ("gaussian", 3, 2),
+                               ("gaussian", 4, 2), ("uniform", 4, 4), ("gaussian", 6, 4)]}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_RESPONSES_8X8)), st.integers(1, 4), st.integers(1, 4),
+       st.integers(4, 9), st.integers(0, 2 ** 32 - 1))
+def test_each_block_lipschitz_constant_is_one_eigenvalue_between_hessian_and_sum_of_norms(
+        spec, materials, ms_bands, hs_bands, seed):
+    # L_A = 2 lambda_max(|F^T F| S S^T + SG (SG)^T) and L_S = 2 lambda_max(P
+    # (FA^T FA + |G^T G| A^T A) P) bound the dense block Hessians (for S on
+    # zero column sums, where S moves), so a 1/L step meets the descent
+    # lemma; by Weyl they are at most the sums of norms they replace.
+    spatial = _RESPONSES_8X8[spec]
+    rng = np.random.default_rng(seed)
+    f = rng.uniform(size=(ms_bands, hs_bands))
+    a = rng.uniform(size=(hs_bands, materials))
+    s = random_simplex_columns(rng, materials, spatial.sr_pixel_count)
+    problem = solver._Problem(rng.uniform(size=(ms_bands, spatial.sr_pixel_count)),
+                              rng.uniform(size=(hs_bands, spatial.hs_pixel_count)), f, spatial)
+    lip_a = problem.endmember_pass(s)[1]
+    lip_s = problem.abundance_pass(a)[1]
+
+    def top(m):
+        return np.linalg.eigvalsh(m)[-1]
+
+    g = to_dense(spatial)
+    ftf, sst, sg = f.T @ f, s @ s.T, s @ g
+    hessian_a = 2.0 * (np.kron(ftf, sst) + np.kron(np.eye(hs_bands), sg @ sg.T))
+    fa = f @ a
+    p = np.eye(materials) - 1.0 / materials
+    centre = np.kron(p, np.eye(len(g)))
+    hessian_s = 2.0 * (np.kron(fa.T @ fa, np.eye(len(g))) + np.kron(a.T @ a, g @ g.T))
+    sums = (2.0 * (top(ftf) * top(sst) + top(sg @ sg.T)),
+            2.0 * (top(p @ fa.T @ fa @ p) + top(p @ a.T @ a @ p) * spatial.gram_norm()))
+    for lipschitz, hessian, parent in zip((lip_a, lip_s), (hessian_a, centre @ hessian_s @ centre),
+                                          sums):
+        assert top(hessian) <= lipschitz + 1e-10 * parent
+        assert lipschitz <= parent * (1.0 + 1e-10)
 
 
 @pytest.mark.parametrize("scene, seed", [("desk", 43), ("desk", 44), ("desk", 45),
