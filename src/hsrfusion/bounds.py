@@ -334,22 +334,14 @@ class Certificate:
     dominance: float
     condition: float
     balance: float
-    peak_weights: np.ndarray
     endmember_norm: float
+    peak_weights: np.ndarray
     pixel_bounds: np.ndarray
     assumptions: AssumptionReport
 
     def to_dict(self):
-        return {
-            "kruskal": self.kruskal,
-            "dominance": self.dominance,
-            "condition": self.condition,
-            "balance": self.balance,
-            "endmember_norm": self.endmember_norm,
-            "peak_weights": self.peak_weights.tolist(),
-            "pixel_bounds": self.pixel_bounds.tolist(),
-            "assumptions": self.assumptions.to_dict(),
-        }
+        """The fields, in their JSON order, with the assumptions nested."""
+        return {**vars(self), "assumptions": self.assumptions.to_dict()}
 
 
 def check_assumptions(endmembers, abundances, spectral, spatial):
@@ -565,19 +557,8 @@ class AlignmentReport:
     consistency_residual: float
 
     def to_dict(self):
-        return {
-            "mixing": self.mixing.tolist(),
-            "permutation": self.permutation.tolist(),
-            "max_offdiagonal": self.max_offdiagonal,
-            "submatrix_floor": self.submatrix_floor,
-            "min_singular": self.min_singular,
-            "stochastic_pass": self.stochastic_pass,
-            "stochastic_margin": self.stochastic_margin,
-            "offdiagonal_pass": self.offdiagonal_pass,
-            "dominance": self.dominance,
-            "method": self.method,
-            "consistency_residual": self.consistency_residual,
-        }
+        """The fields but permuted_mixing, which mixing and permutation give."""
+        return {k: v for k, v in vars(self).items() if k != "permuted_mixing"}
 
 
 def _pivot_permutation(r):
@@ -696,17 +677,6 @@ class PixelBoundReport:
     chain_pass: bool
     worst_abundance_margin: float
     worst_chain_margin: float
-
-    def to_dict(self):
-        return {
-            "applicable": self.applicable,
-            "abundance_pass": self.abundance_pass,
-            "chain_pass": self.chain_pass,
-            "worst_abundance_margin": self.worst_abundance_margin,
-            "worst_chain_margin": self.worst_chain_margin,
-            "max_abundance_error": float(self.abundance_error.max()) if self.abundance_error.size else 0.0,
-            "max_pixel_error": float(self.pixel_error.max()) if self.pixel_error.size else 0.0,
-        }
 
 
 def verify_abundance_error_bound(scene, solution, alignment, certificate):

@@ -16,8 +16,43 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds, counterexample, experiment, fileio, scenegen, solver
+from . import bounds, counterexample, experiment, fileio, model, scenegen, solver
 from .model import spatial_decimate, spectral_decimate
+
+# The model files each subcommand reads, one required --flag each, in the
+# order _load reads and checks them; a "true-" flag has its plain role.
+_INPUTS = {"observe": ("spectral", "spatial", "image"),
+           "solve": ("spectral", "spatial", "ms", "hs"),
+           "certify": ("spectral", "spatial", "endmembers", "abundances"),
+           "align": ("spectral", "spatial", "true-endmembers", "endmembers",
+                     "true-abundances", "abundances")}
+# Each role's row and column axes; G's are its SR and HS pixel counts.
+_AXES = {"spectral": ("ms_bands", "bands"), "spatial": ("pixels", "hs_pixels"),
+         "image": ("bands", "pixels"), "ms": ("ms_bands", "pixels"),
+         "hs": ("bands", "hs_pixels"), "endmembers": ("bands", "materials"),
+         "abundances": ("materials", "pixels")}
+
+
+def _load(args):
+    """The subcommand's _INPUTS files, read in order (G is checked as it is
+    read). Each must pass model.validate_<role>, where there is one, and
+    agree with the files before it on every axis; else a ValueError names it."""
+    loaded, seen = [], {}
+    for flag in _INPUTS[args.command]:
+        role, path = flag.removeprefix("true-"), getattr(args, flag.replace("-", "_"))
+        read = fileio.read_spatial_response if role == "spatial" else fileio.read_matrix
+        value = read(path)
+        check = getattr(model, f"validate_{role}", None)
+        problems = check(value) if check else ()
+        if problems:
+            raise ValueError(f"{problems[0]} ({path})")
+        for axis, size in zip(_AXES[role], value.shape):
+            first, first_path, first_size = seen.setdefault(axis, (flag, path, size))
+            if size != first_size:
+                raise ValueError(f"[shape] {first}/{flag}: {first_path} has {first_size} "
+                                 f"{axis}, {path} has {size}")
+        loaded.append(value)
+    return loaded
 
 
 def _print_json(payload, out=None):
@@ -42,9 +77,7 @@ def _cmd_generate(args):
 
 
 def _cmd_observe(args):
-    image = fileio.read_matrix(args.image)
-    spectral = fileio.read_matrix(args.spectral)
-    spatial = fileio.read_spatial_response(args.spatial)
+    spectral, spatial, image = _load(args)
     y_ms = spectral_decimate(spectral, image)
     y_hs = spatial_decimate(image, spatial)
     if args.snr_db is not None:
@@ -59,10 +92,7 @@ def _cmd_observe(args):
 
 
 def _cmd_solve(args):
-    y_ms = fileio.read_matrix(args.ms)
-    y_hs = fileio.read_matrix(args.hs)
-    spectral = fileio.read_matrix(args.spectral)
-    spatial = fileio.read_spatial_response(args.spatial)
+    spectral, spatial, y_ms, y_hs = _load(args)
     if args.config:
         config = fileio.read_solver_config(args.config)
     else:
@@ -80,22 +110,14 @@ def _cmd_solve(args):
 
 
 def _cmd_certify(args):
-    endmembers = fileio.read_matrix(args.endmembers)
-    abundances = fileio.read_matrix(args.abundances)
-    spectral = fileio.read_matrix(args.spectral)
-    spatial = fileio.read_spatial_response(args.spatial)
+    spectral, spatial, endmembers, abundances = _load(args)
     certificate = bounds.certify(endmembers, abundances, spectral, spatial)
     _print_json(certificate.to_dict(), args.out)
     return 0
 
 
 def _cmd_align(args):
-    a_true = fileio.read_matrix(args.true_endmembers)
-    a_est = fileio.read_matrix(args.endmembers)
-    s_true = fileio.read_matrix(args.true_abundances)
-    s_est = fileio.read_matrix(args.abundances)
-    spatial = fileio.read_spatial_response(args.spatial)
-    spectral = fileio.read_matrix(args.spectral)
+    spectral, spatial, a_true, a_est, s_true, s_est = _load(args)
     kruskal = bounds.kruskal_rank(spectral_decimate(spectral, a_true))
     report = bounds.extract_alignment(
         a_true, a_est,
@@ -177,18 +199,11 @@ def build_parser():
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("observe", help="apply the observation operators to an image")
-    p.add_argument("--image", required=True)
-    p.add_argument("--spectral", required=True)
-    p.add_argument("--spatial", required=True)
     p.add_argument("--snr-db", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("solve", help="solve the coupled factorization")
-    p.add_argument("--ms", required=True)
-    p.add_argument("--hs", required=True)
-    p.add_argument("--spectral", required=True)
-    p.add_argument("--spatial", required=True)
     p.add_argument("--config", default=None, help="solver config JSON")
     p.add_argument("--materials", type=int, default=None,
                    help="number of endmembers (when no config file)")
@@ -196,19 +211,9 @@ def build_parser():
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("certify", help="compute the recovery certificate of a scene")
-    p.add_argument("--endmembers", required=True)
-    p.add_argument("--abundances", required=True)
-    p.add_argument("--spectral", required=True)
-    p.add_argument("--spatial", required=True)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("align", help="align an estimate against the ground truth")
-    p.add_argument("--true-endmembers", required=True)
-    p.add_argument("--endmembers", required=True)
-    p.add_argument("--true-abundances", required=True)
-    p.add_argument("--abundances", required=True)
-    p.add_argument("--spectral", required=True)
-    p.add_argument("--spatial", required=True)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("counterexample", help="verify the exact-recovery counterexample")
@@ -230,6 +235,9 @@ def build_parser():
     p.add_argument("--out", default=None, help="override the output directory")
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
 
+    for name, flags in _INPUTS.items():
+        for flag in flags:
+            sub.choices[name].add_argument(f"--{flag}", required=True)
     return parser
 
 

@@ -102,22 +102,8 @@ class CounterexampleReport:
         return self.identity_ok and self.sup_ok and self.within_bound
 
     def to_dict(self):
-        return {
-            "rho": self.rho,
-            "alpha1": self.alpha1,
-            "error": self.error,
-            "expected_error": self.expected_error,
-            "identity_ok": self.identity_ok,
-            "grid_alphas": self.grid_alphas.tolist(),
-            "grid_errors": self.grid_errors.tolist(),
-            "grid_objectives": self.grid_objectives.tolist(),
-            "sup_error": self.sup_error,
-            "sup_expected": self.sup_expected,
-            "sup_ok": self.sup_ok,
-            "certificate_bound": self.certificate_bound,
-            "within_bound": self.within_bound,
-            "passed": self.passed,
-        }
+        """The fields and the verdict."""
+        return {**vars(self), "passed": self.passed}
 
 
 def first_pixel_error(instance, alpha1, alpha2=0.0):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, scenegen, solver
-from .model import _is_integer, _is_number, spatial_decimate, spectral_decimate
+from .model import _check_counts, _is_number, spatial_decimate, spectral_decimate
 
 
 @dataclass
@@ -29,11 +29,7 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not _is_integer(self.trials) or self.trials < 1:
-            raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
-        if not _is_integer(self.master_seed) or self.master_seed < 0:
-            raise ValueError(
-                f"master_seed must be a non-negative integer, got {self.master_seed!r}")
+        _check_counts(self, ("trials",), ("master_seed",))
         if not isinstance(self.snr_db, (list, tuple)) or not self.snr_db:
             raise ValueError(f"snr_db must be a nonempty list, got {self.snr_db!r}")
         for value in self.snr_db:

@@ -30,6 +30,16 @@ def _is_number(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _check_counts(config, positive, non_negative=()):
+    """Raise ValueError on the first of config's named fields that is not a
+    positive integer, then on the first of non_negative that is not >= 0."""
+    for names, low, kind in ((positive, 1, "positive"), (non_negative, 0, "non-negative")):
+        for name in names:
+            value = getattr(config, name)
+            if not _is_integer(value) or value < low:
+                raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Validation report
 # ---------------------------------------------------------------------------
@@ -103,6 +113,11 @@ class SpatialResponse:
     @property
     def hs_pixel_count(self):
         return self.indptr.size - 1
+
+    @property
+    def shape(self):
+        """G's shape, (sr_pixel_count, hs_pixel_count)."""
+        return self.sr_pixel_count, self.hs_pixel_count
 
     @property
     def owners(self):
@@ -222,6 +237,11 @@ class SpatialResponse:
 # Matrix validators
 # ---------------------------------------------------------------------------
 
+def _entry(m, flat):
+    """The location of matrix m's flat index as plain ints: "entry (row, column)"."""
+    return f"entry {divmod(int(flat), m.shape[1])}"
+
+
 def validate_endmembers(a):
     """Endmember entries must be reflectances in [0, 1]."""
     a = _as_matrix(a, "endmembers")
@@ -231,14 +251,12 @@ def validate_endmembers(a):
     if a.shape[0] < 1 or a.shape[1] < 1:
         out.append(Violation("endmember_shape", "matrix", 0.0, f"degenerate shape {a.shape}"))
     if low < -TAU_SIMPLEX:
-        idx = np.unravel_index(int(np.argmin(a)), a.shape)
         out.append(Violation(
-            "endmember_range", f"entry {idx}", -low, f"entry {low:.6g} below 0",
+            "endmember_range", _entry(a, np.argmin(a)), -low, f"entry {low:.6g} below 0",
         ))
     if high > 1.0 + TAU_SIMPLEX:
-        idx = np.unravel_index(int(np.argmax(a)), a.shape)
         out.append(Violation(
-            "endmember_range", f"entry {idx}", high - 1.0, f"entry {high:.6g} above 1",
+            "endmember_range", _entry(a, np.argmax(a)), high - 1.0, f"entry {high:.6g} above 1",
         ))
     return out
 
@@ -274,9 +292,8 @@ def validate_spectral(f):
             f"ms_bands {f.shape[0]} must be < bands {f.shape[1]}",
         ))
     if f.size and float(f.min()) < 0.0:
-        idx = np.unravel_index(int(np.argmin(f)), f.shape)
         out.append(Violation(
-            "spectral_nonnegative", f"entry {idx}", float(-f.min()),
+            "spectral_nonnegative", _entry(f, np.argmin(f)), float(-f.min()),
             f"negative weight {f.min():.6g}",
         ))
     out += [Violation("spectral_row_empty", f"row {r}", 1.0, "row has no positive entry")

@@ -13,7 +13,7 @@ import numpy as np
 from scipy import sparse
 
 from . import bounds
-from .model import Scene, SpatialResponse, _is_integer, _is_number, spatial_decimate
+from .model import Scene, SpatialResponse, _check_counts, _is_number, spatial_decimate
 
 
 @dataclass
@@ -44,14 +44,9 @@ class SceneConfig:
     max_draws: int = 10000
 
     def __post_init__(self):
-        counts = ["sr_bands", "ms_bands", "materials", "width", "height", "factor",
-                  "max_support", "max_draws"] + ["kernel_size"] * (self.kernel_size is not None)
-        for name in counts:
-            value = getattr(self, name)
-            if not _is_integer(value) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_counts(self, ["sr_bands", "ms_bands", "materials", "width", "height", "factor",
+                             "max_support", "max_draws"]
+                      + ["kernel_size"] * (self.kernel_size is not None), ["seed"])
         var = self.kernel_var
         if not _is_number(var) or not 0 < var < math.inf:
             raise ValueError(f"kernel_var must be a positive number, got {var!r}")

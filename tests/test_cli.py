@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -6,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from hsrfusion import build_counterexample
 from hsrfusion.cli import main
@@ -13,14 +17,24 @@ from hsrfusion.fileio import read_matrix, write_matrix, write_spatial_response
 from hsrfusion.model import spatial_decimate
 
 
+def _write_bundle(directory):
+    """The counterexample's model files, its image and noiseless observations,
+    and a short solver config, in directory; the estimates are the truth."""
+    inst = build_counterexample(0.1)
+    image = inst.endmembers @ inst.abundances
+    matrices = {"endmembers": inst.endmembers, "abundances": inst.abundances,
+                "spectral": inst.spectral, "image": image, "ms": inst.spectral @ image,
+                "hs": spatial_decimate(image, inst.spatial)}
+    for name, matrix in matrices.items():
+        write_matrix(directory / f"{name}.csv", matrix)
+    write_spatial_response(directory / "spatial.json", inst.spatial)
+    (directory / "solver.json").write_text('{"materials": 3, "max_outer": 5}', encoding="utf-8")
+    return directory
+
+
 @pytest.fixture()
 def counterexample_files(tmp_path):
-    inst = build_counterexample(0.1)
-    write_matrix(tmp_path / "endmembers.csv", inst.endmembers)
-    write_matrix(tmp_path / "abundances.csv", inst.abundances)
-    write_matrix(tmp_path / "spectral.csv", inst.spectral)
-    write_spatial_response(tmp_path / "spatial.json", inst.spatial)
-    return tmp_path
+    return _write_bundle(tmp_path)
 
 
 def test_certify_counterexample_files(counterexample_files, capsys):
@@ -469,7 +483,8 @@ def test_align_names_a_spectral_response_of_the_wrong_width(counterexample_files
         "align", "--true-endmembers", paths["endmembers"], "--endmembers", paths["endmembers"],
         "--true-abundances", paths["abundances"], "--abundances", paths["abundances"],
         "--spectral", str(wide), "--spatial", str(counterexample_files / "spatial.json")])
-    assert line == "error: dimension mismatch: spectral response expects 4 bands, image has 3"
+    assert line == (f"error: [shape] spectral/true-endmembers: {wide} has 4 bands, "
+                    f"{paths['endmembers']} has 3")
 
 
 def test_an_empty_counterexample_grid_is_a_one_line_error(capsys):
@@ -477,13 +492,31 @@ def test_an_empty_counterexample_grid_is_a_one_line_error(capsys):
     assert line == "error: the alpha grid needs at least 1 point, got 0"
 
 
-def _certify_argv(directory, **paths):
-    """certify over the files in `directory`, with any of them replaced."""
-    files = {name: str(directory / f"{name}.csv") for name in ("endmembers", "abundances",
-                                                               "spectral")}
-    files["spatial"] = str(directory / "spatial.json")
-    files.update({name: str(path) for name, path in paths.items()})
-    return ["certify", *[arg for name, path in files.items() for arg in (f"--{name}", path)]]
+# The model files each of observe, solve, certify and align reads, by flag.
+_MODEL_FILES = {
+    "observe": ("image", "spectral", "spatial"),
+    "solve": ("ms", "hs", "spectral", "spatial"),
+    "certify": ("endmembers", "abundances", "spectral", "spatial"),
+    "align": ("true-endmembers", "endmembers", "true-abundances", "abundances", "spectral",
+              "spatial"),
+}
+
+
+def _bundle_file(directory, flag):
+    name = flag.removeprefix("true-")
+    return directory / (f"{name}.json" if name == "spatial" else f"{name}.csv")
+
+
+def _model_argv(command, directory, **paths):
+    """command over the bundle in directory, with the files of any flags
+    given (true_endmembers for --true-endmembers) replaced."""
+    argv = [command]
+    for flag in _MODEL_FILES[command]:
+        path = paths.get(flag.replace("-", "_"), _bundle_file(directory, flag))
+        argv += [f"--{flag}", str(path)]
+    return argv + {"observe": ["--out", str(directory / "obs")],
+                   "solve": ["--config", str(directory / "solver.json"),
+                             "--out", str(directory / "sol")]}.get(command, [])
 
 
 _UNDECODABLE = {
@@ -512,8 +545,8 @@ def test_undecodable_input_is_a_one_line_error_naming_its_path(counterexample_fi
                   "--spatial", str(directory / "spatial.json"), "--config", str(path),
                   "--out", str(directory / "sol")],
         "experiment": ["experiment", "--config", str(path)],
-        "certify": _certify_argv(directory, spatial=path),
-        "certify-csv": _certify_argv(directory, endmembers=path),
+        "certify": _model_argv("certify", directory, spatial=path),
+        "certify-csv": _model_argv("certify", directory, endmembers=path),
     }[command]
     assert _one_line_error(capsys, argv).startswith(f"error: {path}: ")
 
@@ -551,7 +584,7 @@ def test_desk_pipeline_writes_each_json_file_as_one_compact_line(tmp_path, capsy
                  "--config", str(tmp_path / "solver-config.json"),
                  "--out", str(tmp_path / "sol")]) == 0
     capsys.readouterr()
-    assert main([*_certify_argv(s), "--out", str(tmp_path / "cert.json")]) == 0
+    assert main([*_model_argv("certify", s), "--out", str(tmp_path / "cert.json")]) == 0
     assert capsys.readouterr().out == (tmp_path / "cert.json").read_text()
     assert main(["experiment", "--config", str(tmp_path / "sweep-config.json"),
                  "--out", str(tmp_path / "sweep")]) == 0
@@ -559,3 +592,103 @@ def test_desk_pipeline_writes_each_json_file_as_one_compact_line(tmp_path, capsy
         text = (tmp_path / name).read_bytes()
         assert text.count(b"\n") == 1 and text.endswith(b"\n"), name
         assert hashlib.sha256(text).hexdigest() == digest, name
+
+
+def _negate_entry(m, row, column):
+    m = m.copy()
+    m[row, column] = -m[row, column]
+    return m
+
+
+@pytest.mark.parametrize("command, flag, edit, message", [
+    ("observe", "spectral", lambda m: _negate_entry(m, 0, 1),
+     "[spectral_nonnegative] entry (0, 1): negative weight -1 (magnitude 1.000e+00) ({path})"),
+    ("solve", "spectral", lambda m: _negate_entry(m, 0, 1),
+     "[spectral_nonnegative] entry (0, 1): negative weight -1 (magnitude 1.000e+00) ({path})"),
+    ("align", "true-abundances", lambda m: 2.0 * m,
+     "[abundance_sum] column 0: column sums to 2, expected 1 (magnitude 1.000e+00) ({path})"),
+    ("align", "true-endmembers", lambda m: 3.0 * m,
+     "[endmember_range] entry (2, 2): entry 3 above 1 (magnitude 2.000e+00) ({path})"),
+    ("align", "endmembers", lambda m: m[:, :2],
+     "[shape] true-endmembers/endmembers: {bundle}/endmembers.csv has 3 materials, "
+     "{path} has 2"),
+    ("align", "true-abundances", lambda m: m[:, :4],
+     "[shape] spatial/true-abundances: {bundle}/spatial.json has 6 pixels, {path} has 4"),
+], ids=["observe-negative-spectral", "solve-negative-spectral", "align-true-abundances-x2",
+        "align-true-endmembers-x3", "align-two-column-estimate", "align-four-pixel-truth"])
+def test_a_bad_model_file_is_a_one_line_error_naming_it(counterexample_files, capsys, command,
+                                                        flag, edit, message):
+    directory = counterexample_files
+    path = directory / "edited.csv"
+    write_matrix(path, edit(read_matrix(_bundle_file(directory, flag))))
+    argv = _model_argv(command, directory, **{flag.replace("-", "_"): path})
+    assert _one_line_error(capsys, argv) == "error: " + message.format(path=path,
+                                                                       bundle=directory)
+    assert not (directory / "obs").exists() and not (directory / "sol").exists()
+
+
+def test_observe_rejects_a_spectral_response_with_as_many_ms_bands_as_bands(counterexample_files,
+                                                                           capsys):
+    directory = counterexample_files
+    image, spectral = directory / "image30.csv", directory / "spectral32.csv"
+    write_matrix(image, np.full((30, 6), 0.5))
+    write_matrix(spectral, np.full((32, 30), 1.0 / 30))
+    line = _one_line_error(capsys, _model_argv("observe", directory, image=image,
+                                               spectral=spectral))
+    assert line == (f"error: [spectral_size] matrix: ms_bands 32 must be < bands 30 "
+                    f"(magnitude 3.000e+00) ({spectral})")
+
+
+def test_counterexample_report_bytes_are_unchanged(tmp_path, capsys):
+    # sha256 of the report as the per-key to_dict wrote it, before the
+    # reports were written from their fields.
+    out = tmp_path / "report.json"
+    assert main(["counterexample", "--rho", "0.25", "--alpha1", "0.25",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "96af447e570ef88afa09277f6a8327af9c0ad3a9b4a2789f0a08ddb694af1cba")
+
+
+@pytest.fixture(scope="module")
+def model_bundle(tmp_path_factory):
+    return _write_bundle(tmp_path_factory.mktemp("bundle"))
+
+
+_MUTATIONS = ("scale", "drop-row", "drop-column", "transpose", "negate-entry")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_mutated_model_file_exits_zero_or_is_a_one_line_error_naming_it(model_bundle, data):
+    command = data.draw(st.sampled_from(sorted(_MODEL_FILES)), label="command")
+    flag = data.draw(st.sampled_from([f for f in _MODEL_FILES[command] if f != "spatial"]),
+                     label="flag")
+    matrix = read_matrix(_bundle_file(model_bundle, flag))
+    mutation = data.draw(st.sampled_from(_MUTATIONS), label="mutation")
+    rows, columns = matrix.shape
+    if mutation == "scale":
+        matrix = data.draw(st.sampled_from([0.5, 2.0, 3.0]), label="factor") * matrix
+    elif mutation == "drop-row":
+        matrix = np.delete(matrix, data.draw(st.integers(0, rows - 1), label="row"), axis=0)
+    elif mutation == "drop-column":
+        matrix = np.delete(matrix, data.draw(st.integers(0, columns - 1), label="column"),
+                           axis=1)
+    elif mutation == "transpose":
+        matrix = matrix.T
+    else:
+        matrix = _negate_entry(matrix, data.draw(st.integers(0, rows - 1), label="row"),
+                               data.draw(st.integers(0, columns - 1), label="column"))
+    path = model_bundle / "mutated.csv"
+    write_matrix(path, matrix)
+    argv = _model_argv(command, model_bundle, **{flag.replace("-", "_"): path})
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    event(f"{command} exit {code}")
+    assert code in (0, 1)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert str(path) in lines[0]
+        assert "Traceback" not in err.getvalue()

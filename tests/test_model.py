@@ -447,6 +447,17 @@ def test_validate_model_flags_bad_abundance_column():
     assert any(v.check == "abundance_sum" and "column 2" in v.location for v in report)
 
 
+def test_entry_locations_print_as_plain_integers():
+    from hsrfusion.model import validate_endmembers, validate_spectral
+
+    endmembers = np.array([[0.5, -0.25], [0.5, 2.0]])
+    assert [v.location for v in validate_endmembers(endmembers)] == ["entry (0, 1)",
+                                                                     "entry (1, 1)"]
+    (negative,) = validate_spectral(np.array([[1.0, 1.0, 1.0], [0.5, 0.0, -2.0]]))
+    assert str(negative) == ("[spectral_nonnegative] entry (1, 2): negative weight -2 "
+                             "(magnitude 2.000e+00)")
+
+
 # ---------------------------------------------------------------------------
 # the scene container and the observation shapes
 # ---------------------------------------------------------------------------
