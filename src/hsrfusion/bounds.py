@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import spatial_decimate, validate_model
+from .model import raise_first, spatial_decimate, validate_model
 
 SUBSET_GUARD = 20  # subset enumeration cap for every subset reduction below
 SUBSET_BLOCK = 2048  # subsets per stacked SVD: bounds the gathered copy at any n <= guard
@@ -357,9 +357,7 @@ def check_assumptions(endmembers, abundances, spectral, spatial):
 def _assess(endmembers, abundances, spectral, spatial):
     """check_assumptions' report, and the subset tables of F A behind its
     Kruskal rank for the certificate to reduce further."""
-    problems = validate_model(endmembers, abundances, spectral, spatial)
-    if problems:
-        raise ValueError(str(problems[0]))
+    raise_first(validate_model(endmembers, abundances, spectral, spatial))
     a = np.asarray(endmembers, dtype=float)
     s = np.asarray(abundances, dtype=float)
     f = np.asarray(spectral, dtype=float)

@@ -26,18 +26,14 @@ _INPUTS = {"observe": ("spectral", "spatial", "image"),
            "certify": ("spectral", "spatial", "endmembers", "abundances"),
            "align": ("spectral", "spatial", "true-endmembers", "endmembers",
                      "true-abundances", "abundances")}
-# Each role's row and column axes; G's are its SR and HS pixel counts.
-_AXES = {"spectral": ("ms_bands", "bands"), "spatial": ("pixels", "hs_pixels"),
-         "image": ("bands", "pixels"), "ms": ("ms_bands", "pixels"),
-         "hs": ("bands", "hs_pixels"), "endmembers": ("bands", "materials"),
-         "abundances": ("materials", "pixels")}
 
 
 def _load(args):
     """The subcommand's _INPUTS files, read in order (G is checked as it is
-    read). Each must pass model.validate_<role>, where there is one, and
-    agree with the files before it on every axis; else a ValueError names it."""
-    loaded, seen = [], {}
+    read). Each must pass model.validate_<role>, where there is one, and then
+    all must agree on every axis they share (model.check_axes, flags naming
+    the files); else a ValueError names the file."""
+    loaded = []
     for flag in _INPUTS[args.command]:
         role, path = flag.removeprefix("true-"), getattr(args, flag.replace("-", "_"))
         read = fileio.read_spatial_response if role == "spatial" else fileio.read_matrix
@@ -46,13 +42,9 @@ def _load(args):
         problems = check(value) if check else ()
         if problems:
             raise ValueError(f"{problems[0]} ({path})")
-        for axis, size in zip(_AXES[role], value.shape):
-            first, first_path, first_size = seen.setdefault(axis, (flag, path, size))
-            if size != first_size:
-                raise ValueError(f"[shape] {first}/{flag}: {first_path} has {first_size} "
-                                 f"{axis}, {path} has {size}")
-        loaded.append(value)
-    return loaded
+        loaded.append((flag, role, value, path))
+    model.raise_first(model.check_axes(*loaded))
+    return [value for _, _, value, _ in loaded]
 
 
 def _print_json(payload, out=None):

@@ -46,15 +46,23 @@ def _check_counts(config, positive, non_negative=()):
 
 @dataclass
 class Violation:
-    """A single invariant violation with its location and magnitude."""
+    """A single invariant violation with its location and magnitude (None
+    where it has no size: a shape disagreement)."""
 
     check: str
     location: str
-    magnitude: float
+    magnitude: float | None
     message: str
 
     def __str__(self):
-        return f"[{self.check}] {self.location}: {self.message} (magnitude {self.magnitude:.3e})"
+        size = "" if self.magnitude is None else f" (magnitude {self.magnitude:.3e})"
+        return f"[{self.check}] {self.location}: {self.message}{size}"
+
+
+def raise_first(problems):
+    """Raise the first of a report's violations, if any, as ValueError."""
+    if problems:
+        raise ValueError(str(problems[0]))
 
 
 def _as_matrix(x, name):
@@ -301,6 +309,31 @@ def validate_spectral(f):
     return out
 
 
+# Each model array's row and column axes, by role; G's are its SR and HS
+# pixel counts.
+AXES = {"spectral": ("ms_bands", "bands"), "spatial": ("pixels", "hs_pixels"),
+        "image": ("bands", "pixels"), "ms": ("ms_bands", "pixels"),
+        "hs": ("bands", "hs_pixels"), "endmembers": ("bands", "materials"),
+        "abundances": ("materials", "pixels")}
+
+
+def check_axes(*inputs):
+    """The first disagreement on a shared axis among the matrices ``inputs``,
+    each (name, role, array) or (name, role, array, label) and taken in
+    order, as a list of at most one "shape" Violation: "[shape] spatial/y_ms:
+    spatial has 6 pixels, y_ms has 4". The message calls an array by its
+    label (the CLI gives file paths), else by its name."""
+    seen = {}
+    for name, role, array, *label in inputs:
+        label = label[0] if label else name
+        for axis, size in zip(AXES[role], array.shape):
+            first, first_label, first_size = seen.setdefault(axis, (name, label, size))
+            if size != first_size:
+                return [Violation("shape", f"{first}/{name}", None,
+                                  f"{first_label} has {first_size} {axis}, {label} has {size}")]
+    return []
+
+
 # ---------------------------------------------------------------------------
 # Scene container
 # ---------------------------------------------------------------------------
@@ -345,11 +378,7 @@ def reconstruct(endmembers, abundances):
     """
     a = _as_matrix(endmembers, "endmembers")
     s = _as_matrix(abundances, "abundances")
-    if a.shape[1] != s.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: endmembers has {a.shape[1]} columns, "
-            f"abundances has {s.shape[0]} rows"
-        )
+    raise_first(check_axes(("endmembers", "endmembers", a), ("abundances", "abundances", s)))
     return a @ s
 
 
@@ -361,11 +390,7 @@ def spectral_decimate(f, x):
     """
     f = _as_matrix(f, "spectral response")
     x = _as_matrix(x, "image")
-    if f.shape[1] != x.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: spectral response expects {f.shape[1]} bands, "
-            f"image has {x.shape[0]}"
-        )
+    raise_first(check_axes(("f", "spectral", f), ("x", "image", x)))
     return f @ x
 
 
@@ -378,11 +403,7 @@ def spatial_decimate(x, g):
     the support of the output column.
     """
     x = _as_matrix(x, "image")
-    if x.shape[1] != g.sr_pixel_count:
-        raise ValueError(
-            f"dimension mismatch: image has {x.shape[1]} pixels, "
-            f"spatial response expects {g.sr_pixel_count}"
-        )
+    raise_first(check_axes(("x", "image", x), ("g", "spatial", g)))
     return g.apply(x)
 
 
@@ -392,27 +413,10 @@ def validate_model(endmembers, abundances, spectral, spatial):
     Returns a list of Violation records; an empty list means the model is
     valid. Never raises on invalid data.
     """
-    out = validate_endmembers(endmembers)
-    out += validate_abundances(abundances)
-    out += validate_spectral(spectral)
-    out += spatial.validate()
-    a = np.asarray(endmembers, dtype=float)
-    s = np.asarray(abundances, dtype=float)
-    f = np.asarray(spectral, dtype=float)
-    if a.ndim == 2 and s.ndim == 2 and a.shape[1] != s.shape[0]:
-        out.append(Violation(
-            "shape", "endmembers/abundances", 0.0,
-            f"endmembers {a.shape} does not chain with abundances {s.shape}",
-        ))
-    if a.ndim == 2 and f.ndim == 2 and f.shape[1] != a.shape[0]:
-        out.append(Violation(
-            "shape", "spectral/endmembers", 0.0,
-            f"spectral response {f.shape} does not chain with endmembers {a.shape}",
-        ))
-    if s.ndim == 2 and s.shape[1] != spatial.sr_pixel_count:
-        out.append(Violation(
-            "shape", "abundances/spatial", 0.0,
-            f"abundances have {s.shape[1]} pixels, spatial response expects "
-            f"{spatial.sr_pixel_count}",
-        ))
-    return out
+    a = _as_matrix(endmembers, "endmembers")
+    s = _as_matrix(abundances, "abundances")
+    f = _as_matrix(spectral, "spectral response")
+    out = validate_endmembers(a) + validate_abundances(s) + validate_spectral(f)
+    return out + spatial.validate() + check_axes(
+        ("endmembers", "endmembers", a), ("abundances", "abundances", s),
+        ("spectral", "spectral", f), ("spatial", "spatial", spatial))

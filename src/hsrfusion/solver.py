@@ -43,7 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import _check_counts, _is_number
+from .model import (_as_matrix, _check_counts, _is_number, check_axes, raise_first,
+                    validate_spectral)
 
 _TINY = 1e-300
 
@@ -92,7 +93,7 @@ class Solution:
 # ---------------------------------------------------------------------------
 
 def _finite_array(name, array):
-    array = np.asarray(array, dtype=float)
+    array = _as_matrix(array, name)
     if not np.isfinite(array).all():
         raise ValueError(f"{name} has a non-finite entry")
     return array
@@ -134,14 +135,10 @@ class _Problem:
         self.y_hs = _finite_array("y_hs", y_hs)
         self.f = _finite_array("spectral", spectral)
         self.pixels = spatial.sr_pixel_count
-        if self.y_ms.shape[1] != self.pixels:
-            raise ValueError("MS pixel count does not match the spatial response")
-        if self.y_hs.shape[1] != spatial.hs_pixel_count:
-            raise ValueError("HS pixel count does not match the spatial response")
-        if self.y_hs.shape[0] != self.f.shape[1]:
-            raise ValueError("HS band count does not match the spectral response")
-        if self.y_ms.shape[0] != self.f.shape[0]:
-            raise ValueError("MS band count does not match the spectral response")
+        # The data as check_axes inputs, named as the public functions name them.
+        self.inputs = (("spectral", "spectral", self.f), ("spatial", "spatial", spatial),
+                       ("y_ms", "ms", self.y_ms), ("y_hs", "hs", self.y_hs))
+        raise_first(check_axes(*self.inputs))
         _energy("spectral", self.f)
         self.ftf = self.f.T @ self.f
         self.lip_ftf = _sym_norm(self.ftf)
@@ -156,13 +153,11 @@ class _Problem:
         return self.g.gram_norm()
 
     def factors(self, endmembers, abundances):
-        """The factors as float arrays, checked against the data shapes."""
-        a = np.asarray(endmembers, dtype=float)
-        s = np.asarray(abundances, dtype=float)
-        if a.shape[1] != s.shape[0] or self.f.shape[1] != a.shape[0]:
-            raise ValueError("endmember/abundance/spectral dimensions do not chain")
-        if s.shape[1] != self.pixels:
-            raise ValueError("abundance pixel count does not match the spatial response")
+        """The factors as float arrays, checked against the data's axes."""
+        a = _as_matrix(endmembers, "endmembers")
+        s = _as_matrix(abundances, "abundances")
+        raise_first(check_axes(*self.inputs, ("endmembers", "endmembers", a),
+                               ("abundances", "abundances", s)))
         return a, s
 
     def value(self, a, s, sg=None):
@@ -460,15 +455,14 @@ def solve_coupled(y_ms, y_hs, spectral, spatial, config):
     objective change or an objective at the data's rounding level (both
     "converged"), an optional absolute objective floor, or the outer
     iteration cap (the cap is a termination reason, not an error).
-    Non-finite inputs, data whose squares overflow and provided initial
-    factors of the wrong shape raise ValueError, and so does a spatial
-    response that fails validate(), with its first violation, before any
-    product.
+    Non-finite inputs, data whose squares overflow, inputs that disagree on
+    an axis and provided initial factors of the wrong shape raise
+    ValueError, and so do a spectral response that fails validate_spectral
+    and a spatial response that fails validate(), with the first violation,
+    before any product.
     """
     problem = _Problem(y_ms, y_hs, spectral, spatial)
-    problems = spatial.validate()
-    if problems:
-        raise ValueError(str(problems[0]))
+    raise_first(validate_spectral(problem.f) + spatial.validate())
     a, s = _initialize(problem, config)
     f_cur = _finite(problem.value(a, s))
     trace = [f_cur]

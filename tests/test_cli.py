@@ -656,31 +656,61 @@ def model_bundle(tmp_path_factory):
 
 
 _MUTATIONS = ("scale", "drop-row", "drop-column", "transpose", "negate-entry")
+_SPATIAL_MUTATIONS = ("drop-window", "drop-entry", "scale-weights", "negate-weight",
+                      "pixel-past-L")
+
+
+def _mutated_matrix(data, matrix):
+    mutation = data.draw(st.sampled_from(_MUTATIONS), label="mutation")
+    rows, columns = matrix.shape
+    if mutation == "scale":
+        return data.draw(st.sampled_from([0.5, 2.0, 3.0]), label="factor") * matrix
+    if mutation == "drop-row":
+        return np.delete(matrix, data.draw(st.integers(0, rows - 1), label="row"), axis=0)
+    if mutation == "drop-column":
+        return np.delete(matrix, data.draw(st.integers(0, columns - 1), label="column"), axis=1)
+    if mutation == "transpose":
+        return matrix.T
+    return _negate_entry(matrix, data.draw(st.integers(0, rows - 1), label="row"),
+                         data.draw(st.integers(0, columns - 1), label="column"))
+
+
+def _mutated_spatial(data, payload):
+    """A spatial.json object with one window, one entry of it or the weights
+    changed; a dropped window lowers the declared Lh with it."""
+    mutation = data.draw(st.sampled_from(_SPATIAL_MUTATIONS), label="mutation")
+    windows = payload["windows"]
+    window = windows[data.draw(st.integers(0, len(windows) - 1), label="window")]
+    entry = data.draw(st.integers(0, len(window["pixels"]) - 1), label="entry")
+    if mutation == "drop-window":
+        windows.remove(window)
+        payload["Lh"] -= 1
+    elif mutation == "drop-entry":
+        del window["pixels"][entry], window["weights"][entry]
+    elif mutation == "scale-weights":
+        factor = data.draw(st.sampled_from([0.5, 2.0, 3.0]), label="factor")
+        for w in windows:
+            w["weights"] = [factor * v for v in w["weights"]]
+    elif mutation == "negate-weight":
+        window["weights"][entry] = -window["weights"][entry]
+    else:
+        window["pixels"][entry] = payload["L"] + data.draw(st.integers(0, 2), label="past")
+    return payload
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_a_mutated_model_file_exits_zero_or_is_a_one_line_error_naming_it(model_bundle, data):
     command = data.draw(st.sampled_from(sorted(_MODEL_FILES)), label="command")
-    flag = data.draw(st.sampled_from([f for f in _MODEL_FILES[command] if f != "spatial"]),
-                     label="flag")
-    matrix = read_matrix(_bundle_file(model_bundle, flag))
-    mutation = data.draw(st.sampled_from(_MUTATIONS), label="mutation")
-    rows, columns = matrix.shape
-    if mutation == "scale":
-        matrix = data.draw(st.sampled_from([0.5, 2.0, 3.0]), label="factor") * matrix
-    elif mutation == "drop-row":
-        matrix = np.delete(matrix, data.draw(st.integers(0, rows - 1), label="row"), axis=0)
-    elif mutation == "drop-column":
-        matrix = np.delete(matrix, data.draw(st.integers(0, columns - 1), label="column"),
-                           axis=1)
-    elif mutation == "transpose":
-        matrix = matrix.T
+    flag = data.draw(st.sampled_from(_MODEL_FILES[command]), label="flag")
+    source = _bundle_file(model_bundle, flag)
+    if flag == "spatial":
+        path = model_bundle / "mutated.json"
+        payload = _mutated_spatial(data, json.loads(source.read_text(encoding="utf-8")))
+        path.write_text(json.dumps(payload), encoding="utf-8")
     else:
-        matrix = _negate_entry(matrix, data.draw(st.integers(0, rows - 1), label="row"),
-                               data.draw(st.integers(0, columns - 1), label="column"))
-    path = model_bundle / "mutated.csv"
-    write_matrix(path, matrix)
+        path = model_bundle / "mutated.csv"
+        write_matrix(path, _mutated_matrix(data, read_matrix(source)))
     argv = _model_argv(command, model_bundle, **{flag.replace("-", "_"): path})
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()) as err:

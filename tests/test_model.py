@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hsrfusion import (
     SolverConfig,
+    SolverConfig,
     SpatialResponse,
     build_counterexample,
     build_spatial_response,
@@ -21,6 +22,7 @@ from hsrfusion import (
     validate_model,
 )
 from hsrfusion.fileio import read_spatial_response, write_spatial_response
+from hsrfusion.solver import abundance_gradient, endmember_gradient
 from conftest import (
     desk_scene_config,
     identity_response,
@@ -478,10 +480,63 @@ def test_objective_rejects_observations_that_do_not_fit_the_responses():
     y_ms, y_hs = inst.observations()
     args = inst.endmembers, inst.abundances
     assert objective(*args, y_ms, y_hs, inst.spectral, inst.spatial) <= 1e-24
-    with pytest.raises(ValueError, match="^MS pixel count does not match"):
+    with pytest.raises(ValueError, match=r"^\[shape\] spatial/y_ms: spatial has 6 pixels, y_ms has 4$"):
         objective(*args, y_ms[:, :4], y_hs, inst.spectral, inst.spatial)
-    with pytest.raises(ValueError, match="^MS band count does not match"):
+    with pytest.raises(ValueError, match=r"^\[shape\] spectral/y_ms: spectral has 1 ms_bands, y_ms has 2$"):
         objective(*args, np.vstack([y_ms, y_ms]), y_hs, inst.spectral, inst.spatial)
+
+
+def _mismatched(entry):
+    """Call entry point ``entry`` on the counterexample (3 bands, 1 MS band,
+    3 materials, 6 SR and 3 HS pixels) with one argument cut short on an axis."""
+    inst = build_counterexample(0.15)
+    a, s, f, g = inst.endmembers, inst.abundances, inst.spectral, inst.spatial
+    y_ms, y_hs = inst.observations()
+    data = (y_ms, y_hs, f, g)
+    return {
+        "validate_model": lambda: validate_model(a, s[:, :4], f, g),
+        "reconstruct": lambda: reconstruct(a[:, :2], s),
+        "spectral_decimate": lambda: spectral_decimate(f, a[:2]),
+        "spatial_decimate": lambda: spatial_decimate(s[:, :4], g),
+        "objective": lambda: objective(a, s, y_ms, y_hs[:, :2], f, g),
+        "endmember_gradient": lambda: endmember_gradient(a[:2], s, *data),
+        "abundance_gradient": lambda: abundance_gradient(a, s[:2], *data),
+        "solve_coupled": lambda: solve_coupled(y_ms[:, :4], y_hs, f, g,
+                                               SolverConfig(materials=3)),
+    }[entry]()
+
+
+# Each entry point's error (validate_model's record) on _mismatched's input.
+_MISMATCH_MESSAGES = {
+    "validate_model": "[shape] abundances/spatial: abundances has 4 pixels, spatial has 6",
+    "reconstruct": "[shape] endmembers/abundances: endmembers has 2 materials, abundances has 3",
+    "spectral_decimate": "[shape] f/x: f has 3 bands, x has 2",
+    "spatial_decimate": "[shape] x/g: x has 4 pixels, g has 6",
+    "objective": "[shape] spatial/y_hs: spatial has 3 hs_pixels, y_hs has 2",
+    "endmember_gradient": "[shape] spectral/endmembers: spectral has 3 bands, endmembers has 2",
+    "abundance_gradient":
+        "[shape] endmembers/abundances: endmembers has 3 materials, abundances has 2",
+    "solve_coupled": "[shape] spatial/y_ms: spatial has 6 pixels, y_ms has 4",
+}
+
+
+@pytest.mark.parametrize("entry", list(_MISMATCH_MESSAGES))
+def test_every_entry_point_names_both_arguments_and_the_axis_they_disagree_on(entry):
+    message = _MISMATCH_MESSAGES[entry]
+    if entry == "validate_model":  # a report, never an error
+        assert [str(v) for v in _mismatched(entry)] == [message]
+    else:
+        with pytest.raises(ValueError) as error:
+            _mismatched(entry)
+        assert str(error.value) == message
+
+
+def test_an_observation_that_is_not_a_matrix_is_rejected_by_name():
+    inst = build_counterexample(0.15)
+    y_ms, y_hs = inst.observations()
+    with pytest.raises(ValueError) as error:
+        objective(inst.endmembers, inst.abundances, y_ms[0], y_hs, inst.spectral, inst.spatial)
+    assert str(error.value) == "y_ms must be a 2-D matrix, got ndim=1"
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from hsrfusion import (
     spa_initialize,
 )
 from hsrfusion import solver
-from hsrfusion.model import SpatialResponse, spatial_decimate, spectral_decimate
+from hsrfusion.model import SpatialResponse, spatial_decimate, spectral_decimate, validate_spectral
 from hsrfusion.solver import abundance_gradient, endmember_gradient
 from conftest import (
     desk_scene_config,
@@ -98,8 +98,25 @@ def test_an_ms_band_count_that_f_does_not_produce_is_rejected():
     inst = build_counterexample(0.2)
     y_ms, y_hs = inst.observations()
     y_ms = np.vstack([y_ms, y_ms])  # two MS bands; F has one row
-    with pytest.raises(ValueError, match="^MS band count does not match the spectral response$"):
+    with pytest.raises(ValueError, match=r"^\[shape\] spectral/y_ms: spectral has 1 ms_bands, y_ms has 2$"):
         solve_coupled(y_ms, y_hs, inst.spectral, inst.spatial, SolverConfig(materials=3))
+
+
+@pytest.mark.parametrize("spectral, message", [
+    ([[1.0, -1.0, 1.0]],
+     "[spectral_nonnegative] entry (0, 1): negative weight -1 (magnitude 1.000e+00)"),
+    (np.full((4, 3), 1.0 / 3),
+     "[spectral_size] matrix: ms_bands 4 must be < bands 3 (magnitude 2.000e+00)"),
+], ids=["negative-weight", "more-ms-bands-than-bands"])
+def test_a_spectral_response_failing_validation_is_rejected_before_solving(spectral, message):
+    # The observations are F's own, so every axis agrees and only
+    # validate_spectral can refuse F.
+    inst = build_counterexample(0.2)
+    image = inst.endmembers @ inst.abundances
+    y_ms, y_hs = spectral_decimate(spectral, image), spatial_decimate(image, inst.spatial)
+    with pytest.raises(ValueError) as error:
+        solve_coupled(y_ms, y_hs, spectral, inst.spatial, SolverConfig(materials=3, max_outer=5))
+    assert str(error.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -909,11 +926,12 @@ def test_solver_never_forms_the_dense_spatial_matrix():
 @st.composite
 def small_fusion_problems(draw):
     """Random small shapes, valid windows (nonempty, positive weights
-    summing to one, every SR pixel covered), data in [0, 1] and a solver
-    budget of at most 8 outer iterations."""
+    summing to one, every SR pixel covered), a valid spectral response
+    (fewer MS bands than bands, a positive entry in each row), data in [0, 1]
+    and a solver budget of at most 8 outer iterations."""
     materials = draw(st.integers(1, 4))
-    bands = draw(st.integers(1, 8))
     ms_bands = draw(st.integers(1, 4))
+    bands = draw(st.integers(ms_bands + 1, 8))
     pixels = draw(st.integers(2, 10))
     count = draw(st.integers(1, pixels - 1))
     # Deal a shuffled pixel order round the windows, so each window gets
@@ -928,13 +946,15 @@ def small_fusion_problems(draw):
         windows.append((members, raw / raw.sum()))
     unit = st.floats(0.0, 1.0)
     spectral = draw(arrays(float, (ms_bands, bands), elements=unit))
+    peaks = draw(arrays(int, ms_bands, elements=st.integers(0, bands - 1)))
+    spectral[np.arange(ms_bands), peaks] += 0.5
     y_ms = draw(arrays(float, (ms_bands, pixels), elements=unit))
     y_hs = draw(arrays(float, (bands, len(windows)), elements=unit))
     config = SolverConfig(materials=materials, init="random", seed=draw(st.integers(0, 2**16)),
                           inner_steps=draw(st.integers(1, 20)),
                           max_outer=draw(st.integers(1, 8)), rel_tol=1e-12)
     spatial = response_from_windows(pixels, windows)
-    assert spatial.validate() == []
+    assert spatial.validate() == [] and validate_spectral(spectral) == []
     return y_ms, y_hs, spectral, spatial, config
 
 
