@@ -45,14 +45,12 @@ from .scenegen import (
     build_spatial_response,
     build_spectral_response,
     generate_scene,
-    mse,
 )
 from .solver import (
     Solution,
     SolverConfig,
     objective,
     project_columns_to_simplex,
-    project_simplex,
     solve_coupled,
     spa_initialize,
 )

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import raise_first, spatial_decimate, validate_model
+from .model import _as_matrix, check_axes, raise_first, spatial_decimate, validate_model
 
 SUBSET_GUARD = 20  # subset enumeration cap for every subset reduction below
 SUBSET_BLOCK = 2048  # subsets per stacked SVD: bounds the gathered copy at any n <= guard
@@ -604,12 +604,16 @@ def extract_alignment(true_endmembers, endmembers, true_decimated, decimated, kr
     The inverse mixing is pinv(true endmembers) @ estimated endmembers.
     The row permutation is searched by partial pivoting first, then by
     Hungarian assignment if the pivoted matrix fails the off-diagonal
-    test against the dominance coefficient.
+    test against the dominance coefficient. The four matrices must agree
+    on every axis they share (model.check_axes), else ValueError.
     """
-    a_true = np.asarray(true_endmembers, dtype=float)
-    a_est = np.asarray(endmembers, dtype=float)
-    s_true = np.asarray(true_decimated, dtype=float)
-    s_est = np.asarray(decimated, dtype=float)
+    a_true = _as_matrix(true_endmembers, "true_endmembers")
+    a_est = _as_matrix(endmembers, "endmembers")
+    s_true = _as_matrix(true_decimated, "true_decimated")
+    s_est = _as_matrix(decimated, "decimated")
+    raise_first(check_axes(
+        ("true_endmembers", "endmembers", a_true), ("endmembers", "endmembers", a_est),
+        ("true_decimated", "decimated", s_true), ("decimated", "decimated", s_est)))
     n = a_true.shape[1]
 
     r_inv = np.linalg.pinv(a_true) @ a_est
@@ -688,12 +692,19 @@ def verify_abundance_error_bound(scene, solution, alignment, certificate):
         |A_true s_true_j - A_est s_est_j| <= |A_true|_2 * lhs_j.
 
     Inapplicable (reported, not raised) when the principal submatrix floor
-    is not positive.
+    is not positive. The factors, the mixing and the peak weights must
+    agree on every axis they share (model.check_axes), else ValueError.
     """
     s_true = scene.abundances
     s_est = solution.abundances
     a_true = scene.endmembers
     a_est = solution.endmembers
+    raise_first(check_axes(
+        ("scene.endmembers", "endmembers", a_true), ("scene.abundances", "abundances", s_true),
+        ("solution.endmembers", "endmembers", a_est),
+        ("solution.abundances", "abundances", s_est),
+        ("alignment.mixing", "mixing", alignment.mixing),
+        ("certificate.peak_weights", "peak_weights", certificate.peak_weights)))
 
     beta = alignment.submatrix_floor
     if not (beta > 0.0) or not math.isfinite(beta):

@@ -77,7 +77,7 @@ def run_trial(config, spatial, snr_db, snr_index, trial):
     estimate = solution.reconstruction()
     certificate = bounds.certify(scene.endmembers, scene.abundances,
                                  generated.spectral, spatial)
-    # One residual, squared in place: the same sums as the norm and mse take.
+    # One residual, squared in place, gives the MSE and each pixel's error.
     squared = scene.image - estimate
     squared *= squared
     return TrialRecord(

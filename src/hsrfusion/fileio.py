@@ -2,7 +2,9 @@
 
 Matrices are plain CSV, one row per line, '.' decimal separator, no
 header; dimensions are inferred. Values are written with 17 significant
-digits so a write/read round trip is bit exact for float64.
+digits so a write/read round trip is bit exact for float64. A non-finite
+cell is refused by the writer, naming its line and column as the reader
+would.
 
 The writer formats whole rows of about _CHUNK_CELLS formatted cells at a
 time in numpy, byte for byte the comma join of the row's ``f"{v:.17g}"``
@@ -22,8 +24,8 @@ values:
   ``bytes.translate`` of the chunk deletes them, giving the text.
 - Zeros, three quarters of an abundance file, skip all of this: the
   kernel formats only the nonzero cells, and "0" or "-0" is written
-  around its text. Exponent forms, nan and inf go through ``b"%.17g"``
-  one cell at a time; they are rare in scene files.
+  around its text. Exponent forms go through ``b"%.17g"`` one cell at a
+  time; they are rare in scene files.
 
 The reader parses with numpy's C reader. A file it refuses, or one with
 a non-finite cell, is read again line by line with ``float``, which
@@ -155,7 +157,7 @@ def _nonzero_text(v, row_ends):
     negative = np.signbit(v)
     mask[:, 0] = negative
     widths = _WIDTHS[form] + negative
-    other = np.flatnonzero(~fast)  # exponent form, nan and inf
+    other = np.flatnonzero(~fast)  # exponent form
     if other.size:
         texts = [b"%.17g" % value for value in v[other].tolist()]
         lengths = np.array([len(t) for t in texts])
@@ -199,6 +201,10 @@ def _format_cells(v, columns):
 
 def write_matrix(path, matrix):
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if not np.isfinite(m).all():
+        row, col = np.argwhere(~np.isfinite(m))[0].tolist()
+        raise ValueError(
+            f"{path}: line {row + 1}, column {col + 1}: non-finite value {m[row, col]}")
     rows, columns = m.shape
     with open(path, "wb") as handle:
         if columns == 0:

@@ -309,16 +309,18 @@ def validate_spectral(f):
     return out
 
 
-# Each model array's row and column axes, by role; G's are its SR and HS
-# pixel counts.
+# Each model array's axes, by role; G's are its SR and HS pixel counts,
+# "decimated" is abundances times G, "mixing" the square alignment R and
+# "peak_weights" a certificate's vector, one weight per SR pixel.
 AXES = {"spectral": ("ms_bands", "bands"), "spatial": ("pixels", "hs_pixels"),
         "image": ("bands", "pixels"), "ms": ("ms_bands", "pixels"),
         "hs": ("bands", "hs_pixels"), "endmembers": ("bands", "materials"),
-        "abundances": ("materials", "pixels")}
+        "abundances": ("materials", "pixels"), "decimated": ("materials", "hs_pixels"),
+        "mixing": ("materials", "materials"), "peak_weights": ("pixels",)}
 
 
 def check_axes(*inputs):
-    """The first disagreement on a shared axis among the matrices ``inputs``,
+    """The first disagreement on a shared axis among the arrays ``inputs``,
     each (name, role, array) or (name, role, array, label) and taken in
     order, as a list of at most one "shape" Violation: "[shape] spatial/y_ms:
     spatial has 6 pixels, y_ms has 4". The message calls an array by its
@@ -351,19 +353,6 @@ class Scene:
         endmembers = _as_matrix(endmembers, "endmembers")
         abundances = _as_matrix(abundances, "abundances")
         return cls(endmembers, abundances, reconstruct(endmembers, abundances))
-
-    def validate(self):
-        out = validate_endmembers(self.endmembers)
-        out += validate_abundances(self.abundances)
-        resid = self.image - self.endmembers @ self.abundances
-        scale = max(1.0, float(np.abs(self.image).max())) if self.image.size else 1.0
-        gap = float(np.abs(resid).max()) if resid.size else 0.0
-        if gap > 1e-12 * scale:
-            out.append(Violation(
-                "scene_product", "image", gap,
-                "image differs from endmembers @ abundances",
-            ))
-        return out
 
 
 # ---------------------------------------------------------------------------

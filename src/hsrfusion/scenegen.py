@@ -58,6 +58,9 @@ class SceneConfig:
             raise ValueError("factor must divide width and height")
         if self.kernel not in ("uniform", "gaussian"):
             raise ValueError(f"unknown kernel {self.kernel!r}")
+        if not isinstance(self.require_dominance, bool):
+            raise ValueError("require_dominance must be a boolean, "
+                             f"got {self.require_dominance!r}")
 
     @property
     def pixel_count(self):
@@ -388,12 +391,3 @@ def add_noise(y, snr_db, seed=0):
             return noisy
     raise ValueError(f"SNR {snr_db} dB is out of range: the noise scale or the noisy data "
                      "is not finite")
-
-
-def mse(x_true, x_est):
-    """Per-element mean squared error: |X_true - X_est|_F^2 / size."""
-    a = np.asarray(x_true, dtype=float)
-    b = np.asarray(x_est, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum((a - b) ** 2) / a.size)

@@ -325,14 +325,6 @@ def _support_projection(s):
     return project
 
 
-def project_simplex(v):
-    """Euclidean projection of a single vector onto the unit simplex."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("need a nonempty vector")
-    return project_columns_to_simplex(v[:, None])[:, 0]
-
-
 # ---------------------------------------------------------------------------
 # Pure-pixel initialization
 # ---------------------------------------------------------------------------

@@ -368,9 +368,8 @@ def test_criterion_9_solver_soundness(desk_runs, desk_spatial):
             else:
                 hi = mid
         oracle = np.maximum(v - 0.5 * (lo + hi), 0.0)
-        worst_projection = max(
-            worst_projection, float(np.abs(hf.project_simplex(v) - oracle).max())
-        )
+        projected = hf.project_columns_to_simplex(v[:, None])[:, 0]
+        worst_projection = max(worst_projection, float(np.abs(projected - oracle).max()))
 
     ok = monotone and worst_gradient < 1e-5 and worst_projection <= 1e-10
     _report(

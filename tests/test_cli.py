@@ -363,6 +363,7 @@ def test_badly_shaped_spatial_json_is_a_one_line_error(counterexample_files, cap
 @pytest.mark.parametrize("key, value", [
     ("sr_bands", "x"), ("sr_bands", None), ("factor", 0), ("width", True), ("height", 8.0),
     ("ms_bands", -2), ("kernel_size", "4"), ("seed", "x"), ("kernel_var", 0.0),
+    ("require_dominance", "false"), ("require_dominance", 0), ("require_dominance", None),
 ])
 def test_bad_scene_config_value_is_a_one_line_error(tmp_path, capsys, key, value):
     config = {"sr_bands": 30, "ms_bands": 4, "materials": 3, "width": 8, "height": 8,

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,12 +7,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hsrfusion import (
-    SolverConfig,
+    Scene,
+    Solution,
     SolverConfig,
     SpatialResponse,
     build_counterexample,
     build_spatial_response,
     certify,
+    check_assumptions,
+    extract_alignment,
     generate_scene,
     objective,
     peak_window_weights,
@@ -20,6 +24,7 @@ from hsrfusion import (
     spatial_decimate,
     spectral_decimate,
     validate_model,
+    verify_abundance_error_bound,
 )
 from hsrfusion.fileio import read_spatial_response, write_spatial_response
 from hsrfusion.solver import abundance_gradient, endmember_gradient
@@ -464,17 +469,6 @@ def test_entry_locations_print_as_plain_integers():
 # the scene container and the observation shapes
 # ---------------------------------------------------------------------------
 
-def test_scene_validates_its_product():
-    from hsrfusion import Scene
-
-    inst = build_counterexample(0.15)
-    scene = Scene.from_factors(inst.endmembers, inst.abundances)
-    assert scene.validate() == []
-    broken = Scene(endmembers=inst.endmembers, abundances=inst.abundances,
-                   image=scene.image + 1e-6)
-    assert any(v.check == "scene_product" for v in broken.validate())
-
-
 def test_objective_rejects_observations_that_do_not_fit_the_responses():
     inst = build_counterexample(0.15)
     y_ms, y_hs = inst.observations()
@@ -493,6 +487,8 @@ def _mismatched(entry):
     a, s, f, g = inst.endmembers, inst.abundances, inst.spectral, inst.spatial
     y_ms, y_hs = inst.observations()
     data = (y_ms, y_hs, f, g)
+    d = spatial_decimate(s, g)
+    truth = Solution(a, s, np.zeros(1), 0, "converged")
     return {
         "validate_model": lambda: validate_model(a, s[:, :4], f, g),
         "reconstruct": lambda: reconstruct(a[:, :2], s),
@@ -503,6 +499,12 @@ def _mismatched(entry):
         "abundance_gradient": lambda: abundance_gradient(a, s[:2], *data),
         "solve_coupled": lambda: solve_coupled(y_ms[:, :4], y_hs, f, g,
                                                SolverConfig(materials=3)),
+        "certify": lambda: certify(a[:, :2], s, f, g),
+        "check_assumptions": lambda: check_assumptions(a[:2], s, f, g),
+        "extract_alignment": lambda: extract_alignment(a, a[:, :2], d, d),
+        "verify_abundance_error_bound": lambda: verify_abundance_error_bound(
+            Scene.from_factors(a, s), truth, extract_alignment(a, a, d, d, kruskal=1),
+            dataclasses.replace(certify(a, s, f, g), peak_weights=np.ones(4))),
     }[entry]()
 
 
@@ -517,6 +519,13 @@ _MISMATCH_MESSAGES = {
     "abundance_gradient":
         "[shape] endmembers/abundances: endmembers has 3 materials, abundances has 2",
     "solve_coupled": "[shape] spatial/y_ms: spatial has 6 pixels, y_ms has 4",
+    "certify": "[shape] endmembers/abundances: endmembers has 2 materials, abundances has 3",
+    "check_assumptions": "[shape] endmembers/spectral: endmembers has 2 bands, spectral has 3",
+    "extract_alignment":
+        "[shape] true_endmembers/endmembers: true_endmembers has 3 materials, endmembers has 2",
+    "verify_abundance_error_bound": "[shape] scene.abundances/certificate.peak_weights: "
+                                    "scene.abundances has 6 pixels, "
+                                    "certificate.peak_weights has 4",
 }
 
 

@@ -14,7 +14,6 @@ from hsrfusion import (
     dominance_probability,
     generate_scene,
     kruskal_rank,
-    mse,
     spatial_decimate,
 )
 from conftest import desk_scene_config, windows_of
@@ -300,33 +299,6 @@ def test_add_noise_rejects_zero_signal():
 def test_add_noise_rejects_an_snr_that_is_not_finite_or_plus_inf(snr_db):
     with pytest.raises(ValueError, match=f"got {snr_db}$"):
         add_noise(np.ones((2, 2)), snr_db, seed=0)
-
-
-def test_mse_identical_is_zero():
-    x = np.random.default_rng(1).normal(size=(3, 4))
-    assert mse(x, x) == 0.0
-
-
-def test_mse_constant_offset():
-    x = np.random.default_rng(2).normal(size=(3, 4))
-    c = 0.37
-    assert mse(x, x + c) == pytest.approx(c * c, rel=1e-12)
-
-
-def test_mse_matches_double_loop_oracle():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(4, 6))
-    b = rng.normal(size=(4, 6))
-    acc = 0.0
-    for i in range(4):
-        for j in range(6):
-            acc += (a[i, j] - b[i, j]) ** 2
-    assert mse(a, b) == pytest.approx(acc / 24.0, rel=1e-13)
-
-
-def test_mse_shape_mismatch():
-    with pytest.raises(ValueError):
-        mse(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------

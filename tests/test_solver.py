@@ -22,7 +22,6 @@ from hsrfusion import (
     generate_scene,
     objective,
     project_columns_to_simplex,
-    project_simplex,
     solve_coupled,
     spa_initialize,
 )
@@ -123,26 +122,31 @@ def test_a_spectral_response_failing_validation_is_rejected_before_solving(spect
 # simplex projection
 # ---------------------------------------------------------------------------
 
+def _project_one(v):
+    """The projection of one vector, as a one-column matrix."""
+    return project_columns_to_simplex(v[:, None])[:, 0]
+
+
 def test_project_simplex_fixed_point():
     v = np.array([0.5, 0.5])
-    assert np.allclose(project_simplex(v), v, atol=0)
+    assert np.allclose(_project_one(v), v, atol=0)
 
 
 def test_project_simplex_vertex():
-    assert np.allclose(project_simplex(np.array([2.0, 0.0])), [1.0, 0.0], atol=1e-15)
+    assert np.allclose(_project_one(np.array([2.0, 0.0])), [1.0, 0.0], atol=1e-15)
 
 
 def test_project_simplex_interior_shift():
     # KKT: shift both coordinates by the same theta with none clipped
-    assert np.allclose(project_simplex(np.array([0.4, 0.2])), [0.6, 0.4], atol=1e-15)
+    assert np.allclose(_project_one(np.array([0.4, 0.2])), [0.6, 0.4], atol=1e-15)
 
 
 def test_project_simplex_idempotent():
     rng = np.random.default_rng(0)
     for _ in range(50):
         v = rng.normal(scale=2.0, size=rng.integers(1, 9))
-        once = project_simplex(v)
-        twice = project_simplex(once)
+        once = _project_one(v)
+        twice = _project_one(once)
         assert np.allclose(once, twice, atol=1e-14)
         assert once.min() >= 0.0
         assert once.sum() == pytest.approx(1.0, abs=1e-12)
@@ -165,12 +169,12 @@ def test_project_simplex_matches_bisection_oracle():
     rng = np.random.default_rng(17)
     for _ in range(100):
         v = rng.normal(scale=3.0, size=rng.integers(2, 12))
-        assert np.abs(project_simplex(v) - _bisection_projection(v)).max() <= 1e-10
+        assert np.abs(_project_one(v) - _bisection_projection(v)).max() <= 1e-10
 
 
 def test_project_simplex_rejects_empty():
     with pytest.raises(ValueError):
-        project_simplex(np.array([]))
+        _project_one(np.array([]))
 
 
 def test_project_columns_matches_single_vector():
@@ -178,7 +182,7 @@ def test_project_columns_matches_single_vector():
     v = rng.normal(size=(5, 7))
     cols = project_columns_to_simplex(v)
     for j in range(7):
-        assert np.allclose(cols[:, j], project_simplex(v[:, j]), atol=1e-14)
+        assert np.allclose(cols[:, j], _project_one(v[:, j]), atol=1e-14)
 
 
 def _axis0_projection(v):
