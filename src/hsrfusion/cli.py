@@ -96,7 +96,8 @@ def _cmd_solve(args):
     print(
         f"solution written to {out} "
         f"(objective {solution.objective_trace[-1]:.6g}, "
-        f"{solution.iterations} iterations, {solution.termination})"
+        f"{solution.iterations} iterations, {solution.termination}, "
+        f"stationarity {solution.stationarity:.3g})"
     )
     return 0
 

@@ -48,11 +48,15 @@ class TrialRecord:
     bound_max: float
     objective: float
     iterations: int
+    # Why the solve stopped, and its gradient mapping's norm at exit relative
+    # to the first iteration's; "" and nan for a failed trial.
+    termination: str = ""
+    stationarity: float = math.nan
     error: str | None = None
 
 
 RESULT_COLUMNS = ("snr_db", "trial", "mse", "max_pixel_error", "bound_max",
-                  "objective", "iters")
+                  "objective", "iters", "termination", "stationarity")
 
 
 def _child_seed(master, *key):
@@ -88,6 +92,8 @@ def run_trial(config, spatial, snr_db, snr_index, trial):
         bound_max=float(certificate.pixel_bounds.max()),
         objective=float(solution.objective_trace[-1]),
         iterations=solution.iterations,
+        termination=solution.termination,
+        stationarity=solution.stationarity,
     )
 
 
@@ -150,6 +156,8 @@ def _write_outputs(out_dir, config, records, failures):
             f"{rec.bound_max:.17g}",
             f"{rec.objective:.17g}",
             str(rec.iterations),
+            rec.termination,
+            f"{rec.stationarity:.17g}",
         ]))
     (out_dir / "results.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 

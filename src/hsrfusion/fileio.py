@@ -491,6 +491,7 @@ def save_solution(out_dir, solution):
         "iterations": solution.iterations,
         "termination": solution.termination,
         "restarts": solution.restarts,
+        "stationarity": solution.stationarity,
         "objective_trace": solution.objective_trace.tolist(),
         "objective": float(solution.objective_trace[-1]),
     })

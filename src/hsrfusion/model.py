@@ -186,15 +186,20 @@ class SpatialResponse:
         finite = self._reduce(np.logical_and, np.isfinite(self.weights), True)
         wmin = self._reduce(np.minimum, self.weights, 1.0)
         total = self._reduce(np.add, self.weights, 1.0)
-        # (window, pixel) pairs of the in-range windows: a repeat sorts next to itself
+        # (window, pixel) pairs of the in-range windows whose pixels do not
+        # strictly ascend (a built response has none): a repeat sorts next to itself
         kept = in_range[owners]
         pixels = self.pixels[kept]
         windows = owners[kept]
-        order = np.lexsort((pixels, windows))
-        pixels, windows = pixels[order], windows[order]
-        repeat = (windows[1:] == windows[:-1]) & (pixels[1:] == pixels[:-1])
+        unsorted = np.zeros(lh, dtype=bool)
+        unsorted[windows[1:][(windows[1:] == windows[:-1]) & (pixels[1:] <= pixels[:-1])]] = True
+        in_unsorted = unsorted[windows]
+        suspects, owner = pixels[in_unsorted], windows[in_unsorted]
+        order = np.lexsort((suspects, owner))
+        suspects, owner = suspects[order], owner[order]
+        repeat = (owner[1:] == owner[:-1]) & (suspects[1:] == suspects[:-1])
         duplicate = np.zeros(lh, dtype=bool)
-        duplicate[windows[1:][repeat]] = True
+        duplicate[owner[1:][repeat]] = True
         flagged = ~in_range | ~finite | ~(wmin > 0.0) | (abs(total - 1) > TAU_SIMPLEX) | duplicate
         for i in np.flatnonzero(flagged).tolist():
             where = f"window {i}"

@@ -14,6 +14,14 @@ roundoff; if they too exceed the slack, the block is kept as it was. So
 every iterate is feasible, and the trace rises, if at all, by no more
 than that slack per block pass: about 2e-12 of its value per iteration.
 
+A solve stops when it is stationary, the measure of PALM (Bolte, Sabach &
+Teboulle 2014) and of Xu & Yin (2013). A pass's first step is never
+extrapolated, so from its start point X it is X_1 = P(X - grad f(X) / L),
+and L |X - X_1|_F, the norm of the block's gradient mapping, costs no
+extra product. r_k sums the two blocks' norms in quadrature (0 for a
+block left flat), and the solve ends once r_k <= 1e-4 r_1 (_STATIONARY);
+Solution.stationarity is r_k / r_1 at exit.
+
 Each step is one affine map X -> X - t grad(X), whose small factors are
 formed once per pass, and one projection. G enters only through the
 response's sparse products, applied to the materials x L abundances: the
@@ -47,6 +55,9 @@ from .model import (_as_matrix, _check_counts, _is_number, check_axes, raise_fir
                     validate_spectral)
 
 _TINY = 1e-300
+# A solve is stationary, and stops, once its gradient mapping's norm is this
+# fraction of the first iteration's.
+_STATIONARY = 1e-4
 
 
 @dataclass
@@ -83,6 +94,8 @@ class Solution:
     iterations: int
     termination: str
     restarts: int = 0  # inertial steps rejected, each restarting the momentum
+    # The gradient mapping's norm at exit over the first iteration's; nan if not measured
+    stationarity: float = math.nan
 
     def reconstruction(self):
         return self.endmembers @ self.abundances
@@ -389,30 +402,45 @@ def _extrapolation(steps):
 def _pass(x, step_map, step, project, steps, accelerate):
     """``steps`` projected steps by ``step_map(step)`` from ``x``; ``accelerate``
     extrapolates (FISTA) into a new array after each step where its factor
-    is not 0, never into ``x``."""
+    is not 0, never into ``x``. Returns the last step's output and the
+    gradient mapping's norm at ``x``, |x - x_1| / step, from the first step,
+    which is never extrapolated."""
     move = step_map(step)
     x_new = y = x
-    for beta in _extrapolation(steps) if accelerate else (0.0,) * steps:
+    for i, beta in enumerate(_extrapolation(steps) if accelerate else (0.0,) * steps):
         x_next = project(move(y))
+        if i == 0:
+            # einsum, not a BLAS dot, whose order of summation follows the thread count
+            d = x - x_next
+            mapping = math.sqrt(np.einsum("ij,ij->", d, d)) / step
         y = x_next
         if beta:
             y = x_next - x_new
             y *= beta
             y += x_next
         x_new = x_next
-    return x_new
+    return x_new, mapping
+
+
+def _clip_to_box(z):
+    """The endmember passes' projection, clipping the map's new array in place."""
+    return np.minimum(np.maximum(z, 0.0, out=z), 1.0, out=z)
 
 
 def _descend(x, step_map, lipschitz, project, evaluate, f_start, steps):
-    """One block pass from ``x``; returns the new iterate and its objective.
-    A FISTA pass that raised the objective is redone from ``x`` with plain 1/L
-    steps, which raise it at most by roundoff; if they do, ``x`` is kept."""
+    """One block pass from ``x``; returns the new iterate, its objective and
+    the gradient mapping's norm at ``x``. A FISTA pass that raised the
+    objective is redone from ``x`` with plain 1/L steps, which raise it at
+    most by roundoff; if they do, ``x`` is kept. The redone pass's first
+    step is the same map from the same point, so the first value stands."""
     for accelerate in (True, False):
-        x_new = _pass(x, step_map, 1.0 / lipschitz, project, steps, accelerate)
+        x_new, mapping = _pass(x, step_map, 1.0 / lipschitz, project, steps, accelerate)
+        if accelerate:
+            first = mapping
         f_new = _finite(evaluate(x_new))
         if f_new <= f_start * (1.0 + 1e-12) + 1e-300:
-            return x_new, f_new
-    return x, f_start
+            return x_new, f_new, first
+    return x, f_start, first
 
 
 def _initialize(problem, config):
@@ -443,10 +471,16 @@ def solve_coupled(y_ms, y_hs, spectral, spatial, config):
 
     Every iterate is feasible by construction. The objective trace can
     rise only within a block pass's roundoff slack, 1e-12 f + 1e-300, so
-    by about 2e-12 relative per iteration at most. Stops on the relative
-    objective change or an objective at the data's rounding level (both
-    "converged"), an optional absolute objective floor, or the outer
-    iteration cap (the cap is a termination reason, not an error).
+    by about 2e-12 relative per iteration at most. Stops on an optional
+    absolute objective floor ("objective_floor"), then on the relative
+    objective change, an objective at the data's rounding level or a
+    stationary iterate (all "converged"), or at the outer iteration cap
+    (the cap is a termination reason, not an error). Stationary means
+    r_k <= 1e-4 r_1: r_k is the norm of the gradient mapping L (X - X_1)
+    at the start of iteration k's block passes, X_1 being each pass's
+    first, unextrapolated step and the two blocks' norms summed in
+    quadrature, and r_1 is iteration 1's (at least 1e-300).
+    Solution.stationarity holds r_k / r_1 at exit.
     Non-finite inputs, data whose squares overflow, inputs that disagree on
     an axis and provided initial factors of the wrong shape raise
     ValueError, and so do a spectral response that fails validate_spectral
@@ -486,23 +520,29 @@ def solve_coupled(y_ms, y_hs, spectral, spatial, config):
         a_prev, s_prev, t = a_last, s_last, t_next
 
         # A block whose Lipschitz constant is below _TINY is flat to double
-        # precision, and its step 1/L could overflow: it is left as it is.
+        # precision, and its step 1/L could overflow: it is left as it is,
+        # and its gradient mapping counts as 0.
+        r_a = r_s = 0.0
         step_map, lipschitz, evaluate = problem.endmember_pass(s, sg)
         if lipschitz > _TINY:
-            a, f_cur = _descend(a, step_map, lipschitz,  # clipping the map's new array
-                                lambda z: np.minimum(np.maximum(z, 0.0, out=z), 1.0, out=z),
-                                evaluate, f_cur, config.inner_steps)
+            a, f_cur, r_a = _descend(a, step_map, lipschitz, _clip_to_box,
+                                     evaluate, f_cur, config.inner_steps)
         step_map, lipschitz, evaluate = problem.abundance_pass(a)
         if lipschitz > _TINY:
-            s, f_cur = _descend(s, step_map, lipschitz, _support_projection(s),
-                                evaluate, f_cur, config.inner_steps)
+            s, f_cur, r_s = _descend(s, step_map, lipschitz, _support_projection(s),
+                                     evaluate, f_cur, config.inner_steps)
+        mapping = math.hypot(r_a, r_s)
+        if outer == 1:
+            r_first = max(mapping, _TINY)
+        stationarity = mapping / r_first
 
         prev = trace[-1]
         trace.append(f_cur)
         if f_cur <= config.objective_floor:
             termination = "objective_floor"
             break
-        if abs(prev - f_cur) / max(prev, _TINY) < config.rel_tol or f_cur <= problem.roundoff:
+        if (abs(prev - f_cur) / max(prev, _TINY) < config.rel_tol or f_cur <= problem.roundoff
+                or stationarity <= _STATIONARY):
             termination = "converged"
             break
 
@@ -513,4 +553,5 @@ def solve_coupled(y_ms, y_hs, spectral, spatial, config):
         iterations=iterations,
         termination=termination,
         restarts=restarts,
+        stationarity=stationarity,
     )

@@ -554,11 +554,12 @@ def test_undecodable_input_is_a_one_line_error_naming_its_path(counterexample_fi
 
 # sha256 of each JSON file's objects as commit 6be49b8 wrote them (then
 # indented, but for spatial.json), encoded as write_json encodes them, and of
-# the certificate's bytes.
+# the certificate's bytes. solution.json also holds the later "stationarity"
+# key; the same objects without it hash to b8f38cb713b7837a...aceec16.
 _DESK_PIPELINE_DIGESTS = {
     "scene/scene.json": "26ca467bfa0a0eaf8bfe95865a805d306a2330c5d0b49e70eee8952c345c6cda",
     "scene/spatial.json": "9bc5a51020f966b1f9fba473a13bb9b9cc5c2fbadf69819be0d3330cc3e17c5d",
-    "sol/solution.json": "b8f38cb713b7837a69e3a9c85ab8b65fabb493b2e5fdcbe016ff41596aceec16",
+    "sol/solution.json": "08e18f49f589789a40d6221b160071836eba2b6079585729536a118e8fe093c8",
     "sweep/summary.json": "7c4d3820aec9c6232d809f627913b39c1a321de9d976d1083541533c1d912956",
     "cert.json": "21d8582661b391e2bf402a34f145c7abdcd0c9b5d7e0eeb166d4884afff318c4",
 }
@@ -584,7 +585,9 @@ def test_desk_pipeline_writes_each_json_file_as_one_compact_line(tmp_path, capsy
                  "--spectral", str(s / "spectral.csv"), "--spatial", str(s / "spatial.json"),
                  "--config", str(tmp_path / "solver-config.json"),
                  "--out", str(tmp_path / "sol")]) == 0
-    capsys.readouterr()
+    solution = json.loads((tmp_path / "sol" / "solution.json").read_text())
+    assert capsys.readouterr().out.endswith(
+        f"{solution['termination']}, stationarity {solution['stationarity']:.3g})\n")
     assert main([*_model_argv("certify", s), "--out", str(tmp_path / "cert.json")]) == 0
     assert capsys.readouterr().out == (tmp_path / "cert.json").read_text()
     assert main(["experiment", "--config", str(tmp_path / "sweep-config.json"),

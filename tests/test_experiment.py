@@ -84,6 +84,17 @@ def test_an_snr_whose_noise_is_not_finite_fails_only_its_trials(tmp_path, snr):
     assert [f["snr_db"] for f in summary["failures"]] == [f"{snr:g}"]
 
 
+def test_each_row_says_why_its_solve_stopped(tmp_path):
+    out = tmp_path / "run"
+    records = run_experiment(tiny_config(out, snr_db=(25.0, 1e308), trials=1))
+    solved, failed = records
+    assert solved.termination == "converged" and solved.stationarity > 0.0
+    assert (failed.termination, math.isnan(failed.stationarity)) == ("", True)
+    rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[1:]]
+    assert rows[0][-3:] == [str(solved.iterations), "converged", f"{solved.stationarity:.17g}"]
+    assert rows[1][-3:] == ["0", "", "nan"]
+
+
 def test_generator_self_check_failure_propagates(tmp_path, monkeypatch):
     def broken(*args):
         raise AssertionError("pure window 0 is not pure for 0")

@@ -354,10 +354,11 @@ def test_config_readers_name_unknown_and_missing_keys():
 def test_solution_json_records_the_momentum_restarts(tmp_path):
     solution = Solution(endmembers=np.eye(2), abundances=np.eye(2),
                         objective_trace=np.array([2.0, 1.0]), iterations=1,
-                        termination="converged", restarts=3)
+                        termination="converged", restarts=3, stationarity=2.5e-5)
     save_solution(tmp_path, solution)
     payload = json.loads((tmp_path / "solution.json").read_text())
     assert payload["restarts"] == 3
+    assert payload["stationarity"] == 2.5e-5
     assert payload["iterations"] == 1
 
 

@@ -401,15 +401,18 @@ def test_solver_determinism(desk_spatial):
     assert np.array_equal(first.objective_trace, second.objective_trace)
 
 
+# The benchmark's desk solver config.
+_DESK_CONFIG = SolverConfig(materials=6, max_outer=500, inner_steps=15,
+                            rel_tol=1e-11, objective_floor=1e-20)
+
+
 def _criterion_8_solve(spatial, snr_db):
     gen = generate_scene(desk_scene_config(seed=0), spatial)
     y_ms, y_hs = observe(gen, spatial)
     if snr_db is not None:
         y_ms = add_noise(y_ms, snr_db, seed=1)
         y_hs = add_noise(y_hs, snr_db, seed=2)
-    config = SolverConfig(materials=6, max_outer=500, inner_steps=15,
-                          rel_tol=1e-11, objective_floor=1e-20)
-    return solve_coupled(y_ms, y_hs, gen.spectral, spatial, config)
+    return solve_coupled(y_ms, y_hs, gen.spectral, spatial, _DESK_CONFIG)
 
 
 def _desk_work_ledger():
@@ -434,7 +437,7 @@ def _desk_work_ledger():
 
 # The solver's exact work on one fixed problem. A change that moves these
 # numbers changes the solver's work, and says by how much and why.
-_DESK_WORK_LEDGER = [175, 5, "converged", 5496]
+_DESK_WORK_LEDGER = [33, 2, "converged", 5251]
 
 
 def test_the_desk_work_ledger_is_pinned_and_independent_of_blas_threads():
@@ -460,6 +463,60 @@ def test_noiseless_desk_solve_stops_after_one_iteration_without_restarts(desk_sp
     assert solution.termination == "objective_floor"
     assert solution.iterations == 1
     assert solution.restarts == 0
+
+
+def test_the_stationarity_stop_keeps_each_mse_and_saves_a_third_of_the_iterations(
+        desk_spatial, monkeypatch):
+    # Desk scenes 0-3 at 25 dB with the benchmark's desk config, solved with
+    # the stop and, with its threshold at 0, to rel_tol alone.
+    problems = []
+    for seed in range(4):
+        gen = generate_scene(desk_scene_config(seed=seed), desk_spatial)
+        y_ms, y_hs = observe(gen, desk_spatial)
+        problems.append((gen.scene.image, (add_noise(y_ms, 25.0, seed=1),
+                                           add_noise(y_hs, 25.0, seed=2),
+                                           gen.spectral, desk_spatial)))
+
+    def solves():
+        out = []
+        for image, problem in problems:
+            solution = solve_coupled(*problem, _DESK_CONFIG)
+            out.append((solution, np.mean((image - solution.reconstruction()) ** 2)))
+        return out
+
+    stopped = solves()
+    monkeypatch.setattr(solver, "_STATIONARY", 0.0)
+    full = solves()
+    for (solution, mse), (_, full_mse) in zip(stopped, full):
+        assert solution.termination == "converged"
+        assert solution.stationarity <= 1e-4
+        assert mse <= 1.01 * full_mse
+    assert 1.5 * sum(s.iterations for s, _ in stopped) <= sum(s.iterations for s, _ in full)
+
+
+@pytest.mark.parametrize("scene", ["desk", "gaussian-64"])
+def test_a_pass_measures_the_gradient_mapping_at_its_start(scene, desk_spatial):
+    # L |X - P(X - grad f(X) / L)| per block, P the block's projection, from
+    # the public gradients, projection and a clip; FISTA and plain passes
+    # share their first step, and so its value.
+    if scene == "desk":
+        gen = generate_scene(desk_scene_config(seed=38), desk_spatial)
+        problem = (*observe(gen, desk_spatial), gen.spectral, desk_spatial)
+    else:
+        problem = _gaussian_64_problem(seed=4)
+    rng = np.random.default_rng(8)
+    a = rng.uniform(size=(problem[1].shape[0], 6))
+    s = np.asfortranarray(random_simplex_columns(rng, 6, problem[3].sr_pixel_count))
+    inner = solver._Problem(*problem)
+    blocks = [(a, inner.endmember_pass(s), endmember_gradient(a, s, *problem),
+               lambda: solver._clip_to_box, lambda v: np.clip(v, 0.0, 1.0)),
+              (s, inner.abundance_pass(a), abundance_gradient(a, s, *problem),
+               lambda: solver._support_projection(s), project_columns_to_simplex)]
+    for x, (step_map, lipschitz, _), gradient, projection, reference in blocks:
+        expected = lipschitz * np.linalg.norm(x - reference(x - gradient / lipschitz))
+        for accelerate in (True, False):
+            _, mapping = solver._pass(x, step_map, 1.0 / lipschitz, projection(), 3, accelerate)
+            assert abs(mapping - expected) <= 1e-12 * expected
 
 
 def test_an_overshooting_fista_pass_falls_back_to_plain_steps(desk_spatial, monkeypatch):
@@ -670,9 +727,9 @@ def test_a_noiseless_default_solve_makes_at_most_two_passes_per_block_at_one_ove
 
     def descend(x, step_map, lipschitz, *args):
         passes.append([])
-        x_new, f_new = real_descend(x, step_map, lipschitz, *args)
+        result = real_descend(x, step_map, lipschitz, *args)
         assert all(step == 1.0 / lipschitz for step in passes[-1])
-        return x_new, f_new
+        return result
 
     def counted(x, step_map, step, *args):
         passes[-1].append(step)
