@@ -492,6 +492,7 @@ def save_solution(out_dir, solution):
         "termination": solution.termination,
         "restarts": solution.restarts,
         "stationarity": solution.stationarity,
+        "stats": solution.stats,
         "objective_trace": solution.objective_trace.tolist(),
         "objective": float(solution.objective_trace[-1]),
     })

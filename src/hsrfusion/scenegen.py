@@ -362,6 +362,13 @@ def _verify_generated(generated, config, kruskal):
         )
 
 
+def _norm(x):
+    """|x|_F as one einsum: np.linalg.norm's BLAS dot sums in an order that
+    follows the thread count."""
+    x = x.ravel()
+    return math.sqrt(np.einsum("i,i->", x, x))
+
+
 def add_noise(y, snr_db, seed=0):
     """Add i.i.d. Gaussian noise rescaled to hit the target SNR exactly.
 
@@ -375,13 +382,13 @@ def add_noise(y, snr_db, seed=0):
         raise ValueError(f"SNR must be a finite number of dB or inf, got {snr_db}")
     if snr_db == math.inf:
         return y.copy()
-    signal = float(np.linalg.norm(y))
+    signal = _norm(y)
     if signal == 0.0:
         raise ValueError("cannot set a finite SNR on an all-zero signal")
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(y.shape)
     try:
-        scale = signal / (float(np.linalg.norm(noise)) * 10.0 ** (snr_db / 20.0))
+        scale = signal / (_norm(noise) * 10.0 ** (snr_db / 20.0))
     except (OverflowError, ZeroDivisionError):  # 10^(snr/20) leaves the float range
         scale = math.inf
     if math.isfinite(scale):

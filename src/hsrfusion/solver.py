@@ -7,12 +7,16 @@ iteration tries an inertial step on (A, S) with the FISTA weight (Xu & Yin
 momentum, then a pass of projected 1/L FISTA steps (Beck & Teboulle 2009)
 on each block. L bounds the block's curvature where it moves (for S, on
 the simplex's tangent space, columns summing to zero) by the top
-eigenvalue of one materials x materials matrix. A FISTA pass that raised
-the objective beyond a roundoff slack of 1e-12 f + 1e-300 is redone once
-with plain 1/L steps, which by the descent lemma raise it at most by
-roundoff; if they too exceed the slack, the block is kept as it was. So
-every iterate is feasible, and the trace rises, if at all, by no more
-than that slack per block pass: about 2e-12 of its value per iteration.
+eigenvalue of one materials x materials matrix. A pass ends at its first
+step, after the first, that moves the block at most _STALL = 0.4 times as
+far as its first step did (the inner stop of Gillis & Glineur 2012), or
+after inner_steps steps, the cap. A FISTA pass that raised the objective
+beyond a roundoff slack of 1e-12 f + 1e-300 is redone once with plain 1/L
+steps, which end by the same rule and by the descent lemma raise it at
+most by roundoff; if they too exceed the slack, the block is kept as it
+was. So every iterate is feasible, and the trace rises, if at all, by no
+more than that slack per block pass: about 2e-12 of its value per
+iteration.
 
 A solve stops when it is stationary, the measure of PALM (Bolte, Sabach &
 Teboulle 2014) and of Xu & Yin (2013). A pass's first step is never
@@ -58,6 +62,9 @@ _TINY = 1e-300
 # A solve is stationary, and stops, once its gradient mapping's norm is this
 # fraction of the first iteration's.
 _STATIONARY = 1e-4
+# A block pass ends at the first later step that moves the block at most this
+# fraction of its first step's distance.
+_STALL = 0.4
 
 
 @dataclass
@@ -66,7 +73,7 @@ class SolverConfig:
 
     materials: int
     max_outer: int = 5000
-    inner_steps: int = 10
+    inner_steps: int = 10         # the most steps a block pass takes
     rel_tol: float = 1e-10
     objective_floor: float = 0.0
     init: str = "pure-pixel"      # "random" | "provided"
@@ -96,6 +103,9 @@ class Solution:
     restarts: int = 0  # inertial steps rejected, each restarting the momentum
     # The gradient mapping's norm at exit over the first iteration's; nan if not measured
     stationarity: float = math.nan
+    # Per block, "endmembers" and "abundances": its passes, the projected steps
+    # they took (a redone pass's included) and the passes redone with plain steps
+    stats: dict = field(default_factory=dict)
 
     def reconstruction(self):
         return self.endmembers @ self.abundances
@@ -175,12 +185,13 @@ class _Problem:
 
     def value(self, a, s, sg=None):
         """The objective at (A, S); ``sg`` is S G when the caller has it.
-        Each residual's square sum is one BLAS dot product of it raveled."""
+        Each residual's square sum is one einsum, which, unlike a BLAS dot,
+        sums in an order that does not depend on the thread count."""
         if sg is None:
             sg = self.g.apply(s)
-        r_ms = ((self.f @ a) @ s - self.y_ms).ravel()
-        r_hs = (a @ sg - self.y_hs).ravel()
-        return float(r_ms @ r_ms + r_hs @ r_hs)
+        r_ms = (self.f @ a) @ s - self.y_ms
+        r_hs = a @ sg - self.y_hs
+        return float(np.einsum("ij,ij->", r_ms, r_ms) + np.einsum("ij,ij->", r_hs, r_hs))
 
     def endmember_pass(self, s, sg=None):
         """(step map in A, Lipschitz constant, objective in A) at fixed S. The
@@ -400,24 +411,32 @@ def _extrapolation(steps):
 
 
 def _pass(x, step_map, step, project, steps, accelerate):
-    """``steps`` projected steps by ``step_map(step)`` from ``x``; ``accelerate``
-    extrapolates (FISTA) into a new array after each step where its factor
-    is not 0, never into ``x``. Returns the last step's output and the
-    gradient mapping's norm at ``x``, |x - x_1| / step, from the first step,
-    which is never extrapolated."""
+    """Projected steps by ``step_map(step)`` from ``x``, at most ``steps``, the
+    pass ending at the first step after the first whose length |x_k+1 - x_k|
+    is at most _STALL times the first's; ``accelerate`` extrapolates (FISTA)
+    into a new array after each step where its factor is not 0, never into
+    ``x``. Returns the last step's output and the gradient mapping's norm at
+    ``x``, |x - x_1| / step, from the first step, which is never
+    extrapolated."""
     move = step_map(step)
     x_new = y = x
     for i, beta in enumerate(_extrapolation(steps) if accelerate else (0.0,) * steps):
         x_next = project(move(y))
+        if 0 < i == steps - 1:
+            return x_next, mapping  # the cap ends the pass; no length is needed
+        d = x_next - x_new
+        # einsum, not a BLAS dot, whose order of summation follows the thread count
+        length = np.einsum("ij,ij->", d, d)
         if i == 0:
-            # einsum, not a BLAS dot, whose order of summation follows the thread count
-            d = x - x_next
-            mapping = math.sqrt(np.einsum("ij,ij->", d, d)) / step
+            first = length
+            mapping = math.sqrt(first) / step
+        elif length <= _STALL * _STALL * first:
+            return x_next, mapping
         y = x_next
         if beta:
-            y = x_next - x_new
-            y *= beta
-            y += x_next
+            d *= beta
+            d += x_next
+            y = d
         x_new = x_next
     return x_new, mapping
 
@@ -427,16 +446,25 @@ def _clip_to_box(z):
     return np.minimum(np.maximum(z, 0.0, out=z), 1.0, out=z)
 
 
-def _descend(x, step_map, lipschitz, project, evaluate, f_start, steps):
+def _descend(x, step_map, lipschitz, project, evaluate, f_start, steps, counts):
     """One block pass from ``x``; returns the new iterate, its objective and
     the gradient mapping's norm at ``x``. A FISTA pass that raised the
     objective is redone from ``x`` with plain 1/L steps, which raise it at
     most by roundoff; if they do, ``x`` is kept. The redone pass's first
-    step is the same map from the same point, so the first value stands."""
+    step is the same map from the same point, so the first value stands.
+    ``counts``, the block's entry of Solution.stats, gains the pass, its
+    steps and a redone pass."""
+    def counted(v):
+        counts["steps"] += 1
+        return project(v)
+
+    counts["passes"] += 1
     for accelerate in (True, False):
-        x_new, mapping = _pass(x, step_map, 1.0 / lipschitz, project, steps, accelerate)
+        x_new, mapping = _pass(x, step_map, 1.0 / lipschitz, counted, steps, accelerate)
         if accelerate:
             first = mapping
+        else:
+            counts["fallbacks"] += 1
         f_new = _finite(evaluate(x_new))
         if f_new <= f_start * (1.0 + 1e-12) + 1e-300:
             return x_new, f_new, first
@@ -480,7 +508,11 @@ def solve_coupled(y_ms, y_hs, spectral, spatial, config):
     at the start of iteration k's block passes, X_1 being each pass's
     first, unextrapolated step and the two blocks' norms summed in
     quadrature, and r_1 is iteration 1's (at least 1e-300).
-    Solution.stationarity holds r_k / r_1 at exit.
+    Solution.stationarity holds r_k / r_1 at exit. A block pass takes at
+    most config.inner_steps steps and ends early at its first step, after
+    the first, that moves the block at most 0.4 times as far as the first
+    did (_STALL); Solution.stats counts each block's passes, steps and plain
+    fallbacks.
     Non-finite inputs, data whose squares overflow, inputs that disagree on
     an axis and provided initial factors of the wrong shape raise
     ValueError, and so do a spectral response that fails validate_spectral
@@ -494,6 +526,8 @@ def solve_coupled(y_ms, y_hs, spectral, spatial, config):
     trace = [f_cur]
     termination = "max_iterations"
     iterations = restarts = 0
+    stats = {block: {"passes": 0, "steps": 0, "fallbacks": 0}
+             for block in ("endmembers", "abundances")}
     a_prev, s_prev, t = a, s, 1.0
 
     for outer in range(1, config.max_outer + 1):
@@ -509,7 +543,8 @@ def solve_coupled(y_ms, y_hs, spectral, spatial, config):
             s_try = s + beta * (s - s_prev)
             rows = s_try.T
             cols = (functools.reduce(np.minimum, s_try) < 0.0).nonzero()[0]
-            rows[cols] = project_columns_to_simplex(rows[cols].T).T
+            if cols.size:
+                rows[cols] = project_columns_to_simplex(rows[cols].T).T
             sg_try = problem.g.apply(s_try)
             f_try = _finite(problem.value(a_try, s_try, sg_try))
             if f_try <= f_cur:
@@ -526,11 +561,11 @@ def solve_coupled(y_ms, y_hs, spectral, spatial, config):
         step_map, lipschitz, evaluate = problem.endmember_pass(s, sg)
         if lipschitz > _TINY:
             a, f_cur, r_a = _descend(a, step_map, lipschitz, _clip_to_box,
-                                     evaluate, f_cur, config.inner_steps)
+                                     evaluate, f_cur, config.inner_steps, stats["endmembers"])
         step_map, lipschitz, evaluate = problem.abundance_pass(a)
         if lipschitz > _TINY:
             s, f_cur, r_s = _descend(s, step_map, lipschitz, _support_projection(s),
-                                     evaluate, f_cur, config.inner_steps)
+                                     evaluate, f_cur, config.inner_steps, stats["abundances"])
         mapping = math.hypot(r_a, r_s)
         if outer == 1:
             r_first = max(mapping, _TINY)
@@ -554,4 +589,5 @@ def solve_coupled(y_ms, y_hs, spectral, spatial, config):
         termination=termination,
         restarts=restarts,
         stationarity=stationarity,
+        stats=stats,
     )

@@ -554,13 +554,14 @@ def test_undecodable_input_is_a_one_line_error_naming_its_path(counterexample_fi
 
 # sha256 of each JSON file's objects as commit 6be49b8 wrote them (then
 # indented, but for spatial.json), encoded as write_json encodes them, and of
-# the certificate's bytes. solution.json also holds the later "stationarity"
-# key; the same objects without it hash to b8f38cb713b7837a...aceec16.
+# the certificate's bytes. solution.json and summary.json hold the solves of
+# the solver with stalling block passes, and solution.json the later
+# "stationarity" and "stats" keys.
 _DESK_PIPELINE_DIGESTS = {
     "scene/scene.json": "26ca467bfa0a0eaf8bfe95865a805d306a2330c5d0b49e70eee8952c345c6cda",
     "scene/spatial.json": "9bc5a51020f966b1f9fba473a13bb9b9cc5c2fbadf69819be0d3330cc3e17c5d",
-    "sol/solution.json": "08e18f49f589789a40d6221b160071836eba2b6079585729536a118e8fe093c8",
-    "sweep/summary.json": "7c4d3820aec9c6232d809f627913b39c1a321de9d976d1083541533c1d912956",
+    "sol/solution.json": "ba99b0cc60e0552c770f5aac017dc94b2d60972beb61572e5b1dbc399cc3abc8",
+    "sweep/summary.json": "25c78399b94e0417c230b250348dd5cd469b0b074973d40b5b1dcc784d334d5c",
     "cert.json": "21d8582661b391e2bf402a34f145c7abdcd0c9b5d7e0eeb166d4884afff318c4",
 }
 

@@ -362,6 +362,15 @@ def test_solution_json_records_the_momentum_restarts(tmp_path):
     assert payload["iterations"] == 1
 
 
+def test_solution_json_records_each_blocks_steps_and_fallbacks(tmp_path):
+    stats = {"endmembers": {"passes": 4, "steps": 21, "fallbacks": 1},
+             "abundances": {"passes": 4, "steps": 30, "fallbacks": 0}}
+    save_solution(tmp_path, Solution(endmembers=np.eye(2), abundances=np.eye(2),
+                                     objective_trace=np.array([2.0, 1.0]), iterations=4,
+                                     termination="converged", stats=stats))
+    assert json.loads((tmp_path / "solution.json").read_text())["stats"] == stats
+
+
 @pytest.mark.parametrize("data, message", [
     (b"\xff1,2\n", "line 1, column 1: byte 0xff is not UTF-8"),
     (b"1,2\n3,4\xe9\n", "line 2, column 2: byte 0xe9 is not UTF-8"),
