@@ -11,14 +11,12 @@ from .bounds import (
     AssumptionReport,
     Certificate,
     certify,
-    check_assumptions,
     dominance_coefficient,
     dominance_monte_carlo,
     dominance_probability,
     extract_alignment,
     kruskal_rank,
     peak_window_weights,
-    subset_condition_number,
     support_balance,
     varah_lower_bound,
     verify_abundance_error_bound,

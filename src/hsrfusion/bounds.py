@@ -150,7 +150,9 @@ class _SubsetTables:
         return k
 
     def condition(self):
-        """max sigma_max(complement) / sigma_min(subset) over proper subsets.
+        """max sigma_max(complement) / sigma_min(subset) over proper subsets:
+        the certificate's condition number of F A. sigma_min of a block is
+        its min(m, k)-th singular value; inf when some block is rank deficient.
 
         Exact branch and bound around k = min(m, n - 1). The k-subsets,
         their complements and the complements of single columns are
@@ -247,23 +249,6 @@ def dominance_coefficient(endmembers):
     return eps
 
 
-def subset_condition_number(a_ms):
-    """Worst ratio sigma_max(complement block) / sigma_min(subset block).
-
-    The maximum runs over every nonempty column subset of the
-    MS-decimated endmember matrix. For rectangular blocks sigma_min means
-    the min(m, k)-th singular value and the empty complement contributes
-    sigma_max = 0. Returns +inf when some subset block is rank deficient.
-    Only the subsets of size k = min(m, n - 1), their complements and the
-    complements of single columns are certain to be decomposed; Cauchy
-    interlacing bounds the rest, and a subset is decomposed only when its
-    bound could reach the largest ratio found, so the result equals that
-    of the full enumeration bit for bit. Decomposed values go into tables
-    indexed by column bitmask, so a complement's sigma_max is a lookup.
-    """
-    return _SubsetTables(a_ms).condition()
-
-
 def support_balance(materials, kruskal):
     """Upper envelope of sqrt(|J| (n - |J|)) over support sizes |J| <= kruskal."""
     n, k = materials, kruskal
@@ -344,19 +329,18 @@ class Certificate:
         return {**vars(self), "assumptions": self.assumptions.to_dict()}
 
 
-def check_assumptions(endmembers, abundances, spectral, spatial):
-    """Validate the four structural conditions on a concrete scene.
+def certify(endmembers, abundances, spectral, spatial):
+    """Instantiate the per-pixel recovery bound for a concrete scene.
 
-    Report-only: every condition gets a pass/fail flag and a witness
-    (pure window indices, worst support size, dominance value). Inputs
-    that fail validate_model raise its first violation as ValueError.
+    Validates the four structural conditions, each with a pass/fail flag
+    and a witness (pure window indices, worst support size, dominance
+    value), and computes every factor of the bound. Degenerate inputs
+    (undefined dominance, zero Kruskal rank) yield infinite bounds rather
+    than errors: the certificate degrades to "no guarantee". Inputs that
+    fail validate_model raise its first violation as ValueError. Kruskal
+    rank and the condition number come from one decomposition of each
+    column subset of F A.
     """
-    return _assess(endmembers, abundances, spectral, spatial)[0]
-
-
-def _assess(endmembers, abundances, spectral, spatial):
-    """check_assumptions' report, and the subset tables of F A behind its
-    Kruskal rank for the certificate to reduce further."""
     raise_first(validate_model(endmembers, abundances, spectral, spatial))
     a = np.asarray(endmembers, dtype=float)
     s = np.asarray(abundances, dtype=float)
@@ -399,47 +383,16 @@ def _assess(endmembers, abundances, spectral, spatial):
     )
 
     # inf exactly when some column has no band below 1/n
-    dominance_value = dominance_coefficient(a)
-    dominance = dominance_value < 1.0 / (4.0 * n)
+    dominance = dominance_coefficient(a)
+    threshold = 1.0 / (4.0 * n)
     dominance_detail = (
-        f"dominance {dominance_value:.6g} vs threshold {1.0 / (4.0 * n):.6g}"
-        + (" (some column has no band below 1/n)" if math.isinf(dominance_value) else "")
+        f"dominance {dominance:.6g} vs threshold {threshold:.6g}"
+        + (" (some column has no band below 1/n)" if math.isinf(dominance) else "")
     )
 
-    report = AssumptionReport(
-        full_rank=full_rank,
-        full_rank_detail=rank_detail,
-        sparsity=bool(sparsity),
-        sparsity_detail=sparsity_detail,
-        pure_pixels=bool(pure),
-        pure_pixels_detail=pure_detail,
-        dominance=bool(dominance),
-        dominance_detail=dominance_detail,
-        kruskal=kruskal,
-        dominance_value=float(dominance_value),
-        pure_indices=pure_indices if pure else None,
-        worst_support_pixel=worst_pixel,
-        worst_support_size=worst_size,
-    )
-    return report, tables
-
-
-def certify(endmembers, abundances, spectral, spatial):
-    """Instantiate the per-pixel recovery bound for a concrete scene.
-
-    Degenerate inputs (undefined dominance, zero Kruskal rank) yield
-    infinite bounds rather than errors: the certificate degrades to "no
-    guarantee". Inputs that fail validate_model raise its first violation
-    as ValueError. Kruskal rank and the condition number come from one
-    decomposition of each column subset of F A.
-    """
-    report, tables = _assess(endmembers, abundances, spectral, spatial)
-    a = np.asarray(endmembers, dtype=float)
-    n = a.shape[1]
-    kruskal, dominance = report.kruskal, report.dominance_value
     condition = tables.condition()
     gamma = peak_window_weights(spatial)
-    norm_a = float(np.linalg.svd(a, compute_uv=False)[0])
+    norm_a = float(sv_a[0])
     balance = support_balance(n, kruskal) if kruskal >= 1 else math.nan
     if math.isfinite(dominance) and math.isfinite(condition) and kruskal >= 1:
         pixel_bounds = (
@@ -456,7 +409,21 @@ def certify(endmembers, abundances, spectral, spatial):
         peak_weights=gamma,
         endmember_norm=norm_a,
         pixel_bounds=np.asarray(pixel_bounds, dtype=float),
-        assumptions=report,
+        assumptions=AssumptionReport(
+            full_rank=full_rank,
+            full_rank_detail=rank_detail,
+            sparsity=bool(sparsity),
+            sparsity_detail=sparsity_detail,
+            pure_pixels=bool(pure),
+            pure_pixels_detail=pure_detail,
+            dominance=bool(dominance < threshold),
+            dominance_detail=dominance_detail,
+            kruskal=kruskal,
+            dominance_value=dominance,
+            pure_indices=pure_indices if pure else None,
+            worst_support_pixel=worst_pixel,
+            worst_support_size=worst_size,
+        ),
     )
 
 

@@ -57,12 +57,7 @@ def _cmd_generate(args):
     config = fileio.read_scene_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    spatial = scenegen.build_spatial_response(
-        config.width, config.height, kernel=config.kernel,
-        kernel_size=config.kernel_size, variance=config.kernel_var,
-        factor=config.factor,
-    )
-    generated = scenegen.generate_scene(config, spatial)
+    generated = scenegen.generate_scene(config, config.spatial_response())
     out = fileio.save_generated_scene(args.out, generated)
     print(f"scene written to {out} (draws: {generated.draws})")
     return 0

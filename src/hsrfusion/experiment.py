@@ -104,11 +104,7 @@ def run_experiment(config):
     (snr, trial) and summary.json with the mean MSE per SNR plus any
     failures.
     """
-    spatial = scenegen.build_spatial_response(
-        config.scene.width, config.scene.height,
-        kernel=config.scene.kernel, kernel_size=config.scene.kernel_size,
-        variance=config.scene.kernel_var, factor=config.scene.factor,
-    )
+    spatial = config.scene.spatial_response()
     records = []
     failures = []
     for snr_index, snr_db in enumerate(config.snr_db):

@@ -440,11 +440,14 @@ def experiment_config_from_dict(payload):
 
 
 def _parse_snr(value):
-    """null reads as inf and a number or string as a float; anything else is
-    left for ExperimentConfig to reject."""
+    """null reads as inf and a number or a numeric string as a float; anything
+    else is left for ExperimentConfig to reject by name."""
     if value is None:
         return math.inf
-    return float(value) if isinstance(value, str) or _is_number(value) else value
+    try:
+        return float(value) if isinstance(value, str) or _is_number(value) else value
+    except ValueError:  # a string float() cannot read
+        return value
 
 
 def read_scene_config(path):

@@ -70,6 +70,12 @@ class SceneConfig:
     def hs_pixel_count(self):
         return (self.width // self.factor) * (self.height // self.factor)
 
+    def spatial_response(self):
+        """The blur-and-downsample response of this scene's grid and kernel."""
+        return build_spatial_response(self.width, self.height, kernel=self.kernel,
+                                      kernel_size=self.kernel_size, variance=self.kernel_var,
+                                      factor=self.factor)
+
 
 @dataclass
 class GeneratedScene:

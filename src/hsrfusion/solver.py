@@ -89,6 +89,9 @@ class SolverConfig:
             raise ValueError(f"objective_floor must be a number, got {self.objective_floor!r}")
         if self.init not in ("pure-pixel", "random", "provided"):
             raise ValueError(f"unknown init mode {self.init!r}")
+        if self.init == "provided" and (self.init_endmembers is None
+                                        or self.init_abundances is None):
+            raise ValueError("init='provided' needs init_endmembers and init_abundances")
 
 
 @dataclass
@@ -475,8 +478,6 @@ def _initialize(problem, config):
     """The starting (A, S), feasible, with S pixel-major."""
     n = config.materials
     if config.init == "provided":
-        if config.init_endmembers is None or config.init_abundances is None:
-            raise ValueError("init='provided' needs init_endmembers and init_abundances")
         a0 = _shaped("init_endmembers", _finite_array("init_endmembers", config.init_endmembers),
                      (problem.y_hs.shape[0], n), "HS bands x materials")
         s0 = _shaped("init_abundances", _finite_array("init_abundances", config.init_abundances),

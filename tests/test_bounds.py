@@ -12,7 +12,6 @@ from hsrfusion import (
     SpatialResponse,
     build_counterexample,
     certify,
-    check_assumptions,
     dominance_coefficient,
     dominance_monte_carlo,
     dominance_probability,
@@ -21,7 +20,6 @@ from hsrfusion import (
     kruskal_rank,
     peak_window_weights,
     solve_coupled,
-    subset_condition_number,
     support_balance,
     varah_lower_bound,
     verify_abundance_error_bound,
@@ -135,16 +133,21 @@ def test_dominance_invariant_under_column_permutation():
 # subset condition number
 # ---------------------------------------------------------------------------
 
+def _condition(a):
+    """The certificate's condition number of a, from fresh subset tables."""
+    return bounds._SubsetTables(a).condition()
+
+
 def test_condition_identity():
-    assert subset_condition_number(np.eye(2)) == pytest.approx(1.0, rel=1e-12)
+    assert _condition(np.eye(2)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_condition_diagonal():
-    assert subset_condition_number(np.diag([2.0, 1.0])) == pytest.approx(2.0, rel=1e-12)
+    assert _condition(np.diag([2.0, 1.0])) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_condition_row_of_ones():
-    assert subset_condition_number(np.array([[1.0, 1.0, 1.0]])) == pytest.approx(
+    assert _condition(np.array([[1.0, 1.0, 1.0]])) == pytest.approx(
         math.sqrt(2.0), rel=1e-12
     )
 
@@ -153,9 +156,7 @@ def test_condition_invariant_under_column_permutation():
     rng = np.random.default_rng(3)
     a = rng.uniform(size=(3, 5))
     perm = rng.permutation(5)
-    assert subset_condition_number(a[:, perm]) == pytest.approx(
-        subset_condition_number(a), rel=1e-10
-    )
+    assert _condition(a[:, perm]) == pytest.approx(_condition(a), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +233,7 @@ block_sizes = st.sampled_from([1, 3, bounds.SUBSET_BLOCK])
 def test_kruskal_and_condition_equal_per_subset_loops(a, block):
     with mock.patch.object(bounds, "SUBSET_BLOCK", block):
         assert kruskal_rank(a) == _kruskal_oracle(a)
-        assert subset_condition_number(a) == _condition_oracle(a)
+        assert _condition(a) == _condition_oracle(a)
 
 
 @settings(max_examples=300, deadline=None)
@@ -248,7 +249,7 @@ def test_subset_reductions_raise_past_the_guard():
     with pytest.raises(ValueError, match="guard"):
         principal_floor(np.eye(too_many))
     with pytest.raises(ValueError, match="guard"):
-        subset_condition_number(np.ones((2, too_many)))
+        _condition(np.ones((2, too_many)))
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +352,8 @@ def test_certify_and_assumptions_reject_an_invalid_spatial_response():
     weights = g.weights.copy()
     weights[:2] = [-0.5, 1.5]  # window 0: still sums to one
     bad = SpatialResponse(g.sr_pixel_count, indptr=g.indptr, pixels=g.pixels, weights=weights)
-    for check in (certify, check_assumptions):
-        with pytest.raises(ValueError, match="window_weight_positive"):
-            check(inst.endmembers, inst.abundances, inst.spectral, bad)
+    with pytest.raises(ValueError, match="window_weight_positive"):
+        certify(inst.endmembers, inst.abundances, inst.spectral, bad)
 
 
 def _spy_on_subset_sizes(monkeypatch):
@@ -387,7 +387,7 @@ def test_certify_enumerates_each_subset_size_of_f_a_once(monkeypatch, desk_spati
     assert {k, n - k, n - 1} <= set(sizes) <= set(range(1, n + 1))
     fa = spectral @ endmembers
     assert cert.kruskal == kruskal_rank(fa)
-    assert cert.condition == subset_condition_number(fa)  # bit for bit, inf too
+    assert cert.condition == _condition(fa)  # bit for bit, inf too
     assert cert.kruskal == (1 if duplicate else min(m, n))
     assert (cert.condition > 1e12) == duplicate  # a dependent pair's sigma_min is roundoff
 
@@ -403,7 +403,7 @@ def test_kruskal_rank_on_its_own_stops_after_the_first_dependent_size(monkeypatc
 def test_kruskal_rank_stops_at_the_first_block_with_a_dependent_subset(monkeypatch):
     a = np.random.default_rng(4).uniform(size=(8, 12))
     a[:, 1] = a[:, 0]  # (0, 1) leads the first block of 2-subsets
-    expected = subset_condition_number(a)
+    expected = _condition(a)
     monkeypatch.setattr(bounds, "SUBSET_BLOCK", 4)
     stacks = []
     svd = np.linalg.svd
@@ -454,7 +454,7 @@ def test_certify_decomposes_the_pruning_levels_of_a_full_kruskal_f_a_only(monkey
 @pytest.mark.parametrize("m, n", [(1, 1), (4, 1), (1, 2), (5, 2), (1, 3), (2, 3), (6, 3)])
 def test_condition_equals_the_oracle_where_nothing_is_pruned(m, n):
     a = np.random.default_rng(m * 10 + n).uniform(-1.0, 1.0, size=(m, n))
-    assert subset_condition_number(a) == _condition_oracle(a)
+    assert _condition(a) == _condition_oracle(a)
 
 
 def test_condition_equals_the_oracle_with_a_duplicated_column():
@@ -514,8 +514,8 @@ def test_top_down_kruskal_rank_equals_bottom_up_at_the_threshold(m, n, ratio):
 def test_counterexample_satisfies_first_three_conditions():
     for rho in (0.0, 0.1, 0.3, 0.45):
         inst = build_counterexample(rho)
-        report = check_assumptions(inst.endmembers, inst.abundances,
-                                   inst.spectral, inst.spatial)
+        report = certify(inst.endmembers, inst.abundances,
+                         inst.spectral, inst.spatial).assumptions
         assert report.full_rank
         assert report.sparsity
         assert report.pure_pixels
@@ -526,7 +526,7 @@ def test_dense_column_fails_sparsity():
     inst = build_counterexample(0.1)
     dense = inst.abundances.copy()
     dense[:, 0] = [0.4, 0.3, 0.3]
-    report = check_assumptions(inst.endmembers, dense, inst.spectral, inst.spatial)
+    report = certify(inst.endmembers, dense, inst.spectral, inst.spatial).assumptions
     assert not report.sparsity
     assert report.worst_support_pixel == 0
     assert report.worst_support_size == 3
@@ -540,7 +540,7 @@ def test_generated_dominant_scene_passes_everything():
                          seed=8)
     g = build_spatial_response(8, 8, kernel="uniform", kernel_size=2, factor=2)
     gen = generate_scene(config, g)
-    report = check_assumptions(gen.scene.endmembers, gen.scene.abundances, gen.spectral, g)
+    report = certify(gen.scene.endmembers, gen.scene.abundances, gen.spectral, g).assumptions
     assert report.all_passed
 
 
@@ -693,16 +693,14 @@ def test_solution_errors_stay_below_certificate_on_fully_valid_scene():
                          seed=77)
     spatial = build_spatial_response(8, 8, kernel="uniform", kernel_size=2, factor=2)
     gen = generate_scene(config, spatial)
-    report = check_assumptions(gen.scene.endmembers, gen.scene.abundances,
-                               gen.spectral, spatial)
-    assert report.all_passed
+    cert = certify(gen.scene.endmembers, gen.scene.abundances, gen.spectral, spatial)
+    assert cert.assumptions.all_passed
     y_ms = spectral_decimate(gen.spectral, gen.scene.image)
     y_hs = spatial_decimate(gen.scene.image, spatial)
     solver_config = SolverConfig(materials=2, max_outer=2000, inner_steps=20,
                                  rel_tol=1e-13, objective_floor=1e-24)
     solution = solve_coupled(y_ms, y_hs, gen.spectral, spatial, solver_config)
     assert solution.objective_trace[-1] < 1e-8
-    cert = certify(gen.scene.endmembers, gen.scene.abundances, gen.spectral, spatial)
     errors = np.linalg.norm(gen.scene.image - solution.reconstruction(), axis=0)
     assert (errors <= cert.pixel_bounds).all()
 

@@ -426,16 +426,19 @@ _SWEEP = {"scene": {"sr_bands": 30, "ms_bands": 4, "materials": 3, "width": 8, "
      "rel_tol must be a positive number, got '1e-9'"),
     ({**_SWEEP, "solver": {"materials": 3, "objective_floor": None}},
      "objective_floor must be a number, got None"),
+    ({**_SWEEP, "solver": {"materials": 3, "init": "provided"}},
+     "init='provided' needs init_endmembers and init_abundances"),
     ({**_SWEEP, "trials": 2.0}, "trials must be a positive integer, got 2.0"),
     ({**_SWEEP, "master_seed": "x"}, "master_seed must be a non-negative integer, got 'x'"),
     ({**_SWEEP, "snr_db": 30}, "snr_db must be a nonempty list, got 30"),
     ({**_SWEEP, "snr_db": ["nan"]}, "snr_db entries must be numbers, finite or inf, got nan"),
     ({**_SWEEP, "snr_db": [[30]]}, "snr_db entries must be numbers, finite or inf, got [30]"),
+    ({**_SWEEP, "snr_db": ["abc"]}, "snr_db entries must be numbers, finite or inf, got 'abc'"),
     ({**_SWEEP, "output_dir": 5}, "output_dir must be a path string, got 5"),
 ], ids=["null", "number", "solver-null", "scene-array", "materials-string", "max_outer-float",
         "inner_steps-bool", "seed-negative", "rel_tol-string", "objective_floor-null",
-        "trials-float", "master_seed-string", "snr_db-number", "snr-nan", "snr-array",
-        "output_dir-number"])
+        "init-provided-without-arrays", "trials-float", "master_seed-string", "snr_db-number",
+        "snr-nan", "snr-array", "snr-string", "output_dir-number"])
 def test_bad_experiment_config_is_a_one_line_error(tmp_path, capsys, payload, message):
     path = tmp_path / "experiment.json"
     path.write_text(json.dumps(payload), encoding="utf-8")

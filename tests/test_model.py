@@ -14,7 +14,6 @@ from hsrfusion import (
     build_counterexample,
     build_spatial_response,
     certify,
-    check_assumptions,
     extract_alignment,
     generate_scene,
     objective,
@@ -500,7 +499,7 @@ def _mismatched(entry):
         "solve_coupled": lambda: solve_coupled(y_ms[:, :4], y_hs, f, g,
                                                SolverConfig(materials=3)),
         "certify": lambda: certify(a[:, :2], s, f, g),
-        "check_assumptions": lambda: check_assumptions(a[:2], s, f, g),
+        "certify_bands": lambda: certify(a[:2], s, f, g),
         "extract_alignment": lambda: extract_alignment(a, a[:, :2], d, d),
         "verify_abundance_error_bound": lambda: verify_abundance_error_bound(
             Scene.from_factors(a, s), truth, extract_alignment(a, a, d, d, kruskal=1),
@@ -520,7 +519,7 @@ _MISMATCH_MESSAGES = {
         "[shape] endmembers/abundances: endmembers has 3 materials, abundances has 2",
     "solve_coupled": "[shape] spatial/y_ms: spatial has 6 pixels, y_ms has 4",
     "certify": "[shape] endmembers/abundances: endmembers has 2 materials, abundances has 3",
-    "check_assumptions": "[shape] endmembers/spectral: endmembers has 2 bands, spectral has 3",
+    "certify_bands": "[shape] endmembers/spectral: endmembers has 2 bands, spectral has 3",
     "extract_alignment":
         "[shape] true_endmembers/endmembers: true_endmembers has 3 materials, endmembers has 2",
     "verify_abundance_error_bound": "[shape] scene.abundances/certificate.peak_weights: "

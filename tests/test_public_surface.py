@@ -1,16 +1,13 @@
 """Every name ``hsrfusion/__init__.py`` imports has a caller: code in the
 package outside the name's own definition, or an acceptance criterion in
-``tests/test_acceptance.py``. The README's "Public surface" section lists
-the exceptions and why each is kept."""
+``tests/test_acceptance.py``. The README's "Public surface" section states
+the rule."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hsrfusion"
-
-# Exported without a caller; the README names each and its reason.
-EXCEPTIONS = ("check_assumptions", "subset_condition_number")
 
 
 def _referrers(tree, modules):
@@ -49,16 +46,9 @@ def _called_names():
     return called | set(_referrers(tree, aliases))
 
 
-def test_every_public_name_has_a_caller_or_is_a_listed_exception():
+def test_every_public_name_has_a_caller():
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     exported = [alias.asname or alias.name for node in tree.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     called = _called_names()
-    assert [name for name in exported if name not in called and name not in EXCEPTIONS] == []
-    # An exception that gained a caller, or left the surface, leaves the list.
-    assert [name for name in EXCEPTIONS if name in called or name not in exported] == []
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    _, heading, rest = readme.partition("\n## Public surface\n")
-    assert heading, "README.md has no Public surface section"
-    surface = rest.split("\n## ", 1)[0]
-    assert [name for name in EXCEPTIONS if f"`{name}`" not in surface] == []
+    assert [name for name in exported if name not in called] == []

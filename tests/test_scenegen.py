@@ -9,7 +9,7 @@ from hsrfusion import (
     add_noise,
     build_spatial_response,
     build_spectral_response,
-    check_assumptions,
+    certify,
     dominance_monte_carlo,
     dominance_probability,
     generate_scene,
@@ -208,7 +208,7 @@ def test_dominance_enforced_scene_passes_all_checks():
                          seed=12)
     g = build_spatial_response(8, 8, kernel="uniform", kernel_size=2, factor=2)
     gen = generate_scene(config, g)
-    report = check_assumptions(gen.scene.endmembers, gen.scene.abundances, gen.spectral, g)
+    report = certify(gen.scene.endmembers, gen.scene.abundances, gen.spectral, g).assumptions
     assert report.all_passed
 
 
@@ -219,7 +219,7 @@ def test_overlapping_kernel_scene_respects_sparsity_with_small_rank():
                          kernel_var=1.0, seed=3, require_dominance=False)
     g = build_spatial_response(24, 24, kernel="gaussian", kernel_size=3, variance=1.0, factor=2)
     gen = generate_scene(config, g)
-    report = check_assumptions(gen.scene.endmembers, gen.scene.abundances, gen.spectral, g)
+    report = certify(gen.scene.endmembers, gen.scene.abundances, gen.spectral, g).assumptions
     assert report.full_rank and report.sparsity and report.pure_pixels
     assert report.kruskal == 2
 
@@ -234,8 +234,8 @@ def test_pure_windows_fit_on_small_grid_with_overlapping_kernel():
     g = build_spatial_response(16, 16, kernel="gaussian", kernel_size=3,
                                variance=1.2, factor=2)
     gen = generate_scene(config, g)
-    report = check_assumptions(gen.scene.endmembers, gen.scene.abundances,
-                               gen.spectral, g)
+    report = certify(gen.scene.endmembers, gen.scene.abundances,
+                     gen.spectral, g).assumptions
     assert report.full_rank and report.sparsity and report.pure_pixels
 
 
