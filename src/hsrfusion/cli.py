@@ -84,8 +84,6 @@ def _cmd_solve(args):
         config = fileio.read_solver_config(args.config)
     else:
         config = solver.SolverConfig(materials=args.materials)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
     solution = solver.solve_coupled(y_ms, y_hs, spectral, spatial, config)
     out = fileio.save_solution(args.out, solution)
     print(
@@ -195,7 +193,6 @@ def build_parser():
     p.add_argument("--config", default=None, help="solver config JSON")
     p.add_argument("--materials", type=int, default=None,
                    help="number of endmembers (when no config file)")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("certify", help="compute the recovery certificate of a scene")

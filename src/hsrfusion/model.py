@@ -27,7 +27,14 @@ def _is_integer(value):
 
 
 def _is_number(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A real number, not a bool, that a float can hold (10**400 is refused)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _check_counts(config, positive, non_negative=()):

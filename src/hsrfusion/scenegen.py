@@ -158,11 +158,12 @@ def build_spatial_response(width, height, kernel="uniform", kernel_size=None,
         dys = offsets[ya:yb]
         for xa, xb in zip(x_lo.tolist(), x_hi.tolist()):
             dxs = offsets[xa:xb]
-            if kernel == "uniform":
-                w = np.ones((len(dys), len(dxs)))
-            else:
-                w = np.exp(-(dys[:, None] ** 2 + dxs[None, :] ** 2) / (2.0 * variance))
-            with np.errstate(invalid="ignore"):  # all weights 0: NaN, which validate() names
+            # A subnormal variance overflows the exponent, and all weights 0 give NaN
+            with np.errstate(over="ignore", invalid="ignore"):  # which validate() names
+                if kernel == "uniform":
+                    w = np.ones((len(dys), len(dxs)))
+                else:
+                    w = np.exp(-(dys[:, None] ** 2 + dxs[None, :] ** 2) / (2.0 * variance))
                 blocks.append((w / w.sum()).ravel())
     block_starts = np.cumsum([0] + [b.size for b in blocks])
     # Per window, in row-major cell order: its block, its first pixel's row

@@ -76,22 +76,13 @@ class SolverConfig:
     inner_steps: int = 10         # the most steps a block pass takes
     rel_tol: float = 1e-10
     objective_floor: float = 0.0
-    init: str = "pure-pixel"      # "random" | "provided"
-    seed: int = 0
-    init_endmembers: np.ndarray | None = field(default=None, repr=False)
-    init_abundances: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        _check_counts(self, ("materials", "max_outer", "inner_steps"), ("seed",))
+        _check_counts(self, ("materials", "max_outer", "inner_steps"))
         if not _is_number(self.rel_tol) or not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be a positive number, got {self.rel_tol!r}")
         if not _is_number(self.objective_floor):
             raise ValueError(f"objective_floor must be a number, got {self.objective_floor!r}")
-        if self.init not in ("pure-pixel", "random", "provided"):
-            raise ValueError(f"unknown init mode {self.init!r}")
-        if self.init == "provided" and (self.init_endmembers is None
-                                        or self.init_abundances is None):
-            raise ValueError("init='provided' needs init_endmembers and init_abundances")
 
 
 @dataclass
@@ -134,12 +125,6 @@ def _energy(name, array):
     return energy
 
 
-def _shaped(name, array, shape, axes):
-    if array.shape != shape:
-        raise ValueError(f"{name} has shape {array.shape}, expected {shape} ({axes})")
-    return array
-
-
 def _sym_norm(m):
     """Largest eigenvalue of a small symmetric PSD matrix."""
     if m.size == 0:
@@ -160,7 +145,6 @@ class _Problem:
         self.y_ms = _finite_array("y_ms", y_ms)
         self.y_hs = _finite_array("y_hs", y_hs)
         self.f = _finite_array("spectral", spectral)
-        self.pixels = spatial.sr_pixel_count
         # The data as check_axes inputs, named as the public functions name them.
         self.inputs = (("spectral", "spectral", self.f), ("spatial", "spatial", spatial),
                        ("y_ms", "ms", self.y_ms), ("y_hs", "hs", self.y_hs))
@@ -403,27 +387,19 @@ def _momentum(t):
     return t_next, (t - 1.0) / t_next
 
 
-@functools.cache
-def _extrapolation(steps):
-    """A FISTA pass's factor after each step; 0 after the first, where t = 1,
-    and after the last, whose extrapolated point is never moved from."""
-    t, betas = 1.0, [0.0] * steps
-    for i in range(steps - 1):
-        t, betas[i] = _momentum(t)
-    return tuple(betas)
-
-
 def _pass(x, step_map, step, project, steps, accelerate):
     """Projected steps by ``step_map(step)`` from ``x``, at most ``steps``, the
     pass ending at the first step after the first whose length |x_k+1 - x_k|
     is at most _STALL times the first's; ``accelerate`` extrapolates (FISTA)
-    into a new array after each step where its factor is not 0, never into
-    ``x``. Returns the last step's output and the gradient mapping's norm at
-    ``x``, |x - x_1| / step, from the first step, which is never
+    into a new array after each step where its factor, from _momentum as
+    the pass goes, is not 0 (after the first, where t = 1, it is 0), never
+    into ``x``. Returns the last step's output and the gradient mapping's
+    norm at ``x``, |x - x_1| / step, from the first step, which is never
     extrapolated."""
     move = step_map(step)
     x_new = y = x
-    for i, beta in enumerate(_extrapolation(steps) if accelerate else (0.0,) * steps):
+    t = 1.0
+    for i in range(steps):
         x_next = project(move(y))
         if 0 < i == steps - 1:
             return x_next, mapping  # the cap ends the pass; no length is needed
@@ -436,10 +412,12 @@ def _pass(x, step_map, step, project, steps, accelerate):
         elif length <= _STALL * _STALL * first:
             return x_next, mapping
         y = x_next
-        if beta:
-            d *= beta
-            d += x_next
-            y = d
+        if accelerate:
+            t, beta = _momentum(t)
+            if beta:
+                d *= beta
+                d += x_next
+                y = d
         x_new = x_next
     return x_new, mapping
 
@@ -474,29 +452,19 @@ def _descend(x, step_map, lipschitz, project, evaluate, f_start, steps, counts):
     return x, f_start, first
 
 
-def _initialize(problem, config):
-    """The starting (A, S), feasible, with S pixel-major."""
-    n = config.materials
-    if config.init == "provided":
-        a0 = _shaped("init_endmembers", _finite_array("init_endmembers", config.init_endmembers),
-                     (problem.y_hs.shape[0], n), "HS bands x materials")
-        s0 = _shaped("init_abundances", _finite_array("init_abundances", config.init_abundances),
-                     (n, problem.pixels), "materials x SR pixels")
-        a0 = np.clip(a0, 0.0, 1.0)
-    elif config.init == "random":
-        rng = np.random.default_rng(config.seed)
-        a0 = rng.uniform(0.0, 1.0, size=(problem.y_hs.shape[0], n))
-        s0 = rng.uniform(0.0, 1.0, size=(n, problem.pixels))
-    else:
-        # pure-pixel: successive projection on the HS image, then a simplex
-        # projected least squares fit of the MS image against F @ A0.
-        a0 = spa_initialize(problem.y_hs, n)
-        s0, *_ = np.linalg.lstsq(problem.f @ a0, problem.y_ms, rcond=None)
+def _initialize(problem, materials):
+    """The pure-pixel start (A0, S0), feasible, with S0 pixel-major:
+    successive projection on the HS image, then a simplex projected least
+    squares fit of the MS image against F A0."""
+    a0 = spa_initialize(problem.y_hs, materials)
+    s0, *_ = np.linalg.lstsq(problem.f @ a0, problem.y_ms, rcond=None)
     return a0, project_columns_to_simplex(np.asfortranarray(s0))
 
 
 def solve_coupled(y_ms, y_hs, spectral, spatial, config):
-    """Run the accelerated alternating projected descent scheme.
+    """Run the accelerated alternating projected descent scheme from the
+    pure-pixel start: spa_initialize on the HS image, then a simplex
+    projected least squares fit of the MS image.
 
     Every iterate is feasible by construction. The objective trace can
     rise only within a block pass's roundoff slack, 1e-12 f + 1e-300, so
@@ -514,15 +482,14 @@ def solve_coupled(y_ms, y_hs, spectral, spatial, config):
     the first, that moves the block at most 0.4 times as far as the first
     did (_STALL); Solution.stats counts each block's passes, steps and plain
     fallbacks.
-    Non-finite inputs, data whose squares overflow, inputs that disagree on
-    an axis and provided initial factors of the wrong shape raise
-    ValueError, and so do a spectral response that fails validate_spectral
-    and a spatial response that fails validate(), with the first violation,
-    before any product.
+    Non-finite inputs, data whose squares overflow and inputs that disagree
+    on an axis raise ValueError, and so do a spectral response that fails
+    validate_spectral and a spatial response that fails validate(), with
+    the first violation, before any product.
     """
     problem = _Problem(y_ms, y_hs, spectral, spatial)
     raise_first(validate_spectral(problem.f) + spatial.validate())
-    a, s = _initialize(problem, config)
+    a, s = _initialize(problem, config.materials)
     f_cur = _finite(problem.value(a, s))
     trace = [f_cur]
     termination = "max_iterations"

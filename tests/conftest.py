@@ -1,15 +1,19 @@
 import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from hsrfusion import SceneConfig, SpatialResponse, build_spatial_response
+from hsrfusion import (SceneConfig, SpatialResponse, build_spatial_response,
+                       project_columns_to_simplex, solver)
 
 # The CLI tests start `python -m hsrfusion` in a subprocess; give it the
-# source tree too, as pyproject's pythonpath gives it to this process.
+# source tree too, as pyproject's pythonpath gives it to this process, and
+# make a warning an error there too, as pyproject's filterwarnings does here.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+os.environ["PYTHONWARNINGS"] = "error"
 
 
 def desk_scene_config(seed, **overrides):
@@ -33,6 +37,23 @@ def desk_spatial():
 def random_simplex_columns(rng, rows, cols):
     v = rng.exponential(size=(rows, cols))
     return v / v.sum(axis=0, keepdims=True)
+
+
+def random_start(seed, bands, materials, pixels):
+    """A random feasible solver start (A0, S0): uniform endmembers, and
+    uniform abundances projected onto the simplex, pixel-major as the
+    solver's own start."""
+    rng = np.random.default_rng(seed)
+    a0 = rng.uniform(0.0, 1.0, size=(bands, materials))
+    s0 = rng.uniform(0.0, 1.0, size=(materials, pixels))
+    return a0, project_columns_to_simplex(np.asfortranarray(s0))
+
+
+def started_at(endmembers, abundances):
+    """A context in which solve_coupled starts from the given factors in
+    place of its pure-pixel start."""
+    return mock.patch.object(solver, "_initialize",
+                             lambda problem, materials: (endmembers, abundances))
 
 
 def response_from_windows(sr_pixel_count, windows):

@@ -363,6 +363,7 @@ def test_badly_shaped_spatial_json_is_a_one_line_error(counterexample_files, cap
 @pytest.mark.parametrize("key, value", [
     ("sr_bands", "x"), ("sr_bands", None), ("factor", 0), ("width", True), ("height", 8.0),
     ("ms_bands", -2), ("kernel_size", "4"), ("seed", "x"), ("kernel_var", 0.0),
+    pytest.param("kernel_var", 10**400, id="kernel_var-10**400"),
     ("require_dominance", "false"), ("require_dominance", 0), ("require_dominance", None),
 ])
 def test_bad_scene_config_value_is_a_one_line_error(tmp_path, capsys, key, value):
@@ -376,17 +377,20 @@ def test_bad_scene_config_value_is_a_one_line_error(tmp_path, capsys, key, value
 
 
 def test_a_spatial_response_failing_validation_is_a_one_line_generate_error(tmp_path, capsys):
-    # At kernel_var 0.001 the Gaussian's outer weights underflow to 0, which
-    # validate() rejects: generate exits 1 and writes no spatial.json.
-    config = {"sr_bands": 30, "ms_bands": 4, "materials": 3, "width": 16, "height": 16,
-              "factor": 4, "max_support": 2, "kernel": "gaussian", "kernel_size": 6,
-              "kernel_var": 0.001}
-    path = tmp_path / "scene.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
-    line = _one_line_error(capsys, ["generate", "--config", str(path),
-                                    "--out", str(tmp_path / "scene")])
-    assert "[window_weight_positive] window 0: " in line
-    assert not (tmp_path / "scene").exists()
+    # At kernel_var 0.001 the Gaussian's outer weights underflow to 0, and at
+    # 1e-320, a subnormal, its exponent overflows (with no numpy warning) and
+    # the weights are NaN. validate() rejects both: generate exits 1 and
+    # writes no spatial.json.
+    for kernel_var, check in ((0.001, "window_weight_positive"), (1e-320, "window_weight_finite")):
+        config = {"sr_bands": 30, "ms_bands": 4, "materials": 3, "width": 16, "height": 16,
+                  "factor": 4, "max_support": 2, "kernel": "gaussian", "kernel_size": 6,
+                  "kernel_var": kernel_var}
+        path = tmp_path / f"{check}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        line = _one_line_error(capsys, ["generate", "--config", str(path),
+                                        "--out", str(tmp_path / check)])
+        assert f"[{check}] window 0: " in line
+        assert not (tmp_path / check).exists()
 
 
 @pytest.mark.parametrize("name, edit, message", [
@@ -420,25 +424,26 @@ _SWEEP = {"scene": {"sr_bands": 30, "ms_bands": 4, "materials": 3, "width": 8, "
      "max_outer must be a positive integer, got 1.5"),
     ({**_SWEEP, "solver": {"materials": 3, "inner_steps": True}},
      "inner_steps must be a positive integer, got True"),
-    ({**_SWEEP, "solver": {"materials": 3, "seed": -1}},
-     "seed must be a non-negative integer, got -1"),
     ({**_SWEEP, "solver": {"materials": 3, "rel_tol": "1e-9"}},
      "rel_tol must be a positive number, got '1e-9'"),
     ({**_SWEEP, "solver": {"materials": 3, "objective_floor": None}},
      "objective_floor must be a number, got None"),
-    ({**_SWEEP, "solver": {"materials": 3, "init": "provided"}},
-     "init='provided' needs init_endmembers and init_abundances"),
+    ({**_SWEEP, "solver": {"materials": 3, "init": "pure-pixel"}},
+     "SolverConfig: unknown key 'init' (allowed: materials, max_outer, inner_steps, rel_tol, "
+     "objective_floor)"),
     ({**_SWEEP, "trials": 2.0}, "trials must be a positive integer, got 2.0"),
     ({**_SWEEP, "master_seed": "x"}, "master_seed must be a non-negative integer, got 'x'"),
     ({**_SWEEP, "snr_db": 30}, "snr_db must be a nonempty list, got 30"),
     ({**_SWEEP, "snr_db": ["nan"]}, "snr_db entries must be numbers, finite or inf, got nan"),
     ({**_SWEEP, "snr_db": [[30]]}, "snr_db entries must be numbers, finite or inf, got [30]"),
     ({**_SWEEP, "snr_db": ["abc"]}, "snr_db entries must be numbers, finite or inf, got 'abc'"),
+    ({**_SWEEP, "snr_db": [10**400]},
+     f"snr_db entries must be numbers, finite or inf, got {10**400}"),
     ({**_SWEEP, "output_dir": 5}, "output_dir must be a path string, got 5"),
 ], ids=["null", "number", "solver-null", "scene-array", "materials-string", "max_outer-float",
-        "inner_steps-bool", "seed-negative", "rel_tol-string", "objective_floor-null",
-        "init-provided-without-arrays", "trials-float", "master_seed-string", "snr_db-number",
-        "snr-nan", "snr-array", "snr-string", "output_dir-number"])
+        "inner_steps-bool", "rel_tol-string", "objective_floor-null", "init-unknown-key",
+        "trials-float", "master_seed-string", "snr_db-number", "snr-nan", "snr-array",
+        "snr-string", "snr-too-large", "output_dir-number"])
 def test_bad_experiment_config_is_a_one_line_error(tmp_path, capsys, payload, message):
     path = tmp_path / "experiment.json"
     path.write_text(json.dumps(payload), encoding="utf-8")

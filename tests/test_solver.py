@@ -32,7 +32,9 @@ from conftest import (
     desk_scene_config,
     identity_response,
     random_simplex_columns,
+    random_start,
     response_from_windows,
+    started_at,
     to_dense,
 )
 
@@ -354,11 +356,9 @@ def test_spa_rank_collapse():
 def test_warm_start_at_ground_truth_terminates_immediately(desk_spatial):
     gen = generate_scene(desk_scene_config(seed=31), desk_spatial)
     y_ms, y_hs = observe(gen, desk_spatial)
-    config = SolverConfig(materials=6, init="provided",
-                          init_endmembers=gen.scene.endmembers,
-                          init_abundances=gen.scene.abundances,
-                          max_outer=50)
-    solution = solve_coupled(y_ms, y_hs, gen.spectral, desk_spatial, config)
+    config = SolverConfig(materials=6, max_outer=50)
+    with started_at(gen.scene.endmembers, gen.scene.abundances):
+        solution = solve_coupled(y_ms, y_hs, gen.spectral, desk_spatial, config)
     assert solution.objective_trace[0] <= 1e-22
     assert solution.objective_trace[-1] <= 1e-22
     assert solution.iterations == 1
@@ -392,13 +392,29 @@ def test_trace_non_increasing_and_feasible(desk_spatial):
 def test_solver_determinism(desk_spatial):
     gen = generate_scene(desk_scene_config(seed=34), desk_spatial)
     y_ms, y_hs = observe(gen, desk_spatial)
-    config = SolverConfig(materials=6, max_outer=40, inner_steps=5, rel_tol=1e-12,
-                          init="random", seed=77)
+    config = SolverConfig(materials=6, max_outer=40, inner_steps=5, rel_tol=1e-12)
     first = solve_coupled(y_ms, y_hs, gen.spectral, desk_spatial, config)
     second = solve_coupled(y_ms, y_hs, gen.spectral, desk_spatial, config)
     assert np.array_equal(first.endmembers, second.endmembers)
     assert np.array_equal(first.abundances, second.abundances)
     assert np.array_equal(first.objective_trace, second.objective_trace)
+
+
+def test_a_step_cap_no_pass_reaches_allocates_nothing_and_changes_nothing(desk_spatial):
+    # A pass computes each FISTA factor as it goes, so its cap is only a bound:
+    # 10**400, more than a list can hold, solves as a cap of 1000 does.
+    gen = generate_scene(desk_scene_config(seed=0), desk_spatial)
+    y_ms, y_hs = observe(gen, desk_spatial)
+    problem = (add_noise(y_ms, 30.0, seed=1), add_noise(y_hs, 30.0, seed=2), gen.spectral,
+               desk_spatial)
+    capped, uncapped = (solve_coupled(*problem, SolverConfig(materials=6, max_outer=3,
+                                                             inner_steps=steps))
+                        for steps in (1000, 10**400))
+    assert all(block["steps"] < 1000 for block in capped.stats.values())
+    assert capped.stats == uncapped.stats
+    assert np.array_equal(capped.endmembers, uncapped.endmembers)
+    assert np.array_equal(capped.abundances, uncapped.abundances)
+    assert np.array_equal(capped.objective_trace, uncapped.objective_trace)
 
 
 # The benchmark's desk solver config.
@@ -976,23 +992,6 @@ def test_support_verified_s_passes_follow_the_sort_path_to_roundoff(monkeypatch)
     assert verified[1].iterations == sort[1].iterations
 
 
-@pytest.mark.parametrize("name, shape", [("init_endmembers", (50, 7)),
-                                         ("init_abundances", (6, 255)),
-                                         ("init_abundances", (5, 256))])
-def test_provided_factors_of_the_wrong_shape_are_named(desk_spatial, capfd, name, shape):
-    gen = generate_scene(desk_scene_config(seed=35), desk_spatial)
-    y_ms, y_hs = observe(gen, desk_spatial)
-    factors = {"init_endmembers": gen.scene.endmembers, "init_abundances": gen.scene.abundances}
-    expected = factors[name].shape
-    factors[name] = np.full(shape, 1.0 / shape[0])
-    config = SolverConfig(materials=6, init="provided", max_outer=5, **factors)
-    message = rf"^{name} has shape \({shape[0]}, {shape[1]}\), expected \({expected[0]}, {expected[1]}\)"
-    with pytest.raises(ValueError, match=message) as raised:
-        solve_coupled(y_ms, y_hs, gen.spectral, desk_spatial, config)
-    assert "\n" not in str(raised.value)
-    assert capfd.readouterr().err == ""
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", ["y_ms", "y_hs", "spectral"])
 def test_data_whose_squares_overflow_is_rejected_naming_the_array(desk_spatial, capfd, name):
@@ -1006,19 +1005,13 @@ def test_data_whose_squares_overflow_is_rejected_naming_the_array(desk_spatial, 
     assert capfd.readouterr().err == ""
 
 
-@pytest.mark.parametrize("name, bad", [("y_ms", np.inf), ("y_hs", np.nan), ("spectral", -np.inf),
-                                       ("init_endmembers", np.nan),
-                                       ("init_abundances", np.inf)])
+@pytest.mark.parametrize("name, bad", [("y_ms", np.inf), ("y_hs", np.nan), ("spectral", -np.inf)])
 def test_non_finite_input_is_rejected_naming_the_array(desk_spatial, capfd, name, bad):
     gen = generate_scene(desk_scene_config(seed=35), desk_spatial)
     y_ms, y_hs = observe(gen, desk_spatial)
-    inputs = {"y_ms": y_ms, "y_hs": y_hs, "spectral": gen.spectral.copy(),
-              "init_endmembers": gen.scene.endmembers.copy(),
-              "init_abundances": gen.scene.abundances.copy()}
+    inputs = {"y_ms": y_ms, "y_hs": y_hs, "spectral": gen.spectral.copy()}
     inputs[name][1, 2] = bad
-    config = SolverConfig(materials=6, init="provided", max_outer=5,
-                          init_endmembers=inputs["init_endmembers"],
-                          init_abundances=inputs["init_abundances"])
+    config = SolverConfig(materials=6, max_outer=5)
     with pytest.raises(ValueError, match=rf"^{name} has a non-finite entry$"):
         solve_coupled(inputs["y_ms"], inputs["y_hs"], inputs["spectral"], desk_spatial, config)
     assert capfd.readouterr().err == ""
@@ -1032,7 +1025,7 @@ def test_out_of_range_pixel_is_rejected_before_any_product(pixel):
     x = np.ones((2, 3))
     with pytest.raises(ValueError, match=f"window 1: pixel index {pixel} is out of range"):
         spatial_decimate(x, g)
-    config = SolverConfig(materials=1, init="random", max_outer=2)
+    config = SolverConfig(materials=1, max_outer=2)
     with pytest.raises(ValueError, match=f"window 1: pixel index {pixel} is out of range"):
         solve_coupled(np.ones((1, 3)), np.ones((2, 2)), np.ones((1, 2)), g, config)
 
@@ -1061,7 +1054,7 @@ def test_an_invalid_spatial_response_is_rejected_before_any_product(check, monke
 
     for name in ("apply", "adjoint"):
         monkeypatch.setattr(SpatialResponse, name, refuse)
-    config = SolverConfig(materials=1, init="random", max_outer=2)
+    config = SolverConfig(materials=1, max_outer=2)
     with pytest.raises(ValueError, match=rf"^\[{check}\] ") as raised:
         solve_coupled(np.ones((1, 4)), np.ones((2, g.hs_pixel_count)), np.ones((1, 2)), g, config)
     assert "\n" not in str(raised.value)
@@ -1116,7 +1109,8 @@ def small_fusion_problems(draw):
     """Random small shapes, valid windows (nonempty, positive weights
     summing to one, every SR pixel covered), a valid spectral response
     (fewer MS bands than bands, a positive entry in each row), data in [0, 1]
-    and a solver budget of at most 8 outer iterations."""
+    and a solver budget of at most 8 outer iterations; with it, a random
+    feasible start from a drawn seed."""
     materials = draw(st.integers(1, 4))
     ms_bands = draw(st.integers(1, 4))
     bands = draw(st.integers(ms_bands + 1, 8))
@@ -1138,18 +1132,20 @@ def small_fusion_problems(draw):
     spectral[np.arange(ms_bands), peaks] += 0.5
     y_ms = draw(arrays(float, (ms_bands, pixels), elements=unit))
     y_hs = draw(arrays(float, (bands, len(windows)), elements=unit))
-    config = SolverConfig(materials=materials, init="random", seed=draw(st.integers(0, 2**16)),
-                          inner_steps=draw(st.integers(1, 20)),
+    config = SolverConfig(materials=materials, inner_steps=draw(st.integers(1, 20)),
                           max_outer=draw(st.integers(1, 8)), rel_tol=1e-12)
+    start = random_start(draw(st.integers(0, 2**16)), bands, materials, pixels)
     spatial = response_from_windows(pixels, windows)
     assert spatial.validate() == [] and validate_spectral(spectral) == []
-    return y_ms, y_hs, spectral, spatial, config
+    return (y_ms, y_hs, spectral, spatial, config), start
 
 
 @settings(max_examples=100, deadline=None)
 @given(small_fusion_problems())
-def test_solve_is_feasible_and_monotone_on_random_problems(problem):
-    solution = solve_coupled(*problem)
+def test_solve_is_feasible_and_monotone_on_random_problems(drawn):
+    problem, start = drawn
+    with started_at(*start):
+        solution = solve_coupled(*problem)
     assert solution.endmembers.min() >= 0.0
     assert solution.endmembers.max() <= 1.0
     assert solution.abundances.min() >= 0.0
