@@ -4,7 +4,8 @@ Subcommands map one-to-one onto the library operations: generate a scene,
 observe it, solve the coupled factorization, certify a scene, align an
 estimate against the truth, run the ambiguity counterexample, evaluate
 the dominance probability, and run a full SNR sweep. Exit codes: 0 on
-success, 1 on a validation failure, 2 on a usage error.
+success, 1 on a validation failure, a path that cannot be written or
+data too large for memory (each one "error:" line), 2 on a usage error.
 """
 
 import argparse
@@ -49,7 +50,7 @@ def _load(args):
 
 def _print_json(payload, out=None):
     if out:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        fileio.make_directory(Path(out).parent)
     print(fileio.write_json(out, payload) if out else fileio.json_text(payload))
 
 
@@ -70,8 +71,7 @@ def _cmd_observe(args):
     if args.snr_db is not None:
         y_ms = scenegen.add_noise(y_ms, args.snr_db, args.seed)
         y_hs = scenegen.add_noise(y_hs, args.snr_db, args.seed + 1)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = fileio.make_directory(args.out)
     fileio.write_matrix(out / "ms.csv", y_ms)
     fileio.write_matrix(out / "hs.csv", y_hs)
     print(f"observations written to {out}")
@@ -119,14 +119,15 @@ def _cmd_counterexample(args):
     instance = counterexample.build_counterexample(args.rho)
     alpha1 = args.alpha1 if args.alpha1 is not None else args.rho
     report = counterexample.verify_counterexample(instance, alpha1, args.grid)
-    _print_json(report.to_dict(), args.out)
+    # The surface first, so that a path it cannot take leaves nothing printed.
     if args.surface:
         path = Path(args.surface)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        fileio.make_directory(path.parent)
         lines = ["alpha1,error,objective"]
         for a, e, o in zip(report.grid_alphas, report.grid_errors, report.grid_objectives):
             lines.append(f"{a:.17g},{e:.17g},{o:.17g}")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _print_json(report.to_dict(), args.out)
     return 0 if report.passed else 1
 
 
@@ -156,6 +157,8 @@ def _cmd_experiment(args):
         config = dataclasses.replace(config, output_dir=args.out)
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
+    if config.output_dir is not None:  # before the sweep, not after it
+        fileio.make_directory(config.output_dir)
     records = experiment.run_experiment(config)
     means = experiment.mean_mse_by_snr(records)
     for snr in config.snr_db:
@@ -236,8 +239,9 @@ def main(argv=None):
     handler = globals()[f"_cmd_{args.command}"]
     try:
         return handler(args)
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation; a bare one has no text.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

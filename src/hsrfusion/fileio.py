@@ -370,6 +370,18 @@ def json_text(payload):
     return json.dumps(payload, separators=(",", ":"), default=json_default)
 
 
+def make_directory(path):
+    """Create directory ``path`` and its parents and return it as a Path; a
+    file in the way raises NotADirectoryError naming it."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        blocker = next(p for p in (path, *path.parents) if p.exists())
+        raise NotADirectoryError(f"cannot create directory {path}: {blocker} is a file") from None
+    return path
+
+
 def write_json(path, payload):
     """Write json_text(payload) and a newline to path; return the text."""
     text = json_text(payload)
@@ -468,8 +480,7 @@ def read_experiment_config(path):
 
 def save_generated_scene(out_dir, generated):
     """Write a generated scene as CSV matrices plus a JSON sidecar."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_directory(out_dir)
     write_matrix(out / "endmembers.csv", generated.scene.endmembers)
     write_matrix(out / "abundances.csv", generated.scene.abundances)
     write_matrix(out / "image.csv", generated.scene.image)
@@ -486,8 +497,7 @@ def save_generated_scene(out_dir, generated):
 
 
 def save_solution(out_dir, solution):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_directory(out_dir)
     write_matrix(out / "endmembers_est.csv", solution.endmembers)
     write_matrix(out / "abundances_est.csv", solution.abundances)
     write_json(out / "solution.json", {

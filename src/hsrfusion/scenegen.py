@@ -132,6 +132,9 @@ def build_spatial_response(width, height, kernel="uniform", kernel_size=None,
         )
     if kernel not in ("uniform", "gaussian"):
         raise ValueError(f"unknown kernel {kernel!r}")
+    # Any footprint 2 max(width, height) + 1 or more wide covers the image
+    # from every cell, giving the same windows: build no longer one.
+    kernel_size = min(kernel_size, 2 * max(width, height) + 1)
 
     # A cell's unclipped footprint along an axis starts `shift` pixels from
     # the cell's first pixel; its pixels' offsets from the cell's center are

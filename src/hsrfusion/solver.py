@@ -1,18 +1,23 @@
 """Accelerated alternating projected descent for the coupled fitting problem.
 
 Minimizes  |Y_ms - F A S|_F^2 + |Y_hs - A S G|_F^2  over endmembers A in
-the unit box and abundance columns on the unit simplex. Each outer
-iteration tries an inertial step on (A, S) with the FISTA weight (Xu & Yin
-2013), kept only if the objective did not rise and else restarting the
-momentum, then a pass of projected 1/L FISTA steps (Beck & Teboulle 2009)
-on each block. L bounds the block's curvature where it moves (for S, on
-the simplex's tangent space, columns summing to zero) by the top
-eigenvalue of one materials x materials matrix. A pass ends at its first
-step, after the first, that moves the block at most _STALL = 0.4 times as
-far as its first step did (the inner stop of Gillis & Glineur 2012), or
-after inner_steps steps, the cap. A FISTA pass that raised the objective
-beyond a roundoff slack of 1e-12 f + 1e-300 is redone once with plain 1/L
-steps, which end by the same rule and by the descent lemma raise it at
+the unit box and abundance columns on the unit simplex, from pure pixels
+(successive projection on the HS image) and the MS image's min-norm fit
+pinv(F A0) Y_ms, projected onto the simplex. Each outer iteration tries an
+inertial step on (A, S) with the FISTA weight (Xu & Yin 2013), kept only
+if the objective did not rise and else restarting the momentum, then one
+block pass on each block, run start to end by _descend: projected 1/L
+FISTA steps (Beck & Teboulle 2009). L bounds the block's curvature where
+it moves (for S, on the simplex's tangent space, columns summing to
+zero) by the top eigenvalue of one materials x materials matrix; a block
+whose L is at most _TINY is flat and left as it is. A pass ends at its
+first step, after the first, that moves the block at most _STALL = 0.4
+times as far as its first step did (the inner stop of Gillis & Glineur
+2012), at a step no longer than the block's rounding level (eps^2 per
+entry squared, every entry lying in [0, 1]), or after inner_steps steps,
+the cap. A FISTA pass that raised the objective beyond a roundoff slack
+of 1e-12 f + 1e-300 is redone once from the same start with plain 1/L
+steps, which end by the same rules and by the descent lemma raise it at
 most by roundoff; if they too exceed the slack, the block is kept as it
 was. So every iterate is feasible, and the trace rises, if at all, by no
 more than that slack per block pass: about 2e-12 of its value per
@@ -387,84 +392,72 @@ def _momentum(t):
     return t_next, (t - 1.0) / t_next
 
 
-def _pass(x, step_map, step, project, steps, accelerate):
-    """Projected steps by ``step_map(step)`` from ``x``, at most ``steps``, the
-    pass ending at the first step after the first whose length |x_k+1 - x_k|
-    is at most _STALL times the first's; ``accelerate`` extrapolates (FISTA)
-    into a new array after each step where its factor, from _momentum as
-    the pass goes, is not 0 (after the first, where t = 1, it is 0), never
-    into ``x``. Returns the last step's output and the gradient mapping's
-    norm at ``x``, |x - x_1| / step, from the first step, which is never
-    extrapolated."""
-    move = step_map(step)
-    x_new = y = x
-    t = 1.0
-    for i in range(steps):
-        x_next = project(move(y))
-        if 0 < i == steps - 1:
-            return x_next, mapping  # the cap ends the pass; no length is needed
-        d = x_next - x_new
-        # einsum, not a BLAS dot, whose order of summation follows the thread count
-        length = np.einsum("ij,ij->", d, d)
-        if i == 0:
-            first = length
-            mapping = math.sqrt(first) / step
-        elif length <= _STALL * _STALL * first:
-            return x_next, mapping
-        y = x_next
-        if accelerate:
-            t, beta = _momentum(t)
-            if beta:
-                d *= beta
-                d += x_next
-                y = d
-        x_new = x_next
-    return x_new, mapping
-
-
 def _clip_to_box(z):
     """The endmember passes' projection, clipping the map's new array in place."""
     return np.minimum(np.maximum(z, 0.0, out=z), 1.0, out=z)
 
 
-def _descend(x, step_map, lipschitz, project, evaluate, f_start, steps, counts):
-    """One block pass from ``x``; returns the new iterate, its objective and
-    the gradient mapping's norm at ``x``. A FISTA pass that raised the
-    objective is redone from ``x`` with plain 1/L steps, which raise it at
-    most by roundoff; if they do, ``x`` is kept. The redone pass's first
-    step is the same map from the same point, so the first value stands.
-    ``counts``, the block's entry of Solution.stats, gains the pass, its
-    steps and a redone pass."""
-    def counted(v):
-        counts["steps"] += 1
-        return project(v)
-
+def _descend(x, block, project, f_start, steps, counts):
+    """One block pass from ``x`` by ``block``, (step_map, L, evaluate), with
+    the ends, plain redo and flat-block rule of the module docstring and
+    ``steps`` as the cap. Returns the new iterate, its objective and the
+    gradient mapping's norm at ``x``, |x - x_1| L (0 if flat). Nothing is
+    written into ``x``, which the redo starts from. ``counts``, the block's
+    Solution.stats entry, gains the pass (unless flat), its steps and a redo."""
+    step_map, lipschitz, evaluate = block
+    if lipschitz <= _TINY:
+        return x, f_start, 0.0
     counts["passes"] += 1
+    step = 1.0 / lipschitz
+    move = step_map(step)
+    # Every entry of A and S lies in [0, 1], so a step whose squared length is
+    # at most eps^2 per entry moves the block no farther than its rounding.
+    rounding = np.finfo(float).eps ** 2 * x.size
     for accelerate in (True, False):
-        x_new, mapping = _pass(x, step_map, 1.0 / lipschitz, counted, steps, accelerate)
+        x_new = y = x
+        t = 1.0
+        for i in range(steps):
+            x_last, x_new = x_new, project(move(y))
+            if 0 < i == steps - 1:  # the cap ends the pass; no length is needed
+                break
+            d = x_new - x_last
+            # einsum, not a BLAS dot, whose order of summation follows the thread count
+            length = np.einsum("ij,ij->", d, d)
+            if i == 0:
+                first = length
+            if length <= rounding or (i and length <= _STALL * _STALL * first):
+                break
+            y = x_new
+            if accelerate:
+                t, beta = _momentum(t)
+                if beta:
+                    d *= beta
+                    d += x_new
+                    y = d
+        counts["steps"] += i + 1
         if accelerate:
-            first = mapping
-        else:
-            counts["fallbacks"] += 1
+            mapping = math.sqrt(first) / step
         f_new = _finite(evaluate(x_new))
         if f_new <= f_start * (1.0 + 1e-12) + 1e-300:
-            return x_new, f_new, first
-    return x, f_start, first
+            return x_new, f_new, mapping
+        if accelerate:
+            counts["fallbacks"] += 1
+    return x, f_start, mapping
 
 
 def _initialize(problem, materials):
     """The pure-pixel start (A0, S0), feasible, with S0 pixel-major:
-    successive projection on the HS image, then a simplex projected least
-    squares fit of the MS image against F A0."""
+    successive projection on the HS image, then the min-norm least squares
+    fit of the MS image against F A0, projected onto the simplex."""
     a0 = spa_initialize(problem.y_hs, materials)
-    s0, *_ = np.linalg.lstsq(problem.f @ a0, problem.y_ms, rcond=None)
+    s0 = np.linalg.pinv(problem.f @ a0) @ problem.y_ms  # the min-norm fit, as lstsq's
     return a0, project_columns_to_simplex(np.asfortranarray(s0))
 
 
 def solve_coupled(y_ms, y_hs, spectral, spatial, config):
     """Run the accelerated alternating projected descent scheme from the
-    pure-pixel start: spa_initialize on the HS image, then a simplex
-    projected least squares fit of the MS image.
+    pure-pixel start: spa_initialize on the HS image, then the MS image's
+    min-norm least squares fit, projected onto the simplex.
 
     Every iterate is feasible by construction. The objective trace can
     rise only within a block pass's roundoff slack, 1e-12 f + 1e-300, so
@@ -473,15 +466,10 @@ def solve_coupled(y_ms, y_hs, spectral, spatial, config):
     objective change, an objective at the data's rounding level or a
     stationary iterate (all "converged"), or at the outer iteration cap
     (the cap is a termination reason, not an error). Stationary means
-    r_k <= 1e-4 r_1: r_k is the norm of the gradient mapping L (X - X_1)
-    at the start of iteration k's block passes, X_1 being each pass's
-    first, unextrapolated step and the two blocks' norms summed in
-    quadrature, and r_1 is iteration 1's (at least 1e-300).
-    Solution.stationarity holds r_k / r_1 at exit. A block pass takes at
-    most config.inner_steps steps and ends early at its first step, after
-    the first, that moves the block at most 0.4 times as far as the first
-    did (_STALL); Solution.stats counts each block's passes, steps and plain
-    fallbacks.
+    r_k <= 1e-4 r_1, r_k being iteration k's gradient mapping norm (see the
+    module docstring) and r_1 at least 1e-300; Solution.stationarity holds
+    r_k / r_1 at exit. A block pass takes at most config.inner_steps steps;
+    Solution.stats counts each block's passes, steps and plain fallbacks.
     Non-finite inputs, data whose squares overflow and inputs that disagree
     on an axis raise ValueError, and so do a spectral response that fails
     validate_spectral and a spatial response that fails validate(), with
@@ -522,18 +510,10 @@ def solve_coupled(y_ms, y_hs, spectral, spatial, config):
                 restarts += 1
         a_prev, s_prev, t = a_last, s_last, t_next
 
-        # A block whose Lipschitz constant is below _TINY is flat to double
-        # precision, and its step 1/L could overflow: it is left as it is,
-        # and its gradient mapping counts as 0.
-        r_a = r_s = 0.0
-        step_map, lipschitz, evaluate = problem.endmember_pass(s, sg)
-        if lipschitz > _TINY:
-            a, f_cur, r_a = _descend(a, step_map, lipschitz, _clip_to_box,
-                                     evaluate, f_cur, config.inner_steps, stats["endmembers"])
-        step_map, lipschitz, evaluate = problem.abundance_pass(a)
-        if lipschitz > _TINY:
-            s, f_cur, r_s = _descend(s, step_map, lipschitz, _support_projection(s),
-                                     evaluate, f_cur, config.inner_steps, stats["abundances"])
+        a, f_cur, r_a = _descend(a, problem.endmember_pass(s, sg), _clip_to_box, f_cur,
+                                 config.inner_steps, stats["endmembers"])
+        s, f_cur, r_s = _descend(s, problem.abundance_pass(a), _support_projection(s), f_cur,
+                                 config.inner_steps, stats["abundances"])
         mapping = math.hypot(r_a, r_s)
         if outer == 1:
             r_first = max(mapping, _TINY)

@@ -16,6 +16,19 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("P
 os.environ["PYTHONWARNINGS"] = "error"
 
 
+def bounded_arange(monkeypatch, limit):
+    """Make np.arange refuse a range longer than ``limit``, so that a code
+    path that would allocate one fails the test instead of the machine."""
+    real = np.arange
+
+    def arange(*args, **kwargs):
+        start, stop = (0, args[0]) if len(args) == 1 else args[:2]
+        assert abs(stop - start) <= limit, f"np.arange{args} is longer than {limit}"
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", arange)
+
+
 def desk_scene_config(seed, **overrides):
     """The desk-scale scene family used across the suite: 50 SR bands,
     6 MS bands, 6 materials on a 16x16 grid decimated by 2 with a

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from hsrfusion import build_counterexample
+from hsrfusion import build_counterexample, experiment, scenegen
 from hsrfusion.cli import main
 from hsrfusion.fileio import read_matrix, write_matrix, write_spatial_response
 from hsrfusion.model import spatial_decimate
+from conftest import bounded_arange
 
 
 def _write_bundle(directory):
@@ -564,12 +565,14 @@ def test_undecodable_input_is_a_one_line_error_naming_its_path(counterexample_fi
 # indented, but for spatial.json), encoded as write_json encodes them, and of
 # the certificate's bytes. solution.json and summary.json hold the solves of
 # the solver with stalling block passes, and solution.json the later
-# "stationarity" and "stats" keys.
+# "stationarity" and "stats" keys. Both hold the pseudo-inverse start, whose
+# fit differs from lstsq's in the last bits: the solve's objective and the
+# sweep's mean MSE move by about 1e-15 relative, and no count moves.
 _DESK_PIPELINE_DIGESTS = {
     "scene/scene.json": "26ca467bfa0a0eaf8bfe95865a805d306a2330c5d0b49e70eee8952c345c6cda",
     "scene/spatial.json": "9bc5a51020f966b1f9fba473a13bb9b9cc5c2fbadf69819be0d3330cc3e17c5d",
-    "sol/solution.json": "ba99b0cc60e0552c770f5aac017dc94b2d60972beb61572e5b1dbc399cc3abc8",
-    "sweep/summary.json": "25c78399b94e0417c230b250348dd5cd469b0b074973d40b5b1dcc784d334d5c",
+    "sol/solution.json": "2dab8a988cf74bc45eb9ebd1dbf619d2d198cbdc99685895f0f7c2ee2254868b",
+    "sweep/summary.json": "85370094120bb42e366216359fc83d83d00adbaaffcb71e377690c8fc94f24a9",
     "cert.json": "21d8582661b391e2bf402a34f145c7abdcd0c9b5d7e0eeb166d4884afff318c4",
 }
 
@@ -735,3 +738,147 @@ def test_a_mutated_model_file_exits_zero_or_is_a_one_line_error_naming_it(model_
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
         assert str(path) in lines[0]
         assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("surface, message", [
+    ("adir", "error: [Errno 21] Is a directory: '{dir}'"),
+    ("afile/x.csv", "error: cannot create directory {file}: {file} is a file"),
+    ("afile/y/x.csv", "error: cannot create directory {file}/y: {file} is a file"),
+], ids=["directory", "through-a-file", "deeper-through-a-file"])
+def test_a_surface_path_that_cannot_be_written_is_one_line_with_nothing_printed(
+        tmp_path, capsys, surface, message):
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    assert main(["counterexample", "--rho", "0.25", "--surface", str(tmp_path / surface)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message.format(dir=tmp_path / "adir", file=tmp_path / "afile") + "\n"
+
+
+def test_an_output_directory_through_a_file_is_a_one_line_error_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(_SWEEP), encoding="utf-8")
+    monkeypatch.setattr(experiment, "run_trial", None)  # a sweep that starts fails otherwise
+    line = _one_line_error(capsys, ["experiment", "--config", str(config),
+                                    "--out", str(tmp_path / "afile" / "sweep")])
+    assert line == f"error: cannot create directory {tmp_path / 'afile' / 'sweep'}: " \
+                   f"{tmp_path / 'afile'} is a file"
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 18.6 GiB for an array with shape (2500000000,) and data "
+                 "type int64"),
+     "error: Unable to allocate 18.6 GiB for an array with shape (2500000000,) and data type "
+     "int64"),
+    (MemoryError(), "error: MemoryError"),
+], ids=["numpy", "bare"])
+def test_a_grid_too_large_for_memory_is_a_one_line_error(tmp_path, capsys, monkeypatch, error,
+                                                         message):
+    # The allocation is patched to fail as numpy's does; none is made.
+    def allocate(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(scenegen, "build_spatial_response", allocate)
+    config = tmp_path / "scene.json"
+    config.write_text(json.dumps({**_SWEEP["scene"], "width": 100000, "height": 100000}),
+                      encoding="utf-8")
+    assert _one_line_error(capsys, ["generate", "--config", str(config),
+                                    "--out", str(tmp_path / "scene")]) == message
+
+
+def test_a_kernel_far_wider_than_the_image_is_built_clipped_and_refused_by_its_message(
+        tmp_path, capsys, monkeypatch):
+    # Every window of a kernel wider than the image covers all of it, so no
+    # window is pure; the response is built at its clipped width, with no
+    # range as long as the kernel.
+    bounded_arange(monkeypatch, 10**6)
+    config = tmp_path / "scene.json"
+    config.write_text(json.dumps({**_SWEEP["scene"], "kernel_size": 10**9}), encoding="utf-8")
+    assert _one_line_error(capsys, ["generate", "--config", str(config),
+                                    "--out", str(tmp_path / "scene")]) == (
+        "error: could not place 3 isolated pure windows on a 16-window grid; image too small "
+        "for this kernel")
+
+
+# Values a config entry is swapped to. Counts stay small: a large grid, band,
+# material, trial, step or draw count allocates or works in proportion
+# (its bounds are tested by their messages).
+_SWAPS = (None, True, False, "x", "", "3", [], [3], {}, {"a": 1}, 0, -1, 1, 2, 1.5, -0.0)
+# Extremes for the entries that no allocation or loop follows.
+_EXTREMES = (1e-320, 1e308, -1e308, 10**18, 10**400, "nan", "inf", "-inf")
+_FREE_KEYS = ("kernel_var", "kernel_size", "seed", "master_seed", "rel_tol", "objective_floor",
+              "snr_db", "output_dir")
+
+
+def _mutated_config(data, payload):
+    """payload as JSON bytes with one entry, at any depth, swapped or
+    dropped, or one key added, or all of it encoded in UTF-16; the
+    mutation, the path and the value are drawn from ``data``."""
+    mutation = data.draw(st.sampled_from(["swap"] * 3 + ["drop", "extra", "utf-16"]),
+                         label="mutation")
+    if mutation == "utf-16":
+        return json.dumps(payload).encode("utf-16")
+    entries = [(payload, key) for key in payload]
+    entries += [(payload[key], k) for key in ("scene", "solver") if key in payload
+                for k in payload[key]]
+    entries += [(payload["snr_db"], i) for i in range(len(payload.get("snr_db", ())))]
+    owner, key = data.draw(st.sampled_from(entries), label="entry")
+    if mutation == "swap":
+        free = key in _FREE_KEYS or isinstance(key, int)
+        owner[key] = data.draw(st.sampled_from(_SWAPS + _EXTREMES * free), label="value")
+    elif mutation == "drop":
+        del owner[key]
+    else:
+        target = owner if isinstance(owner, dict) else payload
+        target["unknown"] = data.draw(st.sampled_from(_SWAPS), label="value")
+    return json.dumps(payload).encode()
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("configs")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_mutated_generate_or_experiment_config_exits_zero_or_is_one_line(config_dir, data):
+    command = data.draw(st.sampled_from(["generate", "experiment"]), label="command")
+    scene = {**_SWEEP["scene"], "kernel": "gaussian", "kernel_size": 3, "kernel_var": 1.0,
+             "seed": 0, "require_dominance": False, "max_draws": 100}
+    payload = scene if command == "generate" else {
+        **_SWEEP, "scene": scene, "snr_db": [30, "inf"], "master_seed": 0, "output_dir": "",
+        "solver": {"materials": 3, "max_outer": 50, "inner_steps": 10, "rel_tol": 1e-10,
+                   "objective_floor": 0.0}}
+    path = config_dir / "config.json"
+    path.write_bytes(_mutated_config(data, payload))
+    out = config_dir / "out"
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err, \
+            pytest.MonkeyPatch.context() as patch:
+        bounded_arange(patch, 10**6)  # kernel_size draws 10**18
+        code = main([command, "--config", str(path), "--out", str(out)])
+    event(f"{command} exit {code}")
+    assert code in (0, 1)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    else:
+        assert (out / ("scene.json" if command == "generate" else "summary.json")).exists()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(snr=st.floats())
+def test_observe_at_any_float_snr_exits_zero_or_is_one_line(model_bundle, snr):
+    argv = _model_argv("observe", model_bundle)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main([*argv, f"--snr-db={snr!r}"])
+    event(f"exit {code}")
+    assert code in (0, 1)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert np.isfinite(read_matrix(model_bundle / "obs" / "ms.csv")).all()

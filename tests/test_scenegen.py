@@ -16,7 +16,7 @@ from hsrfusion import (
     kruskal_rank,
     spatial_decimate,
 )
-from conftest import desk_scene_config, windows_of
+from conftest import bounded_arange, desk_scene_config, windows_of
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +165,27 @@ def test_builder_is_bit_identical_to_the_per_window_reference(width, height, ker
     assert g.indptr.tolist() == ref.indptr.tolist()
     assert g.pixels.tolist() == ref.pixels.tolist()
     assert g.weights.tobytes() == ref.weights.tobytes()
+
+
+@pytest.mark.parametrize("width, height, kernel, factor", [
+    (8, 8, "uniform", 2), (8, 12, "gaussian", 4), (9, 6, "gaussian", 3), (16, 8, "uniform", 8),
+])
+def test_a_kernel_wider_than_the_image_is_built_at_its_clipped_width(width, height, kernel,
+                                                                     factor, monkeypatch):
+    # From 2 max(width, height) + 1 on, every footprint covers the image and
+    # the windows stop changing: wider kernels match the reference, and a
+    # kernel of 10**9 or 10**300 is built with no range as long as itself.
+    covering = 2 * max(width, height) + 1
+    expected = _per_window_response(width, height, kernel, covering, 20.0, factor)
+    for size in [*range(covering, covering + 4), 100]:
+        ref = _per_window_response(width, height, kernel, size, 20.0, factor)
+        assert ref.weights.tobytes() == expected.weights.tobytes()
+    bounded_arange(monkeypatch, 10**4)
+    for size in (covering, covering + 1, 100, 10**9, 10**300):
+        g = build_spatial_response(width, height, kernel, size, 20.0, factor)
+        assert g.indptr.tolist() == expected.indptr.tolist()
+        assert g.pixels.tolist() == expected.pixels.tolist()
+        assert g.weights.tobytes() == expected.weights.tobytes()
 
 
 @pytest.mark.parametrize("variance", [1e-3, 1e-5])

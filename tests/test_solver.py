@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -25,7 +26,8 @@ from hsrfusion import (
     solve_coupled,
     spa_initialize,
 )
-from hsrfusion import solver
+from hsrfusion import fileio, solver
+from hsrfusion.experiment import run_trial
 from hsrfusion.model import SpatialResponse, spatial_decimate, spectral_decimate, validate_spectral
 from hsrfusion.solver import abundance_gradient, endmember_gradient
 from conftest import (
@@ -544,11 +546,15 @@ def test_the_stationarity_stop_keeps_each_mse_and_saves_a_third_of_the_iteration
     assert 1.5 * sum(s.iterations for s, _ in stopped) <= sum(s.iterations for s, _ in full)
 
 
+def _no_counts():
+    return {"passes": 0, "steps": 0, "fallbacks": 0}
+
+
 @pytest.mark.parametrize("scene", ["desk", "gaussian-64"])
 def test_a_pass_measures_the_gradient_mapping_at_its_start(scene, desk_spatial):
     # L |X - P(X - grad f(X) / L)| per block, P the block's projection, from
-    # the public gradients, projection and a clip; FISTA and plain passes
-    # share their first step, and so its value.
+    # the public gradients, projection and a clip; a pass whose FISTA and
+    # plain attempts are both refused keeps X and still reports it.
     if scene == "desk":
         gen = generate_scene(desk_scene_config(seed=38), desk_spatial)
         problem = (*observe(gen, desk_spatial), gen.spectral, desk_spatial)
@@ -562,11 +568,117 @@ def test_a_pass_measures_the_gradient_mapping_at_its_start(scene, desk_spatial):
                lambda: solver._clip_to_box, lambda v: np.clip(v, 0.0, 1.0)),
               (s, inner.abundance_pass(a), abundance_gradient(a, s, *problem),
                lambda: solver._support_projection(s), project_columns_to_simplex)]
-    for x, (step_map, lipschitz, _), gradient, projection, reference in blocks:
+    for x, block, gradient, projection, reference in blocks:
+        step_map, lipschitz, evaluate = block
         expected = lipschitz * np.linalg.norm(x - reference(x - gradient / lipschitz))
-        for accelerate in (True, False):
-            _, mapping = solver._pass(x, step_map, 1.0 / lipschitz, projection(), 3, accelerate)
+        for f_start, fallbacks in ((evaluate(x), 0), (-math.inf, 1)):
+            counts = _no_counts()
+            x_new, _, mapping = solver._descend(x, block, projection(), f_start, 3, counts)
             assert abs(mapping - expected) <= 1e-12 * expected
+            assert counts["fallbacks"] == fallbacks and (x_new is x) == bool(fallbacks)
+
+
+def _a_pass(x, move, steps, accelerate):
+    """solver._descend on a block whose step map is ``move`` at every step
+    size, with L = 1: its FISTA attempt is kept if ``accelerate``, else its
+    objective rises and the pass is redone with plain steps. Returns the new
+    iterate, the gradient mapping, the counts and each attempt's outputs,
+    one per step."""
+    attempts = [[]]
+    values = iter([0.5] if accelerate else [2.0, 0.5])
+
+    def recorded(v):
+        attempts[-1].append(v)
+        return v
+
+    def evaluate(v):
+        attempts.append([])
+        return next(values)
+
+    counts = _no_counts()
+    x_new, _, mapping = solver._descend(x, (lambda t: move, 1.0, evaluate), recorded, 1.0,
+                                        steps, counts)
+    return x_new, mapping, counts, attempts[:-1]
+
+
+@pytest.mark.parametrize("accelerate", [True, False])
+def test_a_pass_takes_its_first_step_and_never_more_than_steps(accelerate):
+    x = np.zeros((2, 3))
+    # A constant drift never stalls: every step is as long as the first, or longer.
+    for steps in range(1, 7):
+        _, _, counts, attempts = _a_pass(x, lambda y: y + 1.0, steps, accelerate)
+        assert [len(outputs) for outputs in attempts] == [steps] * (2 - accelerate)
+        assert counts["steps"] == steps * (2 - accelerate)
+    # At a fixed point the first step, of length 0, is taken and ends the pass.
+    for steps in (1, 5):
+        _, mapping, _, attempts = _a_pass(x, lambda y: y.copy(), steps, accelerate)
+        assert [len(outputs) for outputs in attempts] == [1] * (2 - accelerate)
+        assert mapping == 0.0
+    assert np.array_equal(x, np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("rate", [0.5, 0.7, 0.9])
+def test_a_plain_pass_ends_at_the_first_step_at_most_stall_times_the_first(rate):
+    # y -> rate y moves step k by rate^(k-1) times the first step's length, so
+    # the pass ends at the first k > 1 with rate^(k-1) <= _STALL.
+    expected = 1 + next(k for k in range(1, 100) if rate ** k <= solver._STALL)
+    x = np.ones((2, 3))
+    x_new, _, _, attempts = _a_pass(x, lambda y: rate * y, 20, False)
+    assert len(attempts[-1]) == expected
+    assert np.allclose(x_new, rate ** expected)
+    _, _, _, attempts = _a_pass(x, lambda y: rate * y, expected - 1, False)
+    assert len(attempts[-1]) == expected - 1  # the cap ends it first
+
+
+def test_a_plain_fallback_pass_follows_the_stall_rule():
+    # The FISTA pass's output is refused, so _descend redoes the pass with
+    # plain steps, which stall as a plain pass does.
+    rate, x = 0.5, np.ones((2, 3))
+    counts = _no_counts()
+    project, outputs = _counting()
+    values = iter([2.0, 0.5])
+    x_new, f_new, _ = solver._descend(x, (lambda t: lambda y: rate * y, 1.0,
+                                          lambda v: next(values)), project, 1.0, 10, counts)
+    plain = 1 + next(k for k in range(1, 100) if rate ** k <= solver._STALL)
+    assert counts == {"passes": 1, "steps": len(outputs), "fallbacks": 1}
+    assert x_new is outputs[-1] and f_new == 0.5
+    assert np.allclose(x_new, rate ** plain) and len(outputs) - plain >= 2
+
+
+def test_a_pass_ends_at_its_first_step_of_rounding_length():
+    # y -> y + 1e-16 moves each entry of 1/2 by one ulp, eps / 2, at every
+    # step, so it never stalls; that length is rounding, and ends the pass at
+    # its first step.
+    x = np.full((3, 5), 0.5)
+    _, mapping, _, attempts = _a_pass(x, lambda y: y + 1e-16, 10, True)
+    assert [len(outputs) for outputs in attempts] == [1]
+    assert 0.0 < mapping <= np.finfo(float).eps * math.sqrt(x.size)
+    # Four ulps per entry are more than rounding: the pass runs to the cap.
+    _, _, counts, _ = _a_pass(x, lambda y: y + 4e-16, 10, True)
+    assert counts["steps"] == 10
+
+
+def test_a_noiseless_solve_ends_its_rounding_level_passes_early(monkeypatch):
+    # The noiseless 8x8 sweep trial's endmember passes step by rounding alone
+    # once the fit is exact; they end at once instead of running to the cap,
+    # so a cap of 10**4 costs what the default's does.
+    config = fileio.experiment_config_from_dict(
+        {"scene": {"sr_bands": 30, "ms_bands": 4, "materials": 3, "width": 8, "height": 8,
+                   "factor": 2, "max_support": 2},
+         "snr_db": [math.inf], "trials": 1, "solver": {"materials": 3, "inner_steps": 10**4}})
+    solutions = []
+    real = solver.solve_coupled
+
+    def solve(*args):
+        solutions.append(real(*args))
+        return solutions[-1]
+
+    monkeypatch.setattr(solver, "solve_coupled", solve)
+    run_trial(config, config.scene.spatial_response(), math.inf, 0, 0)
+    (solution,) = solutions
+    assert solution.termination == "converged"
+    assert solution.stats["endmembers"]["steps"] < 100
+    assert solution.stats["abundances"]["steps"] < 100
 
 
 def _counting(project=lambda v: v):
@@ -580,51 +692,39 @@ def _counting(project=lambda v: v):
     return counted, outputs
 
 
-@pytest.mark.parametrize("accelerate", [True, False])
-def test_a_pass_takes_its_first_step_and_never_more_than_steps(accelerate):
-    x = np.zeros((2, 3))
-    # A constant drift never stalls: every step is as long as the first, or longer.
-    for steps in range(1, 7):
-        project, outputs = _counting()
-        solver._pass(x, lambda t: lambda y: y + t, 1.0, project, steps, accelerate)
-        assert len(outputs) == steps
-    # At a fixed point the first step is taken, and the second, of length 0, stalls.
-    for steps in (1, 5):
-        project, outputs = _counting()
-        _, mapping = solver._pass(x, lambda t: lambda y: y.copy(), 1.0, project, steps,
-                                  accelerate)
-        assert len(outputs) == min(steps, 2) and mapping == 0.0
-    assert np.array_equal(x, np.zeros((2, 3)))
+def _watch_attempts(monkeypatch, snapshot=lambda: None):
+    """Patch solver._descend to record each attempt of every block pass, the
+    FISTA one and a plain redo, as [start point, step cap, outputs of its
+    steps, snapshot() at its start and after each step], and to check that
+    no attempt writes into the start point."""
+    real = solver._descend
+    attempts = []
 
+    def descend(x, block, project, f_start, steps, counts):
+        step_map, lipschitz, evaluate = block
+        start = x.copy()
 
-@pytest.mark.parametrize("rate", [0.5, 0.7, 0.9])
-def test_a_plain_pass_ends_at_the_first_step_at_most_stall_times_the_first(rate):
-    # y -> rate y moves step k by rate^(k-1) times the first step's length, so
-    # the pass ends at the first k > 1 with rate^(k-1) <= _STALL.
-    expected = 1 + next(k for k in range(1, 100) if rate ** k <= solver._STALL)
-    x = np.ones((2, 3))
-    project, outputs = _counting()
-    x_new, _ = solver._pass(x, lambda t: lambda y: rate * y, 1.0, project, 20, False)
-    assert len(outputs) == expected
-    assert np.allclose(x_new, rate ** expected)
-    project, outputs = _counting()
-    solver._pass(x, lambda t: lambda y: rate * y, 1.0, project, expected - 1, False)
-    assert len(outputs) == expected - 1  # the cap ends it first
+        def begin():
+            attempts.append((start, steps, [], [snapshot()]))
 
+        def recorded(v):
+            attempts[-1][2].append(project(v))
+            attempts[-1][3].append(snapshot())
+            return attempts[-1][2][-1]
 
-def test_a_plain_fallback_pass_follows_the_stall_rule():
-    # The FISTA pass's output is refused, so _descend redoes the pass with
-    # plain steps, which stall as a plain pass does.
-    rate, x = 0.5, np.ones((2, 3))
-    counts = {"passes": 0, "steps": 0, "fallbacks": 0}
-    project, outputs = _counting()
-    values = iter([2.0, 0.5])
-    x_new, f_new, _ = solver._descend(x, lambda t: lambda y: rate * y, 1.0, project,
-                                      lambda v: next(values), 1.0, 10, counts)
-    plain = 1 + next(k for k in range(1, 100) if rate ** k <= solver._STALL)
-    assert counts == {"passes": 1, "steps": len(outputs), "fallbacks": 1}
-    assert x_new is outputs[-1] and f_new == 0.5
-    assert np.allclose(x_new, rate ** plain) and len(outputs) - plain >= 2
+        def evaluated(v):
+            value = evaluate(v)
+            begin()
+            return value
+
+        begin()
+        result = real(x, (step_map, lipschitz, evaluated), recorded, f_start, steps, counts)
+        attempts.pop()  # begun after the last evaluation, or for a flat block; never run
+        assert np.array_equal(x, start)
+        return result
+
+    monkeypatch.setattr(solver, "_descend", descend)
+    return attempts
 
 
 def test_every_solver_pass_ends_at_its_first_stalled_step_or_at_the_cap(desk_spatial,
@@ -632,18 +732,10 @@ def test_every_solver_pass_ends_at_its_first_stalled_step_or_at_the_cap(desk_spa
     # On the benchmark's desk config, each block pass's step lengths
     # |x_k - x_k-1|: all after the first are above _STALL times the first's,
     # but the last, which is at most that or the cap's.
-    real_pass = solver._pass
-    passes = []
-
-    def watch(x, step_map, step, project, steps, accelerate):
-        counted, outputs = _counting(project)
-        passes.append((x.copy(), outputs, steps))
-        return real_pass(x, step_map, step, counted, steps, accelerate)
-
-    monkeypatch.setattr(solver, "_pass", watch)
+    passes = _watch_attempts(monkeypatch)
     solution = _criterion_8_solve(desk_spatial, 25.0)
     stalled = 0
-    for x, outputs, steps in passes:
+    for x, steps, outputs, _ in passes:
         lengths = np.linalg.norm(np.diff([x, *outputs], axis=0), axis=(1, 2))
         ratios = lengths[1:] / lengths[0]
         assert 1 <= len(outputs) <= steps
@@ -652,32 +744,29 @@ def test_every_solver_pass_ends_at_its_first_stalled_step_or_at_the_cap(desk_spa
             stalled += 1
             assert ratios[-1] <= solver._STALL * (1.0 + 1e-9)
     steps_taken = sum(block["steps"] for block in solution.stats.values())
-    assert steps_taken == sum(len(outputs) for _, outputs, _ in passes)
+    assert steps_taken == sum(len(outputs) for _, _, outputs, _ in passes)
     assert stalled >= len(passes) // 2
 
 
 def test_an_overshooting_fista_pass_falls_back_to_plain_steps(desk_spatial, monkeypatch):
+    # Tenfold FISTA factors (the first step's stays 0) overshoot: block passes
+    # raise the objective and are redone from their start point with plain
+    # steps, and inertial steps are rejected.
     gen = generate_scene(desk_scene_config(seed=33), desk_spatial)
     y_ms, y_hs = observe(gen, desk_spatial)
     y_ms = add_noise(y_ms, 20.0, seed=1)
     y_hs = add_noise(y_hs, 20.0, seed=2)
-    real_pass = solver._pass
-    accelerated, untouched = [], []
+    real_momentum = solver._momentum
 
-    def overshoot(x, step_map, step, project, steps, accelerate):
-        # A failed pass is redone from x, so no pass may write into it.
-        accelerated.append(accelerate)
-        start = x.copy()
-        x_new = real_pass(x, step_map, step * (64.0 if accelerate else 1.0), project,
-                          steps, accelerate)
-        untouched.append(np.array_equal(x, start))
-        return x_new
+    def overshoot(t):
+        t_next, beta = real_momentum(t)
+        return t_next, 10.0 * beta
 
-    monkeypatch.setattr(solver, "_pass", overshoot)
+    monkeypatch.setattr(solver, "_momentum", overshoot)
+    _watch_attempts(monkeypatch)  # which checks that no attempt writes into x
     config = SolverConfig(materials=6, max_outer=40, inner_steps=5, rel_tol=1e-12)
     solution = solve_coupled(y_ms, y_hs, gen.spectral, desk_spatial, config)
-    assert accelerated[0] and accelerated.count(False) >= 10
-    assert all(untouched)
+    assert sum(block["fallbacks"] for block in solution.stats.values()) >= 10
     trace = solution.objective_trace
     assert np.all(trace[1:] <= trace[:-1] * (1.0 + 1e-12) ** 2 + 2e-300)
     assert solution.endmembers.min() >= 0.0
@@ -861,27 +950,31 @@ def test_a_noiseless_default_solve_makes_at_most_two_passes_per_block_at_one_ove
     # Once the objective is at roundoff a 1/L pass can raise it; the block is
     # then kept as it was, with no further, shorter steps.
     gen = generate_scene(desk_scene_config(seed=seed), desk_spatial)
-    real_descend, real_pass = solver._descend, solver._pass
+    real_descend = solver._descend
     passes = []
 
-    def descend(x, step_map, lipschitz, *args):
-        passes.append([])
-        result = real_descend(x, step_map, lipschitz, *args)
-        assert all(step == 1.0 / lipschitz for step in passes[-1])
-        return result
+    def descend(x, block, *args):
+        step_map, lipschitz, evaluate = block
+        passes.append({"maps": [], "attempts": 0, "lipschitz": lipschitz})
 
-    def counted(x, step_map, step, *args):
-        passes[-1].append(step)
-        return real_pass(x, step_map, step, *args)
+        def watched_map(t):
+            passes[-1]["maps"].append(t)
+            return step_map(t)
+
+        def watched_evaluate(v):
+            passes[-1]["attempts"] += 1
+            return evaluate(v)
+
+        return real_descend(x, (watched_map, lipschitz, watched_evaluate), *args)
 
     monkeypatch.setattr(solver, "_descend", descend)
-    monkeypatch.setattr(solver, "_pass", counted)
     solution = solve_coupled(*observe(gen, desk_spatial), gen.spectral, desk_spatial,
                              SolverConfig(materials=6))
     assert solution.termination == "converged"
     assert solution.objective_trace[-1] <= 1e-20
     assert len(passes) >= 2 * solution.iterations
-    assert max(map(len, passes)) <= 2
+    assert max(p["attempts"] for p in passes) <= 2
+    assert all(p["maps"] == [1.0 / p["lipschitz"]] for p in passes)
 
 
 def test_s_passes_hand_pixel_major_arrays_to_the_projection_and_the_operator(monkeypatch):
@@ -930,24 +1023,10 @@ def test_an_s_step_makes_two_sparse_products_and_an_a_step_none(scene, desk_spat
             products[name] += 1
             return real(self, x)
         monkeypatch.setattr(SpatialResponse, name, counted)
-    real_pass = solver._pass
-    passes = []
-
-    def watch(x, step_map, step, project, steps, accelerate):
-        projected = []
-
-        def counted_project(v):
-            projected.append(v.shape)
-            return project(v)
-
-        before = dict(products)
-        x_new = real_pass(x, step_map, step, counted_project, steps, accelerate)
-        passes.append((x.shape, len(projected), products["apply"] - before["apply"],
-                       products["adjoint"] - before["adjoint"]))
-        return x_new
-
-    monkeypatch.setattr(solver, "_pass", watch)
+    attempts = _watch_attempts(monkeypatch, lambda: (products["apply"], products["adjoint"]))
     solution = solve_coupled(*problem, SolverConfig(materials=6, max_outer=3, inner_steps=4))
+    passes = [(x.shape, len(outputs), after[0] - before[0], after[1] - before[1])
+              for x, _, outputs, (before, *_, after) in attempts]
     s_passes = [p[1:] for p in passes if p[0] == solution.abundances.shape]
     a_passes = [p[1:] for p in passes if p[0] == solution.endmembers.shape]
     assert len(s_passes) >= solution.iterations and len(a_passes) >= solution.iterations
