@@ -249,6 +249,12 @@ def dominance_coefficient(endmembers):
     return eps
 
 
+def dominance_threshold(materials):
+    """The dominance condition's bound: it holds when the dominance
+    coefficient is below 1/(4n)."""
+    return 1.0 / (4.0 * materials)
+
+
 def support_balance(materials, kruskal):
     """Upper envelope of sqrt(|J| (n - |J|)) over support sizes |J| <= kruskal."""
     n, k = materials, kruskal
@@ -384,7 +390,7 @@ def certify(endmembers, abundances, spectral, spatial):
 
     # inf exactly when some column has no band below 1/n
     dominance = dominance_coefficient(a)
-    threshold = 1.0 / (4.0 * n)
+    threshold = dominance_threshold(n)
     dominance_detail = (
         f"dominance {dominance:.6g} vs threshold {threshold:.6g}"
         + (" (some column has no band below 1/n)" if math.isinf(dominance) else "")
@@ -461,7 +467,7 @@ def dominance_monte_carlo(materials, bands, trials, seed=0):
         raise ValueError("trials must be >= 1")
     n = materials
     rng = np.random.default_rng(seed)
-    threshold = 1.0 / (4.0 * n)
+    threshold = dominance_threshold(n)
     successes = 0
     for _ in range(trials):
         a = rng.uniform(0.0, 1.0, size=(bands, n))

@@ -55,7 +55,7 @@ def _print_json(payload, out=None):
 
 
 def _cmd_generate(args):
-    config = fileio.read_scene_config(args.config)
+    config = fileio.config_from_dict(scenegen.SceneConfig, fileio.read_json(args.config))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     generated = scenegen.generate_scene(config, config.spatial_response())
@@ -81,7 +81,7 @@ def _cmd_observe(args):
 def _cmd_solve(args):
     spectral, spatial, y_ms, y_hs = _load(args)
     if args.config:
-        config = fileio.read_solver_config(args.config)
+        config = fileio.config_from_dict(solver.SolverConfig, fileio.read_json(args.config))
     else:
         config = solver.SolverConfig(materials=args.materials)
     solution = solver.solve_coupled(y_ms, y_hs, spectral, spatial, config)
@@ -123,10 +123,8 @@ def _cmd_counterexample(args):
     if args.surface:
         path = Path(args.surface)
         fileio.make_directory(path.parent)
-        lines = ["alpha1,error,objective"]
-        for a, e, o in zip(report.grid_alphas, report.grid_errors, report.grid_objectives):
-            lines.append(f"{a:.17g},{e:.17g},{o:.17g}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        fileio.write_table(path, ("alpha1", "error", "objective"), zip(
+            report.grid_alphas, report.grid_errors, report.grid_objectives))
     _print_json(report.to_dict(), args.out)
     return 0 if report.passed else 1
 
@@ -152,13 +150,12 @@ def _cmd_dominance(args):
 
 
 def _cmd_experiment(args):
-    config = fileio.read_experiment_config(args.config)
+    config = fileio.config_from_dict(experiment.ExperimentConfig,
+                                     fileio.read_json(args.config))
     if args.out is not None:
         config = dataclasses.replace(config, output_dir=args.out)
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
-    if config.output_dir is not None:  # before the sweep, not after it
-        fileio.make_directory(config.output_dir)
     records = experiment.run_experiment(config)
     means = experiment.mean_mse_by_snr(records)
     for snr in config.snr_db:

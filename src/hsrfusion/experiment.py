@@ -13,13 +13,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds, scenegen, solver
+from . import bounds, fileio, scenegen, solver
 from .model import _check_counts, _is_number, spatial_decimate, spectral_decimate
 
 
 @dataclass
 class ExperimentConfig:
-    """A full sweep: scene family, SNR list, trial count, solver settings."""
+    """A full sweep: scene family, SNR list, trial count, solver settings.
+
+    An SNR of None or "inf" is noiseless, as in a config file. Two SNRs whose
+    labels (format_snr) coincide are refused: their rows could not be told
+    apart and their means would be pooled."""
 
     scene: scenegen.SceneConfig
     snr_db: list[float]
@@ -32,11 +36,30 @@ class ExperimentConfig:
         _check_counts(self, ("trials",), ("master_seed",))
         if not isinstance(self.snr_db, (list, tuple)) or not self.snr_db:
             raise ValueError(f"snr_db must be a nonempty list, got {self.snr_db!r}")
+        self.snr_db = [_parse_snr(value) for value in self.snr_db]
+        labels = {}
         for value in self.snr_db:
             if not _is_number(value) or not -math.inf < value <= math.inf:
                 raise ValueError(f"snr_db entries must be numbers, finite or inf, got {value!r}")
+            label = format_snr(value)
+            if label in labels:
+                raise ValueError(f"snr_db entries {labels[label]!r} and {value!r} share "
+                                 f"the label {label!r}")
+            labels[label] = value
         if self.output_dir is not None and not isinstance(self.output_dir, (str, Path)):
             raise ValueError(f"output_dir must be a path string, got {self.output_dir!r}")
+
+
+def _parse_snr(value):
+    """null reads as inf and a number or a numeric string as a float, -0 as 0
+    so that equal SNRs share a label; anything else is left for
+    ExperimentConfig to reject by name."""
+    if value is None:
+        return math.inf
+    try:
+        return float(value) + 0.0 if isinstance(value, str) or _is_number(value) else value
+    except ValueError:  # a string float() cannot read
+        return value
 
 
 @dataclass
@@ -102,11 +125,12 @@ def run_experiment(config):
 
     Output files (when output_dir is set): results.csv with one row per
     (snr, trial) and summary.json with the mean MSE per SNR plus any
-    failures.
+    failures. The directory is made before the first trial, so a path that
+    cannot be one fails before any trial runs.
     """
+    out_dir = None if config.output_dir is None else fileio.make_directory(config.output_dir)
     spatial = config.scene.spatial_response()
     records = []
-    failures = []
     for snr_index, snr_db in enumerate(config.snr_db):
         for trial in range(config.trials):
             try:
@@ -117,12 +141,21 @@ def run_experiment(config):
                     max_pixel_error=math.nan, bound_max=math.nan,
                     objective=math.nan, iterations=0, error=str(exc),
                 )
-                failures.append({"snr_db": format_snr(snr_db), "trial": trial,
-                                 "message": str(exc)})
             records.append(record)
+    if out_dir is None:
+        return records
 
-    if config.output_dir is not None:
-        _write_outputs(Path(config.output_dir), config, records, failures)
+    fileio.write_table(out_dir / "results.csv", RESULT_COLUMNS, [
+        (format_snr(r.snr_db), r.trial, r.mse, r.max_pixel_error, r.bound_max, r.objective,
+         r.iterations, r.termination, r.stationarity) for r in records])
+    means = mean_mse_by_snr(records)
+    fileio.write_json(out_dir / "summary.json", {
+        "master_seed": config.master_seed,
+        "trials": config.trials,
+        "mean_mse": {format_snr(snr): means.get(snr, None) for snr in config.snr_db},
+        "failures": [{"snr_db": format_snr(r.snr_db), "trial": r.trial, "message": r.error}
+                     for r in records if r.error is not None],
+    })
     return records
 
 
@@ -138,31 +171,3 @@ def mean_mse_by_snr(records):
 def format_snr(value):
     """SNR label: "inf" when noiseless, else the value in %g form."""
     return "inf" if math.isinf(value) else f"{value:g}"
-
-
-def _write_outputs(out_dir, config, records, failures):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(RESULT_COLUMNS)]
-    for rec in records:
-        lines.append(",".join([
-            format_snr(rec.snr_db),
-            str(rec.trial),
-            f"{rec.mse:.17g}",
-            f"{rec.max_pixel_error:.17g}",
-            f"{rec.bound_max:.17g}",
-            f"{rec.objective:.17g}",
-            str(rec.iterations),
-            rec.termination,
-            f"{rec.stationarity:.17g}",
-        ]))
-    (out_dir / "results.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    means = mean_mse_by_snr(records)
-    summary = {
-        "master_seed": config.master_seed,
-        "trials": config.trials,
-        "mean_mse": {format_snr(snr): means.get(snr, None) for snr in config.snr_db},
-        "failures": failures,
-    }
-    from . import fileio  # fileio imports this module for ExperimentConfig
-    fileio.write_json(out_dir / "summary.json", summary)

@@ -1,4 +1,10 @@
-"""File formats: CSV matrices and JSON sidecars.
+"""File formats: CSV matrices and tables, JSON sidecars and configs.
+
+The module imports no package module but ``model``: it knows file
+formats, not config classes. ``config_from_dict`` builds any config
+dataclass from its decoded JSON, and ``write_table`` writes every CSV
+with a header (a sweep's ``results.csv``, the counterexample's error
+surface).
 
 Matrices are plain CSV, one row per line, '.' decimal separator, no
 header; dimensions are inferred. Values are written with 17 significant
@@ -46,10 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiment import ExperimentConfig
-from .model import SpatialResponse, _is_number
-from .scenegen import SceneConfig
-from .solver import SolverConfig
+from .model import SpatialResponse
 
 
 # Whole rows of about this many cells go through the CSV kernel at a time.
@@ -277,6 +280,15 @@ def _read_matrix_lines(path):
     return matrix
 
 
+def write_table(path, columns, rows):
+    """Write a CSV table: a header line of ``columns``, then one line per
+    row. A string cell is written as it is and a number as its %.17g text."""
+    lines = [",".join(columns)]
+    lines += [",".join(cell if isinstance(cell, str) else f"{cell:.17g}" for cell in row)
+              for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def write_spatial_response(path, spatial):
     pixels, weights = spatial.pixels.tolist(), spatial.weights.tolist()
     bounds = zip(spatial.indptr[:-1].tolist(), spatial.indptr[1:].tolist())
@@ -413,7 +425,7 @@ def json_default(obj):
 
 
 # ---------------------------------------------------------------------------
-# Config round trips
+# Configs
 # ---------------------------------------------------------------------------
 
 def _check_keys(cls, payload):
@@ -431,47 +443,16 @@ def _check_keys(cls, payload):
         raise ValueError(f"{cls.__name__}: {', '.join(problems)} (allowed: {', '.join(names)})")
 
 
-def scene_config_from_dict(payload):
-    _check_keys(SceneConfig, payload)
-    return SceneConfig(**payload)
-
-
-def solver_config_from_dict(payload):
-    _check_keys(SolverConfig, payload)
-    return SolverConfig(**payload)
-
-
-def experiment_config_from_dict(payload):
-    _check_keys(ExperimentConfig, payload)
+def config_from_dict(cls, payload):
+    """Build config dataclass ``cls`` from a decoded JSON object. Keys are
+    checked first, then each field whose type is a dataclass is built from
+    its own object the same way, in field order; ``cls`` validates the rest."""
+    _check_keys(cls, payload)
     payload = dict(payload)
-    payload["scene"] = scene_config_from_dict(payload["scene"])
-    payload["solver"] = solver_config_from_dict(payload["solver"])
-    if isinstance(payload["snr_db"], list):
-        payload["snr_db"] = [_parse_snr(v) for v in payload["snr_db"]]
-    return ExperimentConfig(**payload)
-
-
-def _parse_snr(value):
-    """null reads as inf and a number or a numeric string as a float; anything
-    else is left for ExperimentConfig to reject by name."""
-    if value is None:
-        return math.inf
-    try:
-        return float(value) if isinstance(value, str) or _is_number(value) else value
-    except ValueError:  # a string float() cannot read
-        return value
-
-
-def read_scene_config(path):
-    return scene_config_from_dict(read_json(path))
-
-
-def read_solver_config(path):
-    return solver_config_from_dict(read_json(path))
-
-
-def read_experiment_config(path):
-    return experiment_config_from_dict(read_json(path))
+    for field in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(field.type) and field.name in payload:
+            payload[field.name] = config_from_dict(field.type, payload[field.name])
+    return cls(**payload)
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,8 @@ def sample_endmembers(config, spectral, rng):
     Accepts a draw once it has full column rank, every column has a band
     below 1/materials, the Kruskal rank of its MS decimation is at least
     max_support, and (when required) the dominance coefficient is below
-    1/(4 * materials). Returns (matrix, draws, its MS Kruskal rank).
+    1/(4 * materials), bounds.dominance_threshold. Returns (matrix, draws,
+    its MS Kruskal rank).
     """
     n = config.materials
     best_kruskal = min(n, config.ms_bands)
@@ -205,11 +206,11 @@ def sample_endmembers(config, spectral, rng):
             f"max_support {config.max_support} cannot be satisfied: the "
             f"Kruskal rank of the decimated endmembers is at most {best_kruskal}"
         )
-    threshold = 1.0 / (4.0 * n)
+    threshold = bounds.dominance_threshold(n)
     for draw in range(1, config.max_draws + 1):
         a = rng.uniform(0.0, 1.0, size=(config.sr_bands, n))
         sv = np.linalg.svd(a, compute_uv=False)
-        if sv[-1] <= 1e-9 * sv[0]:
+        if sv[-1] <= bounds.SINGULAR_REL * sv[0]:
             continue
         if not (a < 1.0 / n).any(axis=0).all():
             continue
@@ -365,7 +366,7 @@ def _verify_generated(generated, config, kruskal):
         target[material] = 1.0
         if np.abs(col - target).max() > 1e-9:
             raise AssertionError(f"pure window {win_idx} is not pure for {material}")
-    support_sizes = (np.abs(decimated) > 1e-9).sum(axis=0)
+    support_sizes = (np.abs(decimated) > bounds.SUPPORT_TOL).sum(axis=0)
     if int(support_sizes.max()) > kruskal:
         raise AssertionError(
             f"decimated support {int(support_sizes.max())} exceeds Kruskal rank {kruskal}"

@@ -440,11 +440,16 @@ _SWEEP = {"scene": {"sr_bands": 30, "ms_bands": 4, "materials": 3, "width": 8, "
     ({**_SWEEP, "snr_db": ["abc"]}, "snr_db entries must be numbers, finite or inf, got 'abc'"),
     ({**_SWEEP, "snr_db": [10**400]},
      f"snr_db entries must be numbers, finite or inf, got {10**400}"),
+    ({**_SWEEP, "snr_db": [25, 25.000001]},
+     "snr_db entries 25.0 and 25.000001 share the label '25'"),
+    ({**_SWEEP, "snr_db": [30, "inf", None]}, "snr_db entries inf and inf share the label 'inf'"),
+    ({**_SWEEP, "snr_db": [0, -0.0]}, "snr_db entries 0.0 and 0.0 share the label '0'"),
     ({**_SWEEP, "output_dir": 5}, "output_dir must be a path string, got 5"),
 ], ids=["null", "number", "solver-null", "scene-array", "materials-string", "max_outer-float",
         "inner_steps-bool", "rel_tol-string", "objective_floor-null", "init-unknown-key",
         "trials-float", "master_seed-string", "snr_db-number", "snr-nan", "snr-array",
-        "snr-string", "snr-too-large", "output_dir-number"])
+        "snr-string", "snr-too-large", "snr-labels-collide", "snr-inf-twice", "snr-zero-twice",
+        "output_dir-number"])
 def test_bad_experiment_config_is_a_one_line_error(tmp_path, capsys, payload, message):
     path = tmp_path / "experiment.json"
     path.write_text(json.dumps(payload), encoding="utf-8")

@@ -1,10 +1,11 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from hsrfusion import ExperimentConfig, SceneConfig, SolverConfig, scenegen
+from hsrfusion import ExperimentConfig, SceneConfig, SolverConfig, experiment, scenegen
 from hsrfusion.experiment import RESULT_COLUMNS, mean_mse_by_snr, run_experiment
 
 
@@ -82,6 +83,16 @@ def test_an_snr_whose_noise_is_not_finite_fails_only_its_trials(tmp_path, snr):
     assert len(lines) == 3 and lines[1].startswith(f"{snr:g},0,nan,")
     summary = json.loads((out / "summary.json").read_text())
     assert [f["snr_db"] for f in summary["failures"]] == [f"{snr:g}"]
+
+
+def test_an_output_dir_through_a_file_fails_before_any_trial(tmp_path, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    calls = []
+    monkeypatch.setattr(experiment, "run_trial", lambda *args: calls.append(args))
+    with pytest.raises(NotADirectoryError, match=re.escape(f"{blocker} is a file")):
+        run_experiment(tiny_config(blocker / "out"))
+    assert calls == []
 
 
 def test_each_row_says_why_its_solve_stopped(tmp_path):

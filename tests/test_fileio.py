@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -9,16 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hsrfusion import Solution, build_spatial_response, generate_scene
+from hsrfusion import (ExperimentConfig, SceneConfig, Solution, SolverConfig,
+                       build_spatial_response, generate_scene)
 from hsrfusion import fileio
 from hsrfusion.fileio import (
-    experiment_config_from_dict,
+    config_from_dict,
     read_matrix,
     read_spatial_response,
     save_generated_scene,
     save_solution,
-    scene_config_from_dict,
-    solver_config_from_dict,
     write_matrix,
     write_spatial_response,
 )
@@ -327,28 +327,30 @@ def test_experiment_config_parses_infinite_snr():
             "height": 8, "factor": 2, "max_support": 2,
             "kernel": "uniform", "kernel_size": 2, "seed": 0,
         },
-        "snr_db": [15, "inf", None],
+        "snr_db": [15, "inf"],
         "trials": 2,
         "solver": {"materials": 2},
         "master_seed": 3,
     }
-    config = experiment_config_from_dict(payload)
-    assert config.snr_db[0] == 15.0
-    assert math.isinf(config.snr_db[1])
-    assert math.isinf(config.snr_db[2])
-    assert config.scene.materials == 2
-    assert config.solver.materials == 2
+    config = config_from_dict(ExperimentConfig, payload)
+    assert config.snr_db == [15.0, math.inf]
+    assert type(config.scene) is SceneConfig and config.scene.materials == 2
+    assert type(config.solver) is SolverConfig and config.solver.materials == 2
+    # null is the other spelling of inf; the library reads both as the file does.
+    assert config_from_dict(ExperimentConfig, {**payload, "snr_db": [None]}).snr_db == [math.inf]
+    assert dataclasses.replace(config, snr_db=[None, "-5"]).snr_db == [math.inf, -5.0]
 
 
 def test_config_readers_name_unknown_and_missing_keys():
     scene = {"sr_bands": 20, "ms_bands": 4, "materials": 2, "width": 8,
              "height": 8, "factor": 2}
     with pytest.raises(ValueError, match="missing key 'max_support'.*allowed: sr_bands"):
-        scene_config_from_dict(scene)
+        config_from_dict(SceneConfig, scene)
     with pytest.raises(ValueError, match="unknown key 'step_rule'"):
-        solver_config_from_dict({"materials": 2, "step_rule": "backtracking"})
+        config_from_dict(SolverConfig, {"materials": 2, "step_rule": "backtracking"})
     with pytest.raises(ValueError, match="missing key 'scene'"):
-        experiment_config_from_dict({"snr_db": [15], "trials": 1, "solver": {"materials": 2}})
+        config_from_dict(ExperimentConfig,
+                         {"snr_db": [15], "trials": 1, "solver": {"materials": 2}})
 
 
 def test_solution_json_records_the_momentum_restarts(tmp_path):

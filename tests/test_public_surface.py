@@ -1,7 +1,11 @@
 """Every name ``hsrfusion/__init__.py`` imports has a caller: code in the
 package outside the name's own definition, or an acceptance criterion in
 ``tests/test_acceptance.py``. The README's "Public surface" section states
-the rule."""
+the rule.
+
+The layering is pinned too: every package import sits at module level, so
+no import cycle hides inside a function, and ``fileio`` imports no package
+module but ``model``."""
 
 import ast
 from pathlib import Path
@@ -52,3 +56,38 @@ def test_every_public_name_has_a_caller():
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     called = _called_names()
     assert [name for name in exported if name not in called] == []
+
+
+def _package_imports(node):
+    """The package modules an import statement names: ``from .model import
+    x`` names model, and ``from . import bounds, fileio`` names both."""
+    if isinstance(node, ast.Import):
+        return [alias.name.removeprefix("hsrfusion.") for alias in node.names
+                if alias.name.startswith("hsrfusion.")]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    module = node.module or ""
+    if not node.level:
+        if module != "hsrfusion" and not module.startswith("hsrfusion."):
+            return []
+        module = module.removeprefix("hsrfusion").removeprefix(".")
+    return [module] if module else [alias.name for alias in node.names]
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_no_package_module_is_imported_inside_a_function():
+    nested = [f"{name}:{node.lineno}" for name, tree in _trees().items()
+              for func in ast.walk(tree)
+              if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(func) if _package_imports(node)]
+    assert nested == []
+
+
+def test_fileio_imports_no_package_module_but_model():
+    imported = {module for node in ast.walk(_trees()["fileio.py"])
+                for module in _package_imports(node)}
+    assert imported - {"model"} == set()

@@ -6,7 +6,7 @@ import re
 import shlex
 from pathlib import Path
 
-from hsrfusion import cli, fileio
+from hsrfusion import ExperimentConfig, cli, fileio
 
 _README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -35,5 +35,5 @@ def test_every_command_line_parses():
 
 def test_the_experiment_config_example_loads():
     (block,) = _blocks("json", after="An experiment config")
-    config = fileio.experiment_config_from_dict(json.loads(block))
+    config = fileio.config_from_dict(ExperimentConfig, json.loads(block))
     assert config.solver.materials == config.scene.materials == 6

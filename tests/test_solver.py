@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hsrfusion import (
+    ExperimentConfig,
     SceneConfig,
     SolverConfig,
     add_noise,
@@ -662,10 +663,10 @@ def test_a_noiseless_solve_ends_its_rounding_level_passes_early(monkeypatch):
     # The noiseless 8x8 sweep trial's endmember passes step by rounding alone
     # once the fit is exact; they end at once instead of running to the cap,
     # so a cap of 10**4 costs what the default's does.
-    config = fileio.experiment_config_from_dict(
-        {"scene": {"sr_bands": 30, "ms_bands": 4, "materials": 3, "width": 8, "height": 8,
-                   "factor": 2, "max_support": 2},
-         "snr_db": [math.inf], "trials": 1, "solver": {"materials": 3, "inner_steps": 10**4}})
+    config = fileio.config_from_dict(ExperimentConfig, {
+        "scene": {"sr_bands": 30, "ms_bands": 4, "materials": 3, "width": 8, "height": 8,
+                  "factor": 2, "max_support": 2},
+        "snr_db": [math.inf], "trials": 1, "solver": {"materials": 3, "inner_steps": 10**4}})
     solutions = []
     real = solver.solve_coupled
 
