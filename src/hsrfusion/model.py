@@ -262,10 +262,21 @@ def _entry(m, flat):
     return f"entry {divmod(int(flat), m.shape[1])}"
 
 
+def _finite_entries(m, check):
+    """A one-violation report naming matrix m's first non-finite entry, or
+    none: every comparison with NaN is false, so the range checks pass it."""
+    bad = ~np.isfinite(m)
+    if not bad.any():
+        return []
+    flat = int(bad.argmax())
+    value = float(m.flat[flat])
+    return [Violation(check, _entry(m, flat), abs(value), f"value {value} is not finite")]
+
+
 def validate_endmembers(a):
-    """Endmember entries must be reflectances in [0, 1]."""
+    """Endmember entries must be finite reflectances in [0, 1]."""
     a = _as_matrix(a, "endmembers")
-    out = []
+    out = _finite_entries(a, "endmember_finite")
     low = float(a.min()) if a.size else 0.0
     high = float(a.max()) if a.size else 0.0
     if a.shape[0] < 1 or a.shape[1] < 1:
@@ -282,9 +293,9 @@ def validate_endmembers(a):
 
 
 def validate_abundances(s):
-    """Every abundance column must lie on the unit simplex."""
+    """Every abundance column must lie on the unit simplex, with finite entries."""
     s = _as_matrix(s, "abundances")
-    out = []
+    out = _finite_entries(s, "abundance_finite")
     mins = s.min(axis=0)
     bad = np.flatnonzero(mins < -TAU_SIMPLEX)
     for j in bad:
@@ -303,9 +314,10 @@ def validate_abundances(s):
 
 
 def validate_spectral(f):
-    """Spectral response rows must be nonnegative with a positive entry each."""
+    """Spectral response rows must be finite and nonnegative with a positive
+    entry each."""
     f = _as_matrix(f, "spectral response")
-    out = []
+    out = _finite_entries(f, "spectral_finite")
     if f.shape[0] >= f.shape[1]:
         out.append(Violation(
             "spectral_size", "matrix", float(f.shape[0] - f.shape[1] + 1),

@@ -6,30 +6,50 @@ the unit box and abundance columns on the unit simplex, from pure pixels
 pinv(F A0) Y_ms, projected onto the simplex. Each outer iteration tries an
 inertial step on (A, S) with the FISTA weight (Xu & Yin 2013), kept only
 if the objective did not rise and else restarting the momentum, then one
-block pass on each block, run start to end by _descend: projected 1/L
-FISTA steps (Beck & Teboulle 2009). L bounds the block's curvature where
-it moves (for S, on the simplex's tangent space, columns summing to
-zero) by the top eigenvalue of one materials x materials matrix; a block
-whose L is at most _TINY is flat and left as it is. A pass ends at its
-first step, after the first, that moves the block at most _STALL = 0.4
-times as far as its first step did (the inner stop of Gillis & Glineur
-2012), at a step no longer than the block's rounding level (eps^2 per
-entry squared, every entry lying in [0, 1]), or after inner_steps steps,
-the cap. A FISTA pass that raised the objective beyond a roundoff slack
-of 1e-12 f + 1e-300 is redone once from the same start with plain 1/L
-steps, which end by the same rules and by the descent lemma raise it at
-most by roundoff; if they too exceed the slack, the block is kept as it
-was. So every iterate is feasible, and the trace rises, if at all, by no
-more than that slack per block pass: about 2e-12 of its value per
-iteration.
+block pass on each block, run start to end by _descend: projected FISTA
+steps (Beck & Teboulle 2009) of t = 4/(3L) (_STEP / L). L bounds the
+block's curvature where it moves (for S, on the simplex's tangent space,
+columns summing to zero) by the top eigenvalue of one materials x
+materials matrix; a block whose L is at most _TINY is flat and left as it
+is.
+
+Why 4/(3L) and not FISTA's 1/L: take the block's quadratic one curvature
+mode lambda <= L at a time (O'Donoghue & Candes 2015). The step x+ = y -
+t grad f(y), y = x + beta (x - x_prev), is stable on a mode exactly when
+t lambda < 2 (1 + beta) / (1 + 2 beta), a bound that falls to 4/3 as
+beta -> 1. So 4/(3L) is the longest step stable on every mode at every
+beta < 1, and 1/L leaves a quarter of that range unused. A plain
+projected step still descends, as any t < 2/L does: f falls by at least
+(1/t - L/2) |x+ - x|^2 = (L/4) |x+ - x|^2.
+
+A pass ends at its first step, after the first, that moves the block at
+most _STALL = 0.4 times as far as its first step did (the inner stop of
+Gillis & Glineur 2012), at a step no longer than its rounding level, or
+after inner_steps steps, the cap. Every entry of A and S lies in [0, 1],
+so a computed step rounds the block by about eps per entry, eps^2 size
+squared. Near a fixed point a plain step also holds the iterate's own
+rounding, carried from earlier steps by each mode's factor 1 - t lambda,
+so its squared length is 2 / (2 - t lambda) times one step's, at most 3
+times at t = 4/(3L). An extrapolated step carries beta times the step
+before it too, so a FISTA step's level is that 3 eps^2 size plus beta^2
+times the previous step's level. (Without the carried term, FISTA passes
+at the rounding level, with beta near 1, stay above a fixed level: on
+noiseless desk and 64^2 solves they ran to a cap of 10^4.)
+
+A FISTA pass that raised the objective beyond a roundoff slack of 1e-12 f
++ 1e-300 is redone once from the same start with plain steps, which end
+by the same rules and by that descent raise it at most by roundoff; if
+they too exceed the slack, the block is kept as it was. So every iterate
+is feasible, and the trace rises, if at all, by no more than that slack
+per block pass: about 2e-12 of its value per iteration.
 
 A solve stops when it is stationary, the measure of PALM (Bolte, Sabach &
 Teboulle 2014) and of Xu & Yin (2013). A pass's first step is never
-extrapolated, so from its start point X it is X_1 = P(X - grad f(X) / L),
-and L |X - X_1|_F, the norm of the block's gradient mapping, costs no
-extra product. r_k sums the two blocks' norms in quadrature (0 for a
-block left flat), and the solve ends once r_k <= 1e-4 r_1 (_STATIONARY);
-Solution.stationarity is r_k / r_1 at exit.
+extrapolated, so from its start point X it is X_1 = P(X - t grad f(X)),
+and |X - X_1|_F / t, the norm of the block's gradient mapping at step t,
+costs no extra product. r_k sums the two blocks' norms in quadrature (0
+for a block left flat), and the solve ends once r_k <= 1e-4 r_1
+(_STATIONARY); Solution.stationarity is r_k / r_1 at exit.
 
 Each step is one affine map X -> X - t grad(X), whose small factors are
 formed once per pass, and one projection. G enters only through the
@@ -70,6 +90,9 @@ _STATIONARY = 1e-4
 # A block pass ends at the first later step that moves the block at most this
 # fraction of its first step's distance.
 _STALL = 0.4
+# A block step is this multiple of 1/L, the longest stable on every curvature
+# mode at every FISTA weight (see the module docstring).
+_STEP = 4.0 / 3.0
 
 
 @dataclass
@@ -288,7 +311,13 @@ def project_columns_to_simplex(v):
     partial /= np.arange(1.0, n + 1.0)
     last = np.argmax((u > partial)[:, ::-1], axis=1)
     theta = partial[np.arange(len(u)), n - 1 - last]
-    return np.maximum(rows - theta[:, None], 0.0).T
+    return _clip_below(rows - theta[:, None]).T
+
+
+def _clip_below(x):
+    """max(x, 0) in place. Against a zero array, not the scalar 0.0: numpy's
+    loop with a scalar operand is about 5x slower on the solver's arrays."""
+    return np.maximum(x, np.zeros(x.shape), out=x)
 
 
 def _project_on_support(v, support, count):
@@ -314,11 +343,11 @@ def _project_on_support(v, support, count):
     x = theta.repeat(n).reshape(rows.shape)
     np.subtract(rows, x, out=x)
     found = x > 0.0
-    np.maximum(x, 0.0, out=x)
-    wrong = (found != support).ravel().nonzero()[0]
-    if wrong.size:
+    _clip_below(x)
+    wrong = found != support
+    if np.count_nonzero(wrong):  # much cheaper than the nonzero scan, which it often spares
         missed = np.zeros(len(rows), dtype=bool)
-        missed[wrong // n] = True
+        missed[wrong.ravel().nonzero()[0] // n] = True
         miss = missed.nonzero()[0]
         fixed = project_columns_to_simplex(rows[miss].T).T
         x[miss] = fixed
@@ -401,21 +430,21 @@ def _descend(x, block, project, f_start, steps, counts):
     """One block pass from ``x`` by ``block``, (step_map, L, evaluate), with
     the ends, plain redo and flat-block rule of the module docstring and
     ``steps`` as the cap. Returns the new iterate, its objective and the
-    gradient mapping's norm at ``x``, |x - x_1| L (0 if flat). Nothing is
+    gradient mapping's norm at ``x``, |x - x_1| / t (0 if flat). Nothing is
     written into ``x``, which the redo starts from. ``counts``, the block's
     Solution.stats entry, gains the pass (unless flat), its steps and a redo."""
     step_map, lipschitz, evaluate = block
     if lipschitz <= _TINY:
         return x, f_start, 0.0
     counts["passes"] += 1
-    step = 1.0 / lipschitz
+    step = _STEP / lipschitz
     move = step_map(step)
-    # Every entry of A and S lies in [0, 1], so a step whose squared length is
-    # at most eps^2 per entry moves the block no farther than its rounding.
-    rounding = np.finfo(float).eps ** 2 * x.size
+    # A plain step's rounding level, 2 / (2 - t L) times one step's rounding
+    rounding = 2.0 * np.finfo(float).eps ** 2 * x.size / (2.0 - _STEP)
     for accelerate in (True, False):
         x_new = y = x
         t = 1.0
+        level = rounding
         for i in range(steps):
             x_last, x_new = x_new, project(move(y))
             if 0 < i == steps - 1:  # the cap ends the pass; no length is needed
@@ -425,11 +454,12 @@ def _descend(x, block, project, f_start, steps, counts):
             length = np.einsum("ij,ij->", d, d)
             if i == 0:
                 first = length
-            if length <= rounding or (i and length <= _STALL * _STALL * first):
+            if length <= level or (i and length <= _STALL * _STALL * first):
                 break
             y = x_new
             if accelerate:
                 t, beta = _momentum(t)
+                level = rounding + beta * beta * level  # the next step carries beta d
                 if beta:
                     d *= beta
                     d += x_new
@@ -468,8 +498,11 @@ def solve_coupled(y_ms, y_hs, spectral, spatial, config):
     (the cap is a termination reason, not an error). Stationary means
     r_k <= 1e-4 r_1, r_k being iteration k's gradient mapping norm (see the
     module docstring) and r_1 at least 1e-300; Solution.stationarity holds
-    r_k / r_1 at exit. A block pass takes at most config.inner_steps steps;
-    Solution.stats counts each block's passes, steps and plain fallbacks.
+    r_k / r_1 at exit. A block pass takes at most config.inner_steps steps
+    of 4/(3L), L the block's Lipschitz constant: the longest step that
+    FISTA's momentum cannot make unstable on any curvature mode, a third
+    longer than 1/L (see the module docstring); Solution.stats counts each
+    block's passes, steps and plain fallbacks.
     Non-finite inputs, data whose squares overflow and inputs that disagree
     on an axis raise ValueError, and so do a spectral response that fails
     validate_spectral and a spatial response that fails validate(), with

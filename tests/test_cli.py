@@ -570,14 +570,15 @@ def test_undecodable_input_is_a_one_line_error_naming_its_path(counterexample_fi
 # indented, but for spatial.json), encoded as write_json encodes them, and of
 # the certificate's bytes. solution.json and summary.json hold the solves of
 # the solver with stalling block passes, and solution.json the later
-# "stationarity" and "stats" keys. Both hold the pseudo-inverse start, whose
-# fit differs from lstsq's in the last bits: the solve's objective and the
-# sweep's mean MSE move by about 1e-15 relative, and no count moves.
+# "stationarity" and "stats" keys. Both hold the pseudo-inverse start and
+# block steps of 4/(3L), not 1/L: the solve's objective moves by -2.6e-5
+# relative, its A and S steps from 118 and 167 to 103 and 140, and the
+# sweep's mean MSE by -0.13%.
 _DESK_PIPELINE_DIGESTS = {
     "scene/scene.json": "26ca467bfa0a0eaf8bfe95865a805d306a2330c5d0b49e70eee8952c345c6cda",
     "scene/spatial.json": "9bc5a51020f966b1f9fba473a13bb9b9cc5c2fbadf69819be0d3330cc3e17c5d",
-    "sol/solution.json": "2dab8a988cf74bc45eb9ebd1dbf619d2d198cbdc99685895f0f7c2ee2254868b",
-    "sweep/summary.json": "85370094120bb42e366216359fc83d83d00adbaaffcb71e377690c8fc94f24a9",
+    "sol/solution.json": "a15ac77d7d6738e963906a1d407c714ae156d6de75735c2e78c28412cd0b969f",
+    "sweep/summary.json": "90ae66f3f1020a09d6429f4f0d18de14a7e0f1dda173bd96c3a974e39e2a2d3e",
     "cert.json": "21d8582661b391e2bf402a34f145c7abdcd0c9b5d7e0eeb166d4884afff318c4",
 }
 

@@ -453,6 +453,32 @@ def test_validate_model_flags_bad_abundance_column():
     assert any(v.check == "abundance_sum" and "column 2" in v.location for v in report)
 
 
+_SCENE_8X8_SPATIAL = build_spatial_response(8, 8, kernel="uniform", kernel_size=2, factor=2)
+_SCENE_8X8 = generate_scene(desk_scene_config(seed=0, sr_bands=30, ms_bands=4, materials=3,
+                                              width=8, height=8, max_support=2),
+                            _SCENE_8X8_SPATIAL)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name, check", [("endmembers", "endmember_finite"),
+                                         ("abundances", "abundance_finite"),
+                                         ("spectral", "spectral_finite")])
+def test_a_non_finite_model_entry_is_named_before_any_decomposition(name, check, value):
+    # Every comparison with NaN is false, so the range and simplex checks
+    # alone pass a NaN entry, and certify's first SVD then fails unnamed.
+    arrays = {"endmembers": _SCENE_8X8.scene.endmembers.copy(),
+              "abundances": _SCENE_8X8.scene.abundances.copy(),
+              "spectral": _SCENE_8X8.spectral.copy()}
+    arrays[name][1, 2] = value
+    arrays[name][2, 0] = np.nan  # a later bad entry, which is not the one named
+    model = (arrays["endmembers"], arrays["abundances"], arrays["spectral"], _SCENE_8X8_SPATIAL)
+    first = validate_model(*model)[0]
+    assert (first.check, first.location) == (check, "entry (1, 2)")
+    assert first.message == f"value {value} is not finite"
+    with pytest.raises(ValueError, match=rf"^\[{check}\] entry \(1, 2\): value {value} is not"):
+        certify(*model)
+
+
 def test_entry_locations_print_as_plain_integers():
     from hsrfusion.model import validate_endmembers, validate_spectral
 

@@ -492,8 +492,8 @@ def _blocks(a_passes, a_steps, s_passes, s_steps):
 
 # The solver's exact work on fixed problems. A change that moves these
 # numbers changes the solver's work, and says by how much and why.
-_DESK_WORK_LEDGER = [28, 1, "converged", 3686, _blocks(28, 166, 28, 327)]
-_GAUSSIAN_64_WORK_LEDGER = [20, 2, "max_iterations", 37418, _blocks(20, 171, 20, 196)]
+_DESK_WORK_LEDGER = [28, 2, "converged", 3586, _blocks(28, 89, 28, 214)]
+_GAUSSIAN_64_WORK_LEDGER = [20, 2, "max_iterations", 38559, _blocks(20, 145, 20, 185)]
 
 
 def test_the_desk_work_ledger_is_pinned_and_independent_of_blas_threads():
@@ -553,9 +553,10 @@ def _no_counts():
 
 @pytest.mark.parametrize("scene", ["desk", "gaussian-64"])
 def test_a_pass_measures_the_gradient_mapping_at_its_start(scene, desk_spatial):
-    # L |X - P(X - grad f(X) / L)| per block, P the block's projection, from
-    # the public gradients, projection and a clip; a pass whose FISTA and
-    # plain attempts are both refused keeps X and still reports it.
+    # |X - P(X - t grad f(X))| / t per block at the pass's step t, P the
+    # block's projection, from the public gradients, projection and a clip; a
+    # pass whose FISTA and plain attempts are both refused keeps X and still
+    # reports it.
     if scene == "desk":
         gen = generate_scene(desk_scene_config(seed=38), desk_spatial)
         problem = (*observe(gen, desk_spatial), gen.spectral, desk_spatial)
@@ -571,7 +572,8 @@ def test_a_pass_measures_the_gradient_mapping_at_its_start(scene, desk_spatial):
                lambda: solver._support_projection(s), project_columns_to_simplex)]
     for x, block, gradient, projection, reference in blocks:
         step_map, lipschitz, evaluate = block
-        expected = lipschitz * np.linalg.norm(x - reference(x - gradient / lipschitz))
+        step = solver._STEP / lipschitz
+        expected = np.linalg.norm(x - reference(x - step * gradient)) / step
         for f_start, fallbacks in ((evaluate(x), 0), (-math.inf, 1)):
             counts = _no_counts()
             x_new, _, mapping = solver._descend(x, block, projection(), f_start, 3, counts)
@@ -680,6 +682,43 @@ def test_a_noiseless_solve_ends_its_rounding_level_passes_early(monkeypatch):
     assert solution.termination == "converged"
     assert solution.stats["endmembers"]["steps"] < 100
     assert solution.stats["abundances"]["steps"] < 100
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_noiseless_64_solve_ends_its_rounding_level_passes_early(seed):
+    # The scene-64 benchmark's scene, noiseless, with a cap of 10**4 steps per
+    # pass: once the fit is exact a FISTA pass steps by rounding, which its
+    # momentum carries from step to step, so a pass that waited for a fixed
+    # rounding level would run to the cap.
+    solution = solve_coupled(*_gaussian_64_problem(seed, snr_db=None),
+                             SolverConfig(materials=6, inner_steps=10**4))
+    assert solution.termination == "converged"
+    assert solution.iterations <= 10
+    for block in solution.stats.values():
+        assert block["steps"] < 200
+
+
+@pytest.mark.parametrize("step_times_curvature, bounded", [(4.0 / 3.0, True), (1.5, False)])
+def test_fista_on_one_curvature_mode_is_stable_at_four_thirds_of_one_over_l(
+        step_times_curvature, bounded):
+    # On a mode of curvature lambda, f = lambda x^2 / 2, a FISTA step is x+ =
+    # (1 - t lambda) y, y = x + beta (x - x_prev). It is stable exactly when
+    # t lambda < 2 (1 + beta) / (1 + 2 beta), which falls to 4/3 as beta -> 1:
+    # a step of 4/(3L), the solver's, is the longest that no mode with
+    # lambda <= L can make grow.
+    keep = 1.0 - step_times_curvature
+    x = y = 1.0
+    t = 1.0
+    peak = 0.0
+    for _ in range(10**4):
+        x_last, x = x, keep * y
+        peak = max(peak, abs(x))
+        if peak > 1e6:
+            break
+        t, beta = solver._momentum(t)
+        y = x + beta * (x - x_last)
+    assert (peak <= 1.0, peak > 1e6) == (bounded, not bounded)
+    assert solver._STEP == 4.0 / 3.0
 
 
 def _counting(project=lambda v: v):
@@ -791,14 +830,17 @@ def test_an_accepted_inertial_step_hands_over_its_s_g(desk_spatial, monkeypatch)
     assert all(handed)
 
 
-def _gaussian_64_problem(seed):
-    """A 64x64 scene, factor 4, Gaussian kernel 6, observed at 30 dB."""
+def _gaussian_64_problem(seed, snr_db=30.0):
+    """A 64x64 scene, factor 4, Gaussian kernel 6, observed at ``snr_db``
+    (None: noiseless)."""
     spatial = build_spatial_response(64, 64, kernel="gaussian", kernel_size=6, factor=4)
     gen = generate_scene(SceneConfig(sr_bands=50, ms_bands=6, materials=6, width=64, height=64,
                                      factor=4, max_support=3, kernel="gaussian", kernel_size=6,
                                      seed=seed, require_dominance=False), spatial)
     y_ms, y_hs = observe(gen, spatial)
-    return add_noise(y_ms, 30.0, seed=1), add_noise(y_hs, 30.0, seed=2), gen.spectral, spatial
+    if snr_db is not None:
+        y_ms, y_hs = add_noise(y_ms, snr_db, seed=1), add_noise(y_hs, snr_db, seed=2)
+    return y_ms, y_hs, gen.spectral, spatial
 
 
 def _power_norm(hessian, shape, rng, iterations=300):
@@ -929,6 +971,31 @@ def test_a_plain_s_step_at_one_over_l_meets_the_descent_lemma(scene, seed, desk_
     assert evaluate(s_plus) <= bound + 1e-12 * evaluate(s)
 
 
+@pytest.mark.parametrize("scene, seed", [("desk", 43), ("desk", 44), ("gaussian-64", 2)])
+def test_a_plain_step_of_four_thirds_over_l_lowers_f_by_a_quarter_l_times_its_square(
+        scene, seed, desk_spatial):
+    # The projection makes <grad f, d> <= -|d|^2 / t and the curvature along d
+    # is at most L, so a projected step of t < 2/L lowers f by at least (1/t -
+    # L/2) |d|^2: L/4 |d|^2 at the solver's t = 4/(3L). That keeps the plain
+    # redo of a refused FISTA pass from raising f beyond roundoff.
+    if scene == "desk":
+        gen = generate_scene(desk_scene_config(seed=seed), desk_spatial)
+        problem = (*observe(gen, desk_spatial), gen.spectral, desk_spatial)
+    else:
+        problem = _gaussian_64_problem(seed)
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(size=(problem[1].shape[0], 6))
+    s = random_simplex_columns(rng, 6, problem[3].sr_pixel_count)
+    inner = solver._Problem(*problem)
+    for x, (step_map, lipschitz, evaluate), project in (
+            (a, inner.endmember_pass(s), lambda v: np.clip(v, 0.0, 1.0)),
+            (s, inner.abundance_pass(a), project_columns_to_simplex)):
+        d = project(step_map(solver._STEP / lipschitz)(x)) - x
+        f = evaluate(x)
+        assert np.sum(d * d) > 0.0
+        assert evaluate(x + d) <= f - 0.25 * lipschitz * np.sum(d * d) + 1e-12 * f
+
+
 @pytest.mark.filterwarnings("error")
 def test_a_one_material_solve_keeps_s_at_ones(desk_spatial):
     # With one material the simplex is a single point and the tangent
@@ -946,10 +1013,11 @@ def test_a_one_material_solve_keeps_s_at_ones(desk_spatial):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_a_noiseless_default_solve_makes_at_most_two_passes_per_block_at_one_over_l(
+def test_a_noiseless_default_solve_makes_at_most_two_passes_per_block_at_its_step(
         seed, desk_spatial, monkeypatch):
-    # Once the objective is at roundoff a 1/L pass can raise it; the block is
-    # then kept as it was, with no further, shorter steps.
+    # Once the objective is at roundoff a pass can raise it; the block is then
+    # kept as it was, with no further, shorter steps: every pass forms its one
+    # step map, at _STEP / L.
     gen = generate_scene(desk_scene_config(seed=seed), desk_spatial)
     real_descend = solver._descend
     passes = []
@@ -975,7 +1043,7 @@ def test_a_noiseless_default_solve_makes_at_most_two_passes_per_block_at_one_ove
     assert solution.objective_trace[-1] <= 1e-20
     assert len(passes) >= 2 * solution.iterations
     assert max(p["attempts"] for p in passes) <= 2
-    assert all(p["maps"] == [1.0 / p["lipschitz"]] for p in passes)
+    assert all(p["maps"] == [solver._STEP / p["lipschitz"]] for p in passes)
 
 
 def test_s_passes_hand_pixel_major_arrays_to_the_projection_and_the_operator(monkeypatch):
